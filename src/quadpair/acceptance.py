@@ -355,12 +355,10 @@ def criterion_a7(level="desk") -> CriterionResult:
 def criterion_a8(level="desk") -> CriterionResult:
     """Exact lower bound from the mirrored-pair family near a rational."""
     t0 = time.time()
-    from .cli import demo_counterexample
-
-    big = demo_counterexample(1009, Fraction(3, 10))
+    big = paircorr.demo_counterexample(1009, Fraction(3, 10))
     if big.r < Fraction(49, 100):
         return _finish("A8", t0, False, f"R={float(big.r):.4f} < 0.49 at q=1009")
-    small = demo_counterexample(13, Fraction(3, 10))
+    small = paircorr.demo_counterexample(13, Fraction(3, 10))
     if small.r < Fraction(6, 13):
         return _finish("A8", t0, False, f"R={float(small.r):.4f} < 6/13 at q=13")
     return _finish(

@@ -11,6 +11,7 @@ depend on the thread setting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import QuadpairError
-from .exactreal import DEFAULT_BITS, eval_with_retry, is_prime, parse_alpha
+from .exactreal import DEFAULT_BITS, eval_with_retry, parse_alpha
 from . import latcount, modcount, paircorr
 from .constructor import construct_alpha, interval, verify_avoidance
 
@@ -129,22 +130,27 @@ def _cmd_paircorr(args) -> int:
     spec = parse_alpha(args.alpha)
     n = int(args.N)
     xs = _fractions(args.X)
-    bits = int(args.bits)
-    seq = eval_with_retry(spec, lambda a: paircorr.quadratic_sequence(a, n), bits)
-    rows = []
-    for x in xs:
-        res = paircorr.pair_correlation(seq, x)
-        r0 = paircorr.weighted_pair_correlation(seq, x).r0 if x > 0 else ""
-        rows.append(
-            {
-                "alpha": args.alpha,
-                "N": n,
-                "X": fmt_float(x),
-                "R": fmt_float(res.r),
-                "R0": fmt_float(r0) if r0 != "" else "",
-                "method": res.method,
-            }
-        )
+
+    def rows_at(alpha) -> list[dict]:
+        # the whole alpha is redone at more bits on a PrecisionError
+        seq = paircorr.quadratic_sequence(alpha, n)
+        rows = []
+        for x in xs:
+            res = paircorr.pair_correlation(seq, x)
+            r0 = paircorr.weighted_pair_correlation(seq, x).r0 if x > 0 else ""
+            rows.append(
+                {
+                    "alpha": args.alpha,
+                    "N": n,
+                    "X": fmt_float(x),
+                    "R": fmt_float(res.r),
+                    "R0": fmt_float(r0) if r0 != "" else "",
+                    "method": res.method,
+                }
+            )
+        return rows
+
+    rows = eval_with_retry(spec, rows_at, int(args.bits))
     _emit_rows(args, ["alpha", "N", "X", "R", "R0", "method"], rows)
     return 0
 
@@ -153,24 +159,30 @@ def _cmd_r0(args) -> int:
     spec = parse_alpha(args.alpha)
     n = int(args.N)
     xs = _fractions(args.X)
-    seq = eval_with_retry(spec, lambda a: paircorr.quadratic_sequence(a, n), int(args.bits))
-    rows = []
-    for x in xs:
-        rep = paircorr.verify_integral_identities(seq, x)
-        rows.append(
-            {
-                "alpha": args.alpha,
-                "N": n,
-                "X": fmt_float(x),
-                "R0": fmt_float(rep.r0),
-                "intL": fmt_float(rep.int_l),
-                "intL2": fmt_float(rep.int_l2),
-                "coverage_ok": rep.int_l_ok,
-                "square_ok": rep.square_ok,
-                "square_applicable": rep.square_applicable,
-                "additive_ok": rep.additive_ok,
-            }
-        )
+
+    def rows_at(alpha) -> list[dict]:
+        # the whole alpha is redone at more bits on a PrecisionError
+        seq = paircorr.quadratic_sequence(alpha, n)
+        rows = []
+        for x in xs:
+            rep = paircorr.verify_integral_identities(seq, x)
+            rows.append(
+                {
+                    "alpha": args.alpha,
+                    "N": n,
+                    "X": fmt_float(x),
+                    "R0": fmt_float(rep.r0),
+                    "intL": fmt_float(rep.int_l),
+                    "intL2": fmt_float(rep.int_l2),
+                    "coverage_ok": rep.int_l_ok,
+                    "square_ok": rep.square_ok,
+                    "square_applicable": rep.square_applicable,
+                    "additive_ok": rep.additive_ok,
+                }
+            )
+        return rows
+
+    rows = eval_with_retry(spec, rows_at, int(args.bits))
     _emit_rows(
         args,
         ["alpha", "N", "X", "R0", "intL", "intL2", "coverage_ok", "square_ok", "square_applicable", "additive_ok"],
@@ -391,21 +403,6 @@ def _cmd_suite(args) -> int:
     return 0 if all_ok else 1
 
 
-def demo_counterexample(q: int, x, seed: int = 0) -> paircorr.PairCorrResult:
-    """Pair correlation of a value engineered next to a/q: the pairs summing
-    to q land within 1/(4N) of an integer multiple, forcing R >= ~1/2."""
-    if not is_prime(q):
-        raise ValueError("modulus must be prime")
-    x = Fraction(x)
-    if not Fraction(1, 4) < x < Fraction(1, 2):
-        raise ValueError("window must lie in (1/4, 1/2)")
-    rng = random.Random(seed)
-    a = rng.randrange(1, q)
-    alpha = Fraction(a, q) + Fraction(1, 4 * q ** 3)
-    seq = paircorr.quadratic_sequence(alpha, q)
-    return paircorr.pair_correlation(seq, x)
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -413,16 +410,22 @@ def demo_counterexample(q: int, x, seed: int = 0) -> paircorr.PairCorrResult:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value defaults file")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", default="0")
-    p.add_argument("--threads", default=None, help="worker count (results never depend on it)")
-    p.add_argument("--bits", default=str(DEFAULT_BITS))
-    p.add_argument("--eta", default="1/200")
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--seed")
+    p.add_argument("--threads", help="worker count (results never depend on it)")
+    p.add_argument("--bits")
+    p.add_argument("--eta")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommand parsers leave every flag not given on the command line
+    unset; _apply_config fills those from the config file or _DEFAULTS."""
     parser = argparse.ArgumentParser(prog="quadpair")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(
+        dest="subcommand",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS),
+    )
 
     p = sub.add_parser("paircorr", help="pair correlation of a quadratic sequence")
     p.add_argument("--alpha", required=True)
@@ -456,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", required=True, help="lo:hi with rational endpoints")
     p.add_argument("--qstart", required=True)
     p.add_argument("--qmax", required=True)
-    p.add_argument("--lemma2-constant", dest="lemma2_constant", default="1")
+    p.add_argument("--lemma2-constant", dest="lemma2_constant")
     p.add_argument(
         "--no-strict-budget",
         action="store_true",
@@ -499,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture2", help="hyperbola box counts at unit residues")
     p.add_argument("--N", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--samples", default="50")
+    p.add_argument("--samples")
     _add_common(p)
     p.set_defaults(handler=_cmd_conjecture2)
 
@@ -511,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_divisor_ap)
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
-    p.add_argument("--level", choices=("desk", "quick"), default="desk")
+    p.add_argument("--level", choices=("desk", "quick"))
     p.add_argument("--only", help="comma-separated criterion names, e.g. A1,A3")
     _add_common(p)
     p.set_defaults(handler=_cmd_suite)
@@ -519,23 +522,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_DEFAULTS = {
+    "config": None,
+    "out": None,
+    "format": "csv",
+    "seed": "0",
+    "threads": None,
+    "bits": str(DEFAULT_BITS),
+    "eta": "1/200",
+    "alpha": None,
+    "x": None,
+    "q": None,
+    "qlo": None,
+    "qhi": None,
+    "N": None,
+    "P0": None,
+    "P1": None,
+    "lemma2_constant": "1",
+    "no_strict_budget": False,
+    "samples": "50",
+    "level": "desk",
+    "only": None,
+}
+
+
 def _apply_config(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    values = load_config(args.config)
-    for key, value in values.items():
+    """Fill every flag the command line left unset: from the config file
+    when it has the key, else from _DEFAULTS.  Explicit flags always win."""
+    config = load_config(args.config) if hasattr(args, "config") else {}
+    for key, value in [*config.items(), *_DEFAULTS.items()]:
         if not hasattr(args, key):
-            continue
-        # flags given on the command line win; argparse filled those already
-        if getattr(args, key) in (None, False) or _is_default(args, key):
             setattr(args, key, value)
-
-
-_DEFAULTS = {"format": "csv", "seed": "0", "bits": str(DEFAULT_BITS), "eta": "1/200", "samples": "50", "level": "desk", "lemma2_constant": "1"}
-
-
-def _is_default(args, key: str) -> bool:
-    return key in _DEFAULTS and getattr(args, key) == _DEFAULTS[key]
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .errors import BudgetError, CostGuardError, EmptyRefinementError, PrecisionError
 from .exactreal import FixedReal, floor_power, ge_power, iroot, q1_part
 from .modcount import bad_set
@@ -118,20 +120,25 @@ class BadInterval:
 
 def subtract(base: RationalInterval, bads) -> IntervalSet:
     """base minus a union of open intervals, as closed survivor pieces."""
-    pieces: list[tuple[Fraction, Fraction]] = [(base.lo, base.hi)]
+    # piece starts and ends both stay sorted, so the pieces an open interval
+    # meets (start < its hi and end > its lo) form one contiguous run
+    starts = [base.lo]
+    ends = [base.hi]
     for bad in sorted(bads, key=lambda b: (b.lo, b.hi)):
         blo, bhi = bad.lo, bad.hi
-        out = []
-        for a, b in pieces:
-            if bhi <= a or blo >= b:
-                out.append((a, b))
-                continue
+        i = bisect_right(ends, blo)
+        j = bisect_left(starts, bhi)
+        new_starts, new_ends = [], []
+        for a, b in zip(starts[i:j], ends[i:j]):
             if blo >= a:
-                out.append((a, min(blo, b)))
+                new_starts.append(a)
+                new_ends.append(min(blo, b))
             if bhi <= b:
-                out.append((max(bhi, a), b))
-        pieces = out
-    return IntervalSet([RationalInterval(a, b) for a, b in pieces])
+                new_starts.append(max(bhi, a))
+                new_ends.append(b)
+        starts[i:j] = new_starts
+        ends[i:j] = new_ends
+    return IntervalSet([RationalInterval(a, b) for a, b in zip(starts, ends)])
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +153,19 @@ def _wide_radius_den(q: int, eta: Fraction) -> int:
 @lru_cache(maxsize=None)
 def _class2_flag(q: int, eta: Fraction) -> bool:
     return ge_power(Fraction(q1_part(q)), q, 2 * eta)
+
+
+def _check_sweep(q_lo: int, q_hi: int) -> None:
+    if not 2 <= q_lo <= q_hi <= Q_GUARD:
+        raise CostGuardError(f"modulus sweep must stay within [2, {Q_GUARD}]")
+
+
+def _class_measures(q: int, eta: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """Total measure of each exclusion family at modulus q, counting every
+    centre a/q in [0, 1] for the two full families."""
+    wide = Fraction(2 * (q + 1), _wide_radius_den(q, eta))
+    even = Fraction(2 * (q + 1), q * q) if _class2_flag(q, eta) else Fraction(0)
+    return wide, even, Fraction(2 * len(bad_set(q, eta)), q * q)
 
 
 def _a_range(q: int, radius: Fraction, within: Optional[RationalInterval]):
@@ -166,8 +186,7 @@ def enumerate_bad_intervals(
     class 3.
     """
     eta = Fraction(eta)
-    if not 2 <= q_lo <= q_hi <= Q_GUARD:
-        raise CostGuardError(f"modulus sweep must stay within [2, {Q_GUARD}]")
+    _check_sweep(q_lo, q_hi)
     out: list[BadInterval] = []
     for q in range(q_lo, q_hi + 1):
         r1 = Fraction(1, _wide_radius_den(q, eta))
@@ -213,10 +232,9 @@ def _class1_tail_bound(q_hi: int, eta: Fraction) -> Fraction:
     return 4 / eta * Fraction(1 << prec, t)
 
 
+@lru_cache(maxsize=None)
 def _squarefull_series(eta: float, upto: int = 200_000) -> float:
     # sum over q of sqrt(q1(q)) * q^(-1-eta), via its Euler product
-    import numpy as np
-
     total = math.log(1 + 1 / (2 ** (0.5 + eta) - 1))
     flags = np.ones(upto + 1, dtype=bool)
     flags[:2] = False
@@ -242,16 +260,13 @@ def tail_budget(q_start: int, q_hi: int, eta, lemma2_constant=Fraction(1)) -> Ta
     """
     eta = Fraction(eta)
     lemma2_constant = Fraction(lemma2_constant)
-    if not 2 <= q_start <= q_hi <= Q_GUARD:
-        raise CostGuardError(f"modulus sweep must stay within [2, {Q_GUARD}]")
-    c1 = Fraction(0)
-    c2 = Fraction(0)
-    c3 = Fraction(0)
+    _check_sweep(q_start, q_hi)
+    c1 = c2 = c3 = Fraction(0)
     for q in range(q_start, q_hi + 1):
-        c1 += Fraction(2 * (q + 1), _wide_radius_den(q, eta))
-        if _class2_flag(q, eta):
-            c2 += Fraction(2 * (q + 1), q * q)
-        c3 += Fraction(2 * len(bad_set(q, eta)), q * q)
+        m1, m2, m3 = _class_measures(q, eta)
+        c1 += m1
+        c2 += m2
+        c3 += m3
 
     ef = float(eta)
     full = _squarefull_series(ef)
@@ -344,21 +359,29 @@ def construct_alpha(
     even/squarefull family at desk scale.  ``strict_budget=False`` drops the
     precondition and instead verifies survival constructively at every step
     (long low sweeps genuinely empty out: neighbouring exclusion intervals
-    overlap across every gap once the modulus range is deep enough).
+    overlap across every gap once the modulus range is deep enough).  The
+    certificate's class measures are summed during the sweep, so a sweep
+    that empties early never touches the moduli past that point.
     """
     eta = Fraction(eta)
     if not (0 <= base.lo < base.hi <= 1):
         raise ValueError("base interval must lie in [0, 1] with positive length")
-    budget = tail_budget(q_start, q_max, eta, lemma2_constant)
-    budget_ok = bool(budget.total < base.measure / 2)
-    if strict_budget and not budget_ok:
-        raise BudgetError(
-            f"enumerated measure {float(budget.total):.4g} is not below "
-            f"half the interval length {float(base.measure / 2):.4g}"
-        )
+    _check_sweep(q_start, q_max)
+    if strict_budget:
+        budget = tail_budget(q_start, q_max, eta, lemma2_constant)
+        if not budget.total < base.measure / 2:
+            raise BudgetError(
+                f"enumerated measure {float(budget.total):.4g} is not below "
+                f"half the interval length {float(base.measure / 2):.4g}"
+            )
     union = _OpenUnion()
     r_sequence: list[Fraction] = []
+    c1 = c2 = c3 = Fraction(0)
     for q in range(q_start, q_max + 1):
+        m1, m2, m3 = _class_measures(q, eta)
+        c1 += m1
+        c2 += m2
+        c3 += m3
         for bad in enumerate_bad_intervals(q, q, eta, within=base):
             union.insert(bad.lo, bad.hi)
         r = union.first_uncovered(base.lo)
@@ -368,6 +391,8 @@ def construct_alpha(
             raise AssertionError("survivor sequence decreased")  # pragma: no cover
         r_sequence.append(r)
     final = r_sequence[-1]
+    total = c1 + c2 + c3
+    budget_ok = bool(total < base.measure / 2)
     violations = verify_avoidance(final, q_start, q_max, eta)
     certificate = {
         "interval": [str(base.lo), str(base.hi)],
@@ -377,10 +402,10 @@ def construct_alpha(
         "lemma2_constant": str(Fraction(lemma2_constant)),
         "budget_ok": budget_ok,
         "class_measures": {
-            "class1": str(budget.class1_sum),
-            "class2": str(budget.class2_sum),
-            "class3": str(budget.class3_sum),
-            "total": str(budget.total),
+            "class1": str(c1),
+            "class2": str(c2),
+            "class3": str(c3),
+            "total": str(total),
         },
         "r_sequence": [str(r) for r in r_sequence],
         "final": str(final),
@@ -395,8 +420,7 @@ def verify_avoidance(x, q_start: int, q_max: int, eta) -> list[BadInterval]:
     """Exact membership scan of x against every exclusion interval in range;
     an empty result certifies avoidance over the sweep."""
     eta = Fraction(eta)
-    if not 2 <= q_start <= q_max <= Q_GUARD:
-        raise CostGuardError(f"modulus sweep must stay within [2, {Q_GUARD}]")
+    _check_sweep(q_start, q_max)
     if isinstance(x, FixedReal):
         x_lo, x_hi = x.lo, x.hi
     else:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuardError
-from .exactreal import cmp_power, euler_phi, factorize, floor_power, q1_part
+from .exactreal import euler_phi, factorize, floor_power, q1_part
 from .paircorr import pair_correlation, quadratic_sequence
 
 A0_DIRECT_GUARD = 10 ** 5
@@ -178,21 +178,56 @@ def _profile_cached(q: int, eta: Fraction) -> CongruenceProfile:
     return delta_star_profile(q, eta)
 
 
-def _bad_set_of_profile(profile: CongruenceProfile) -> tuple[int, ...]:
-    q = profile.q
-    eta = profile.eta
+# Gathered sums are exact in int64: every entry of ``delta_star_scaled`` lies
+# in [0, m_max^2 q^2] (A(M,q,c) <= M^2 and A0(q,c) <= q^2), so a sum of r_max
+# entries is at most r_max m_max^2 q^2, about 2.7e18 < 2^63 at
+# q = PROFILE_GUARD, eta = 1/100.  _gather_width enforces the bound.
+_GATHER_CHUNK = 1 << 18  # index-array entries per chunk of units
+
+
+def _gather_width(q: int, eta: Fraction) -> int:
+    """r_max = floor(q^(1/3 + 2 eta)), after checking that a sum of r_max
+    profile entries fits in int64."""
     r_max = floor_power(q, Fraction(1, 3) + 2 * eta)
-    threshold_exp = Fraction(2, 3) - 2 * eta
+    m_max = floor_power(q, Fraction(2, 3))
+    if r_max * (m_max * q) ** 2 >= 1 << 63:
+        raise CostGuardError(f"bad-set sums at q={q} could overflow int64")
+    return r_max
+
+
+def _bad_threshold(q: int, eta: Fraction) -> int:
+    """Least integer T with T^d >= q^n, where n/d = 8/3 - 2 eta.
+
+    For an integer sum s of scaled deviations, s/q^2 >= q^(2/3 - 2 eta)
+    exactly when s >= T.  A float estimate is settled by exact comparisons
+    at T - 1 and T.
+    """
+    e = Fraction(8, 3) - 2 * eta
+    target = q ** e.numerator
+    t = math.ceil(float(q) ** float(e))
+    while (t - 1) ** e.denominator >= target:
+        t -= 1
+    while t ** e.denominator < target:
+        t += 1
+    return t
+
+
+def _bad_set_of_profile(profile: CongruenceProfile) -> tuple[int, ...]:
+    # a is bad when sum_{r <= r_max} scaled[a^-1 r mod q] >= T; a -> a^-1 is a
+    # bijection on units, so test every unit b = a^-1 and invert the bad ones
+    q = profile.q
+    r_max = _gather_width(q, profile.eta)
+    threshold = _bad_threshold(q, profile.eta)
     scaled = profile.delta_star_scaled
-    out = []
-    for a in range(1, q):
-        if math.gcd(a, q) != 1:
-            continue
-        abar = pow(a, -1, q)
-        total = int(sum(int(scaled[(abar * r) % q]) for r in range(1, r_max + 1)))
-        if cmp_power(Fraction(total, q * q), q, threshold_exp) >= 0:
-            out.append(a)
-    return tuple(out)
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    r = np.arange(1, r_max + 1, dtype=np.int64)
+    rows = max(1, _GATHER_CHUNK // r_max)
+    bad_inverses = []
+    for start in range(0, len(units), rows):
+        chunk = units[start : start + rows]
+        totals = scaled[(chunk[:, None] * r) % q].sum(axis=1)
+        bad_inverses.extend(int(b) for b in chunk[totals >= threshold])
+    return tuple(sorted(pow(b, -1, q) for b in bad_inverses))
 
 
 def bad_set(q: int, eta) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ the sequence at all.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuardError, PrecisionError
-from .exactreal import FixedReal
+from .exactreal import FixedReal, is_prime
 
 NAIVE_GUARD = 5000
 SWEEP_GUARD = 4000
@@ -300,6 +301,20 @@ def pair_correlation_uv(alpha, n: int, x) -> PairCorrResult:
                 if w >= den:
                     w -= den
     return PairCorrResult(n, x, Fraction(count, n), method="uv-decomposition", pair_count=count)
+
+
+def demo_counterexample(q: int, x, seed: int = 0) -> PairCorrResult:
+    """Pair correlation of a value engineered next to a/q: the pairs summing
+    to q land within 1/(4N) of an integer multiple, forcing R >= ~1/2."""
+    if not is_prime(q):
+        raise ValueError("modulus must be prime")
+    x = Fraction(x)
+    if not Fraction(1, 4) < x < Fraction(1, 2):
+        raise ValueError("window must lie in (1/4, 1/2)")
+    rng = random.Random(seed)
+    a = rng.randrange(1, q)
+    alpha = Fraction(a, q) + Fraction(1, 4 * q ** 3)
+    return pair_correlation(quadratic_sequence(alpha, q), x)
 
 
 def weighted_pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:

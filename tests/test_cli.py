@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from quadpair.cli import demo_counterexample, fmt_float, load_config, main
+from quadpair import paircorr
+from quadpair.cli import fmt_float, load_config, main
+from quadpair.errors import PrecisionError
 from quadpair.expsum import quad_sum
 from quadpair.modcount import divisor_sum_ap
+from quadpair.paircorr import demo_counterexample
 
 
 def run(args, capsys):
@@ -201,3 +204,48 @@ def test_demo_counterexample_deterministic_per_seed():
     a = demo_counterexample(101, Fraction(3, 10), seed=7)
     b = demo_counterexample(101, Fraction(3, 10), seed=7)
     assert a.r == b.r
+
+
+def test_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\neta = 1/100\n")
+    argv = ["badset", "--qlo", "4", "--qhi", "5", "--config", str(cfg)]
+    code, text = run(argv + ["--format", "csv", "--eta", "1/200"], capsys)
+    assert code == 0
+    assert text.splitlines() == ["q,eta,card,members", "4,1/200,0,", "5,1/200,0,"]
+    # without the flags the file's values apply
+    code, text = run(argv, capsys)
+    assert code == 0
+    assert [row["eta"] for row in json.loads(text)] == ["1/100", "1/100"]
+
+
+def _fail_first_call(monkeypatch, name):
+    real = getattr(paircorr, name)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise PrecisionError("first attempt cannot certify")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(paircorr, name, flaky)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["paircorr", "--alpha", "sqrt:2", "--N", "300", "--X", "0.5,1,2"], "pair_correlation"),
+        (["r0", "--alpha", "sqrt:3", "--N", "60", "--X", "1.5,3"], "verify_integral_identities"),
+    ],
+)
+def test_precision_error_past_sequence_build_retries(monkeypatch, capsys, argv, name):
+    code, expected = run(argv, capsys)
+    assert code == 0
+    calls = _fail_first_call(monkeypatch, name)
+    code, text = run(argv, capsys)
+    assert code == 0
+    assert text == expected
+    # the retry rebuilt the sequence at more bits
+    assert calls[1][0].den > calls[0][0].den

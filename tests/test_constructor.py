@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from quadpair.errors import BudgetError, EmptyRefinementError
+from quadpair import constructor
+from quadpair.errors import BudgetError, CostGuardError, EmptyRefinementError
 from quadpair.exactreal import q1_part, sqrt_fixed
+from quadpair.modcount import bad_set
 from quadpair.constructor import (
+    Q_GUARD,
     BadInterval,
     _OpenUnion,
     construct_alpha,
@@ -56,6 +59,43 @@ def test_subtract_touching_open_intervals_leave_point():
         (Fraction(1, 2), Fraction(1, 2)),
         (Fraction(1), Fraction(1)),
     ]
+
+
+def _subtract_by_scan(base, bads):
+    # reference: every piece is tested against every open interval
+    pieces = [(base.lo, base.hi)]
+    for bad in sorted(bads, key=lambda b: (b.lo, b.hi)):
+        out = []
+        for a, b in pieces:
+            if bad.hi <= a or bad.lo >= b:
+                out.append((a, b))
+                continue
+            if bad.lo >= a:
+                out.append((a, min(bad.lo, b)))
+            if bad.hi <= b:
+                out.append((max(bad.hi, a), b))
+        pieces = out
+    return pieces
+
+
+def test_subtract_matches_piecewise_scan():
+    rng = random.Random(7)
+    for _ in range(300):
+        den = rng.choice([4, 12, 60])
+        lo = Fraction(rng.randrange(0, den), den)
+        base = interval(lo, lo + Fraction(rng.randrange(0, den), den))
+        # coarse grids make shared endpoints, point pieces and full covers common
+        bads = [
+            BadInterval(den, 0, 1, Fraction(rng.randrange(-2, 2 * den + 2), 2 * den),
+                        Fraction(rng.randrange(1, 6), 4 * den))
+            for _ in range(rng.randrange(0, 25))
+        ]
+        got = [(iv.lo, iv.hi) for iv in subtract(base, bads).intervals]
+        assert got == _subtract_by_scan(base, bads)
+    base = interval(Fraction(1, 3), Fraction(2, 5))
+    bads = enumerate_bad_intervals(10, 60, ETA, within=base)
+    got = [(iv.lo, iv.hi) for iv in subtract(base, bads).intervals]
+    assert got == _subtract_by_scan(base, bads)
 
 
 def test_subtract_measure_lower_bound_and_membership_oracle():
@@ -174,6 +214,42 @@ def test_construct_empties_on_deep_sweep():
     assert "47" in str(exc.value)
 
 
+def test_construct_non_strict_certificate_measures_match_tail_budget():
+    base = interval(Fraction(1, 3), Fraction(2, 5))
+    res = construct_alpha(base, 10, 40, ETA, strict_budget=False)
+    tb = tail_budget(10, 40, ETA)
+    assert res.certificate["class_measures"] == {
+        "class1": str(tb.class1_sum),
+        "class2": str(tb.class2_sum),
+        "class3": str(tb.class3_sum),
+        "total": str(tb.total),
+    }
+    assert res.budget_ok == (tb.total < base.measure / 2)
+
+
+def test_construct_non_strict_stops_at_the_emptying_modulus(monkeypatch):
+    # the measure sums are built inside the sweep, so a sweep that empties
+    # at q=47 never classifies a modulus past it
+    seen = []
+
+    def recording_bad_set(q, eta):
+        seen.append(q)
+        return bad_set(q, eta)
+
+    monkeypatch.setattr(constructor, "bad_set", recording_bad_set)
+    base = interval(Fraction(1, 3), Fraction(2, 5))
+    with pytest.raises(EmptyRefinementError, match="modulus 47"):
+        construct_alpha(base, 10, 3000, ETA, strict_budget=False)
+    assert max(seen) == 47
+
+
+def test_construct_checks_the_sweep_range_first():
+    base = interval(Fraction(1, 3), Fraction(2, 5))
+    for q_start, q_max in ((10, Q_GUARD + 1), (40, 30), (1, 10)):
+        with pytest.raises(CostGuardError):
+            construct_alpha(base, q_start, q_max, ETA, strict_budget=False)
+
+
 def test_construct_empty_refinement():
     # a tiny interval centred on a rational gets wiped out immediately
     base = interval(Fraction(1, 2) - Fraction(1, 1000), Fraction(1, 2) + Fraction(1, 1000))
@@ -214,7 +290,5 @@ def test_tail_budget_shapes():
 
 def test_tail_budget_class3_zero_when_bad_sets_empty():
     tb = tail_budget(5, 8, ETA)
-    from quadpair.modcount import bad_set
-
     expected = sum(Fraction(2 * len(bad_set(q, ETA)), q * q) for q in range(5, 9))
     assert tb.class3_sum == expected

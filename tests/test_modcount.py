@@ -5,10 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadpair.exactreal import euler_phi, sqrt_fixed
+from quadpair import modcount
+from quadpair.errors import CostGuardError
+from quadpair.exactreal import cmp_power, euler_phi, floor_power, sqrt_fixed
 from quadpair.modcount import (
+    PROFILE_GUARD,
+    CongruenceProfile,
     _autocorr_kron,
     _autocorr_outer,
+    _bad_set_of_profile,
+    _bad_threshold,
+    _gather_width,
     approx_identity_R,
     bad_set,
     count_A,
@@ -176,6 +183,81 @@ def test_bad_set_q2_matches_oracle():
 def test_bad_set_bounded_by_units():
     for q in (12, 30, 47):
         assert len(bad_set(q, ETA)) <= euler_phi(q)
+
+
+def _bad_set_oracle(profile):
+    # the definition, one residue at a time: a is bad when
+    # sum_{r <= q^(1/3 + 2 eta)} delta*(a^-1 r) >= q^(2/3 - 2 eta)
+    q, eta = profile.q, profile.eta
+    r_max = floor_power(q, Fraction(1, 3) + 2 * eta)
+    out = []
+    for a in range(1, q):
+        if math.gcd(a, q) != 1:
+            continue
+        abar = pow(a, -1, q)
+        total = sum(int(profile.delta_star_scaled[(abar * r) % q]) for r in range(1, r_max + 1))
+        if cmp_power(Fraction(total, q * q), q, Fraction(2, 3) - 2 * eta) >= 0:
+            out.append(a)
+    return tuple(out)
+
+
+_ETAS = (Fraction(1, 100), Fraction(1, 200), Fraction(1, 1000), Fraction(3, 700))
+
+
+def test_bad_set_matches_per_residue_oracle():
+    for q in list(range(2, 400)) + [997, 1009, 2003, 2999, 4001]:
+        prof = delta_star_profile(q, ETA)
+        assert bad_set(q, ETA) == _bad_set_oracle(prof), q
+    for eta in _ETAS:
+        for q in (2, 3, 64, 101, 210, 997):
+            assert bad_set(q, eta) == _bad_set_oracle(delta_star_profile(q, eta)), (q, eta)
+
+
+@pytest.mark.parametrize("chunk", [16, modcount._GATHER_CHUNK])
+def test_bad_set_matches_oracle_on_synthetic_profiles(monkeypatch, chunk):
+    # real profiles give empty bad sets at these moduli, so the gather and
+    # the threshold are also checked on profiles placed around the threshold;
+    # a small chunk splits the units over many gathers
+    monkeypatch.setattr(modcount, "_GATHER_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    for eta in _ETAS:
+        for q in (2, 7, 30, 97, 210, 360):
+            r_max = _gather_width(q, eta)
+            t = _bad_threshold(q, eta)
+            base = t // r_max
+            for spread in (1, 3, base // 2 + 1):
+                scaled = base + rng.integers(-spread, spread + 1, size=q, dtype=np.int64)
+                prof = CongruenceProfile(q, eta, np.zeros(q, dtype=np.int64), scaled, 0)
+                got = _bad_set_of_profile(prof)
+                assert got == _bad_set_oracle(prof), (q, eta, spread)
+            # exact ties: a gathered sum of exactly T is bad, T - 1 is not
+            for total, bad in ((t, True), (t - 1, False)):
+                scaled = np.zeros(q, dtype=np.int64)
+                scaled[1] = total
+                prof = CongruenceProfile(q, eta, np.zeros(q, dtype=np.int64), scaled, 0)
+                got = _bad_set_of_profile(prof)
+                assert got == _bad_set_oracle(prof)
+                assert (1 in got) == bad
+
+
+def test_bad_threshold_is_least_integer_power_bound():
+    for eta in _ETAS:
+        e = Fraction(8, 3) - 2 * eta
+        n, d = e.numerator, e.denominator
+        for q in list(range(2, 60)) + [997, 4093, 65536, PROFILE_GUARD]:
+            t = _bad_threshold(q, eta)
+            assert t ** d >= q ** n > (t - 1) ** d, (q, eta)
+
+
+def test_gather_sums_fit_int64_up_to_profile_guard():
+    # r_max and m_max grow with q and eta, so the largest case is the guard
+    q, eta = PROFILE_GUARD, Fraction(1, 100)
+    r_max = _gather_width(q, eta)
+    m_max = floor_power(q, Fraction(2, 3))
+    assert (r_max, m_max) == (58, 2154)
+    assert r_max * m_max ** 2 * q ** 2 < 2 ** 63
+    with pytest.raises(CostGuardError):
+        _gather_width(10 * PROFILE_GUARD, eta)
 
 
 def test_dispersion_report_q5():
