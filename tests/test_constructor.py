@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from quadpair import constructor
 from quadpair.errors import BudgetError, CostGuardError, EmptyRefinementError
-from quadpair.exactreal import q1_part, sqrt_fixed
+from quadpair.exactreal import floor_power, parse_alpha, q1_part, sqrt_fixed
 from quadpair.modcount import bad_set
 from quadpair.constructor import (
     Q_GUARD,
@@ -274,9 +275,47 @@ def test_verify_avoidance_fixedreal():
     assert [(b.q, b.a, b.cls) for b in hits] == brute
 
 
-def test_tail_budget_shapes():
-    from quadpair.exactreal import floor_power
+def _families_by_definition(q, eta, bad_residues):
+    # the three exclusion families at modulus q, written out from their
+    # definitions: radius 1/floor(q^(2+eta)) around every a/q; radius 1/q^2
+    # around every a/q when q1(q) >= q^(2 eta), i.e. q1^d >= q^(2n) for
+    # eta = n/d; radius 1/q^2 around a/q for a in the bad set
+    wide = Fraction(1, floor_power(q, 2 + eta))
+    narrow = Fraction(1, q * q)
+    out = [(1, a, wide) for a in range(q + 1)]
+    if q1_part(q) ** eta.denominator >= q ** (2 * eta.numerator):
+        out += [(2, a, narrow) for a in range(q + 1)]
+    out += [(3, a, narrow) for a in bad_residues(q, eta)]
+    return [BadInterval(q, a, cls, Fraction(a, q), r) for cls, a, r in out]
 
+
+def _every_other_unit(q, eta):
+    # a non-empty stand-in for the bad set: real bad sets are empty at
+    # desk-scale moduli, so class 3 would otherwise go unexercised
+    return tuple(a for a in range(1, q) if math.gcd(a, q) == 1 and a % 5 in (1, 3))
+
+
+@pytest.mark.parametrize("bad_residues", [bad_set, _every_other_unit])
+def test_enumerate_and_verify_match_the_family_definitions(monkeypatch, bad_residues):
+    monkeypatch.setattr(constructor, "bad_set", bad_residues)
+    within = interval(Fraction(1, 3), Fraction(2, 5))
+    # 1/3 + 1/144 lies exactly on the class-2 boundary at 4/12
+    points = [Fraction(0), Fraction(1), Fraction(7, 20), Fraction(1, 3) + Fraction(1, 144)]
+    golden = parse_alpha("cf:0;1").value(192)  # (sqrt(5) - 1)/2
+    for q in [*range(2, 121), *range(1000, 1006)]:
+        family = _families_by_definition(q, ETA, bad_residues)
+        assert enumerate_bad_intervals(q, q, ETA) == family
+        assert enumerate_bad_intervals(q, q, ETA, within=within) == [
+            b for b in family if b.hi > within.lo and b.lo < within.hi
+        ]
+        for x in points:
+            assert verify_avoidance(x, q, q, ETA) == [b for b in family if b.contains_open(x)]
+        inside = [b for b in family if b.contains_open(golden.lo)]
+        assert inside == [b for b in family if b.contains_open(golden.hi)]
+        assert verify_avoidance(golden, q, q, ETA) == inside
+
+
+def test_tail_budget_shapes():
     tb = tail_budget(10, 100, ETA)
     expected_c1 = sum(
         Fraction(2 * (q + 1), floor_power(q, 2 + ETA)) for q in range(10, 101)
