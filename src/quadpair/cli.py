@@ -4,8 +4,7 @@ emission.
 Output is byte-deterministic for a fixed configuration and seed: floats are
 printed with 17 significant digits, JSON keys are sorted, CSV uses plain
 newlines and UTF-8.  A plain-text config file of ``key = value`` lines (with
-``#`` comments) supplies defaults; explicit flags override it.  Results never
-depend on the thread setting.
+``#`` comments) supplies defaults; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ import argparse
 import functools
 import json
 import math
-import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -41,31 +38,6 @@ SUBCOMMANDS = (
     "divisor-ap",
     "suite",
 )
-
-
-@dataclass
-class ExperimentConfig:
-    subcommand: str
-    alpha: Optional[str] = None
-    n: Optional[int] = None
-    x_values: list = field(default_factory=list)
-    q_lo: Optional[int] = None
-    q_hi: Optional[int] = None
-    eta: Fraction = Fraction(1, 200)
-    bits: int = DEFAULT_BITS
-    seed: int = 0
-    threads: Optional[int] = None
-    out: Optional[str] = None
-    fmt: str = "csv"
-
-
-@dataclass
-class RunReport:
-    config: dict
-    rows: list
-    suite_passed: Optional[bool] = None
-    diagnostics: dict = field(default_factory=dict)
-    wall_clock: float = 0.0
 
 
 def fmt_float(v) -> str:
@@ -111,15 +83,6 @@ def _emit_json(args, payload) -> None:
 
 def _fractions(text: str) -> list[Fraction]:
     return [Fraction(part) for part in text.split(",") if part != ""]
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return int(args.threads)
-    env = os.environ.get("PAIRCORR_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +216,15 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify_avoidance(args) -> int:
+    def hits_at(value) -> list:
+        return verify_avoidance(value, int(args.qstart), int(args.qmax), Fraction(args.eta))
+
     if args.alpha:
-        value = parse_alpha(args.alpha).value(int(args.bits))
+        hits = eval_with_retry(parse_alpha(args.alpha), hits_at, int(args.bits))
         label = args.alpha
     else:
-        value = Fraction(args.x)
+        hits = hits_at(Fraction(args.x))
         label = args.x
-    hits = verify_avoidance(value, int(args.qstart), int(args.qmax), Fraction(args.eta))
     payload = {
         "x": label,
         "q_start": int(args.qstart),
@@ -285,25 +250,30 @@ def _cmd_expsum(args) -> int:
 def _cmd_lattice(args) -> int:
     beta_spec = parse_alpha(args.beta)
     delta = Fraction(args.delta)
-    rows = []
-    for m_text in args.M.split(","):
-        m = int(m_text)
-        beta = beta_spec.value(int(args.bits))
-        count = latcount.near_multiple_count(m, beta, delta)
-        basis = latcount.pair_lattice(m, beta, delta)
-        res = latcount.lattice_square_count(basis)
-        rows.append(
-            {
-                "M": m,
-                "beta": args.beta,
-                "delta": fmt_float(delta),
-                "R": count,
-                "lambda1": fmt_float(basis.lambda1),
-                "count": res.count,
-                "main": fmt_float(res.main),
-                "error_term": fmt_float(res.error_term),
-            }
-        )
+    bounds = [int(m_text) for m_text in args.M.split(",")]
+
+    def rows_at(beta) -> list[dict]:
+        # every bound is redone at more bits on a PrecisionError
+        rows = []
+        for m in bounds:
+            count = latcount.near_multiple_count(m, beta, delta)
+            basis = latcount.pair_lattice(m, beta, delta)
+            res = latcount.lattice_square_count(basis)
+            rows.append(
+                {
+                    "M": m,
+                    "beta": args.beta,
+                    "delta": fmt_float(delta),
+                    "R": count,
+                    "lambda1": fmt_float(basis.lambda1),
+                    "count": res.count,
+                    "main": fmt_float(res.main),
+                    "error_term": fmt_float(res.error_term),
+                }
+            )
+        return rows
+
+    rows = eval_with_retry(beta_spec, rows_at, int(args.bits))
     _emit_rows(
         args, ["M", "beta", "delta", "R", "lambda1", "count", "main", "error_term"], rows
     )
@@ -311,24 +281,29 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_vcounts(args) -> int:
-    alpha = parse_alpha(args.alpha).value(int(args.bits))
+    alpha_spec = parse_alpha(args.alpha)
     p0 = int(args.P0) if args.P0 else None
     p1 = int(args.P1) if args.P1 else None
-    spec = latcount.VCountSpec(int(args.A), int(args.B), Fraction(args.delta), alpha, p0, p1)
-    payload = {
-        "A": spec.a_bound,
-        "B": spec.b_bound,
-        "delta": str(Fraction(args.delta)),
-        "alpha": args.alpha,
-        "V": latcount.v_count(spec),
-        "V_star": latcount.v_star_count(spec),
-    }
-    if p0 is not None:
-        bins = latcount.v2_count(spec)
-        payload["V1"] = latcount.v1_count(spec)
-        payload["V2"] = {str(k): v for k, v in sorted(bins.items())}
-        payload["partition_ok"] = payload["V"] == payload["V1"] + sum(bins.values())
-    _emit_json(args, payload)
+
+    def payload_at(alpha) -> dict:
+        # all counts are redone at more bits on a PrecisionError
+        spec = latcount.VCountSpec(int(args.A), int(args.B), Fraction(args.delta), alpha, p0, p1)
+        payload = {
+            "A": spec.a_bound,
+            "B": spec.b_bound,
+            "delta": str(Fraction(args.delta)),
+            "alpha": args.alpha,
+            "V": latcount.v_count(spec),
+            "V_star": latcount.v_star_count(spec),
+        }
+        if p0 is not None:
+            bins = latcount.v2_count(spec)
+            payload["V1"] = latcount.v1_count(spec)
+            payload["V2"] = {str(k): v for k, v in sorted(bins.items())}
+            payload["partition_ok"] = payload["V"] == payload["V1"] + sum(bins.values())
+        return payload
+
+    _emit_json(args, eval_with_retry(alpha_spec, payload_at, int(args.bits)))
     return 0
 
 
@@ -377,28 +352,17 @@ def _cmd_suite(args) -> int:
     lines.append(f"suite: {'PASS' if all_ok else 'FAIL'} ({time.time() - t0:.2f}s total)")
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
-        report = RunReport(
-            config={"level": args.level, "threads": _resolve_threads(args)},
-            rows=[
-                {"name": r.name, "passed": r.passed, "details": r.details, "seconds": r.elapsed}
-                for r in results
-            ],
-            suite_passed=all_ok,
-            wall_clock=time.time() - t0,
-        )
-        _write_text(
-            args.out,
-            json.dumps(
-                {
-                    "config": report.config,
-                    "criteria": report.rows,
-                    "suite_passed": report.suite_passed,
-                    "wall_clock": report.wall_clock,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n",
+        _emit_json(
+            args,
+            {
+                "config": {"level": args.level},
+                "criteria": [
+                    {"name": r.name, "passed": r.passed, "details": r.details, "seconds": r.elapsed}
+                    for r in results
+                ],
+                "suite_passed": all_ok,
+                "wall_clock": time.time() - t0,
+            },
         )
     return 0 if all_ok else 1
 
@@ -410,16 +374,14 @@ def _cmd_suite(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value defaults file")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--seed")
-    p.add_argument("--threads", help="worker count (results never depend on it)")
-    p.add_argument("--bits")
-    p.add_argument("--eta")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Subcommand parsers leave every flag not given on the command line
-    unset; _apply_config fills those from the config file or _DEFAULTS."""
+    unset; _apply_config fills those from the config file or _DEFAULTS.
+    Each subcommand accepts only the flags its handler reads, and names in
+    ``required`` the ones that the command line or the config file must
+    supply."""
     parser = argparse.ArgumentParser(prog="quadpair")
     sub = parser.add_subparsers(
         dest="subcommand",
@@ -428,24 +390,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("paircorr", help="pair correlation of a quadratic sequence")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--N", required=True)
-    p.add_argument("--X", required=True, help="comma-separated window values")
+    p.add_argument("--alpha")
+    p.add_argument("--N")
+    p.add_argument("--X", help="comma-separated window values")
     _add_common(p)
-    p.set_defaults(handler=_cmd_paircorr)
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--bits")
+    p.set_defaults(handler=_cmd_paircorr, required=("alpha", "N", "X"))
 
     p = sub.add_parser("r0", help="weighted correlation and integral identities")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--N", required=True)
-    p.add_argument("--X", required=True)
+    p.add_argument("--alpha")
+    p.add_argument("--N")
+    p.add_argument("--X")
     _add_common(p)
-    p.set_defaults(handler=_cmd_r0)
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--bits")
+    p.set_defaults(handler=_cmd_r0, required=("alpha", "N", "X"))
 
     p = sub.add_parser("badset", help="bad residue sets per modulus")
-    p.add_argument("--qlo", required=True)
-    p.add_argument("--qhi", required=True)
+    p.add_argument("--qlo")
+    p.add_argument("--qhi")
     _add_common(p)
-    p.set_defaults(handler=_cmd_badset)
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--eta")
+    p.set_defaults(handler=_cmd_badset, required=("qlo", "qhi"))
 
     p = sub.add_parser("dispersion", help="dispersion sums vs the benchmark")
     p.add_argument("--q", help="comma-separated moduli")
@@ -453,12 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qhi")
     p.add_argument("--N", help="box mode bound (default: running-max mode)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_dispersion)
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--eta")
+    p.set_defaults(handler=_cmd_dispersion, required=())
 
     p = sub.add_parser("construct", help="interval refinement construction")
-    p.add_argument("--interval", required=True, help="lo:hi with rational endpoints")
-    p.add_argument("--qstart", required=True)
-    p.add_argument("--qmax", required=True)
+    p.add_argument("--interval", help="lo:hi with rational endpoints")
+    p.add_argument("--qstart")
+    p.add_argument("--qmax")
     p.add_argument("--lemma2-constant", dest="lemma2_constant")
     p.add_argument(
         "--no-strict-budget",
@@ -466,58 +436,66 @@ def build_parser() -> argparse.ArgumentParser:
         help="proceed past the measure precondition, verifying survival per step",
     )
     _add_common(p)
-    p.set_defaults(handler=_cmd_construct)
+    p.add_argument("--eta")
+    p.set_defaults(handler=_cmd_construct, required=("interval", "qstart", "qmax"))
 
     p = sub.add_parser("verify-avoidance", help="check a value against the exclusion families")
     p.add_argument("--alpha", help="alpha spec string")
     p.add_argument("--x", help="rational value, e.g. 7/20")
-    p.add_argument("--qstart", required=True)
-    p.add_argument("--qmax", required=True)
+    p.add_argument("--qstart")
+    p.add_argument("--qmax")
     _add_common(p)
-    p.set_defaults(handler=_cmd_verify_avoidance)
+    p.add_argument("--bits")
+    p.add_argument("--eta")
+    p.set_defaults(handler=_cmd_verify_avoidance, required=("qstart", "qmax"))
 
     p = sub.add_parser("expsum", help="quadric exponential sum")
-    p.add_argument("--b", required=True, help="four comma-separated integers")
-    p.add_argument("--q", required=True)
+    p.add_argument("--b", help="four comma-separated integers")
+    p.add_argument("--q")
     _add_common(p)
-    p.set_defaults(handler=_cmd_expsum)
+    p.set_defaults(handler=_cmd_expsum, required=("b", "q"))
 
     p = sub.add_parser("lattice", help="near-multiple counts and square sections")
-    p.add_argument("--M", required=True, help="comma-separated bounds")
-    p.add_argument("--beta", required=True, help="alpha spec string")
-    p.add_argument("--delta", required=True)
+    p.add_argument("--M", help="comma-separated bounds")
+    p.add_argument("--beta", help="alpha spec string")
+    p.add_argument("--delta")
     _add_common(p)
-    p.set_defaults(handler=_cmd_lattice)
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--bits")
+    p.set_defaults(handler=_cmd_lattice, required=("M", "beta", "delta"))
 
     p = sub.add_parser("vcounts", help="coprime triple box counts")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--A")
+    p.add_argument("--B")
+    p.add_argument("--delta")
+    p.add_argument("--alpha")
     p.add_argument("--P0")
     p.add_argument("--P1")
     _add_common(p)
-    p.set_defaults(handler=_cmd_vcounts)
+    p.add_argument("--bits")
+    p.set_defaults(handler=_cmd_vcounts, required=("A", "B", "delta", "alpha"))
 
     p = sub.add_parser("conjecture2", help="hyperbola box counts at unit residues")
-    p.add_argument("--N", required=True)
-    p.add_argument("--q", required=True)
+    p.add_argument("--N")
+    p.add_argument("--q")
     p.add_argument("--samples")
     _add_common(p)
-    p.set_defaults(handler=_cmd_conjecture2)
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--seed")
+    p.set_defaults(handler=_cmd_conjecture2, required=("N", "q"))
 
     p = sub.add_parser("divisor-ap", help="divisor sum in a progression")
-    p.add_argument("--M", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--s", required=True)
+    p.add_argument("--M")
+    p.add_argument("--q")
+    p.add_argument("--s")
     _add_common(p)
-    p.set_defaults(handler=_cmd_divisor_ap)
+    p.set_defaults(handler=_cmd_divisor_ap, required=("M", "q", "s"))
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
     p.add_argument("--level", choices=("desk", "quick"))
     p.add_argument("--only", help="comma-separated criterion names, e.g. A1,A3")
     _add_common(p)
-    p.set_defaults(handler=_cmd_suite)
+    p.set_defaults(handler=_cmd_suite, required=())
 
     return parser
 
@@ -527,7 +505,6 @@ _DEFAULTS = {
     "out": None,
     "format": "csv",
     "seed": "0",
-    "threads": None,
     "bits": str(DEFAULT_BITS),
     "eta": "1/200",
     "alpha": None,
@@ -548,11 +525,20 @@ _DEFAULTS = {
 
 def _apply_config(args) -> None:
     """Fill every flag the command line left unset: from the config file
-    when it has the key, else from _DEFAULTS.  Explicit flags always win."""
+    when it has the key, else from _DEFAULTS.  Explicit flags always win.
+    A boolean key in the file reads ``true`` or ``false``."""
     config = load_config(args.config) if hasattr(args, "config") else {}
+    for key, value in config.items():
+        if isinstance(_DEFAULTS.get(key), bool):
+            if value not in ("true", "false"):
+                raise ValueError(f"config key {key} must be true or false, got {value!r}")
+            config[key] = value == "true"
     for key, value in [*config.items(), *_DEFAULTS.items()]:
         if not hasattr(args, key):
             setattr(args, key, value)
+    missing = [f"--{key}" for key in args.required if getattr(args, key, None) is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
 
 
 def main(argv=None) -> int:

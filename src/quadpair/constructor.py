@@ -160,20 +160,32 @@ def _check_sweep(q_lo: int, q_hi: int) -> None:
         raise CostGuardError(f"modulus sweep must stay within [2, {Q_GUARD}]")
 
 
+def _families(q: int, eta: Fraction):
+    """The exclusion families at modulus q, as (class, radius, centres): the
+    open intervals of that radius around a/q for each a in the sorted
+    ``centres``."""
+    every = range(q + 1)
+    yield 1, Fraction(1, _wide_radius_den(q, eta)), every
+    if _class2_flag(q, eta):
+        yield 2, Fraction(1, q * q), every
+    yield 3, Fraction(1, q * q), bad_set(q, eta)
+
+
+def _centres_near(q: int, radius: Fraction, centres, lo: Fraction, hi: Fraction):
+    """The a in ``centres`` whose open interval around a/q meets [lo, hi],
+    i.e. lo - radius < a/q < hi + radius."""
+    i = bisect_right(centres, math.floor((lo - radius) * q))
+    j = bisect_left(centres, math.ceil((hi + radius) * q))
+    return centres[i:j]
+
+
 def _class_measures(q: int, eta: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """Total measure of each exclusion family at modulus q, counting every
     centre a/q in [0, 1] for the two full families."""
-    wide = Fraction(2 * (q + 1), _wide_radius_den(q, eta))
-    even = Fraction(2 * (q + 1), q * q) if _class2_flag(q, eta) else Fraction(0)
-    return wide, even, Fraction(2 * len(bad_set(q, eta)), q * q)
-
-
-def _a_range(q: int, radius: Fraction, within: Optional[RationalInterval]):
-    if within is None:
-        return range(0, q + 1)
-    lo = math.floor((within.lo - radius) * q)
-    hi = math.ceil((within.hi + radius) * q)
-    return range(max(0, lo), min(q, hi) + 1)
+    measures = [Fraction(0)] * 3
+    for cls, radius, centres in _families(q, eta):
+        measures[cls - 1] = radius * (2 * len(centres))
+    return tuple(measures)
 
 
 def enumerate_bad_intervals(
@@ -181,29 +193,18 @@ def enumerate_bad_intervals(
 ) -> list[BadInterval]:
     """All exclusion intervals for q in [q_lo, q_hi], ordered by (q, class, a).
 
-    ``within`` keeps only intervals meeting the given range; the full family
-    per modulus is 0 <= a <= q for classes 1 and 2 and the bad set for
-    class 3.
+    ``within`` keeps only intervals meeting the given range (default
+    [0, 1]); the full family per modulus is 0 <= a <= q for classes 1 and 2
+    and the bad set for class 3.
     """
     eta = Fraction(eta)
     _check_sweep(q_lo, q_hi)
+    lo, hi = (Fraction(0), Fraction(1)) if within is None else (within.lo, within.hi)
     out: list[BadInterval] = []
     for q in range(q_lo, q_hi + 1):
-        r1 = Fraction(1, _wide_radius_den(q, eta))
-        r2 = Fraction(1, q * q)
-        families = [(1, r1, _a_range(q, r1, within))]
-        if _class2_flag(q, eta):
-            families.append((2, r2, _a_range(q, r2, within)))
-        rng3 = _a_range(q, r2, within)
-        families.append((3, r2, [a for a in bad_set(q, eta) if rng3.start <= a < rng3.stop]))
-        for cls, radius, a_values in families:
-            for a in a_values:
-                center = Fraction(a, q)
-                if within is not None and (
-                    center + radius <= within.lo or center - radius >= within.hi
-                ):
-                    continue
-                out.append(BadInterval(q, a, cls, center, radius))
+        for cls, radius, centres in _families(q, eta):
+            for a in _centres_near(q, radius, centres, lo, hi):
+                out.append(BadInterval(q, a, cls, Fraction(a, q), radius))
     return out
 
 
@@ -427,27 +428,14 @@ def verify_avoidance(x, q_start: int, q_max: int, eta) -> list[BadInterval]:
         x_lo = x_hi = Fraction(x)
     violated: list[BadInterval] = []
     for q in range(q_start, q_max + 1):
-        r1 = Fraction(1, _wide_radius_den(q, eta))
-        r2 = Fraction(1, q * q)
-        bad = bad_set(q, eta)
-        families = [(1, r1, None)]
-        if _class2_flag(q, eta):
-            families.append((2, r2, None))
-        families.append((3, r2, set(bad)))
-        for cls, radius, allowed in families:
-            a_lo = max(0, math.floor((x_lo - radius) * q))
-            a_hi = min(q, math.ceil((x_hi + radius) * q))
-            for a in range(a_lo, a_hi + 1):
-                if allowed is not None and a not in allowed:
-                    continue
+        for cls, radius, centres in _families(q, eta):
+            for a in _centres_near(q, radius, centres, x_lo, x_hi):
+                # the enclosure meets this interval; a violation needs all of it inside
                 center = Fraction(a, q)
-                if x_hi < center + radius and x_lo > center - radius:
-                    violated.append(BadInterval(q, a, cls, center, radius))
-                elif x_hi <= center - radius or x_lo >= center + radius:
-                    continue
-                else:
+                if not center - radius < x_lo <= x_hi < center + radius:
                     raise PrecisionError(
                         f"enclosure of x straddles the boundary of the class-{cls} "
                         f"interval at {a}/{q}"
                     )
+                violated.append(BadInterval(q, a, cls, center, radius))
     return violated

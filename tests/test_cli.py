@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadpair import paircorr
+from quadpair import latcount, paircorr
 from quadpair.cli import fmt_float, load_config, main
 from quadpair.errors import PrecisionError
 from quadpair.expsum import quad_sum
@@ -160,23 +160,57 @@ def test_r0_identities(tmp_path):
 
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# sweep defaults\nX = 1,2\nN = 100\n")
+    # paircorr does not read eta; a shared file may still carry it
+    cfg.write_text("# sweep defaults\nX = 1,2\nN = 100\neta = 1/100\n")
     out1 = tmp_path / "o1.csv"
     assert main(
         ["paircorr", "--alpha", "sqrt:3", "--N", "100", "--X", "1,2", "--out", str(out1)]
     ) == 0
     # N and X come from the file here
     out2 = tmp_path / "o2.csv"
-    assert main(
-        ["paircorr", "--alpha", "sqrt:3", "--N", "100", "--config", str(cfg), "--out", str(out2),
-         "--X", "1,2"]
-    ) == 0
+    assert main(["paircorr", "--alpha", "sqrt:3", "--config", str(cfg), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert load_config(cfg) == {"X": "1,2", "N": "100"}
+    # an explicit flag beats the file
+    out3 = tmp_path / "o3.csv"
+    out4 = tmp_path / "o4.csv"
+    assert main(["paircorr", "--alpha", "sqrt:3", "--N", "100", "--X", "3", "--out", str(out3)]) == 0
+    assert main(
+        ["paircorr", "--alpha", "sqrt:3", "--config", str(cfg), "--X", "3", "--out", str(out4)]
+    ) == 0
+    assert out3.read_bytes() == out4.read_bytes()
+    assert load_config(cfg) == {"X": "1,2", "N": "100", "eta": "1/100"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("not a key value line\n")
     with pytest.raises(ValueError):
         load_config(bad)
+
+
+def test_config_booleans_are_true_or_false(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    argv = ["construct", "--interval", "1/3:2/5", "--qstart", "10", "--qmax", "200",
+            "--config", str(cfg)]
+    cfg.write_text("no_strict_budget = false\n")
+    assert main(argv) == 2
+    assert "is not below half the interval length" in capsys.readouterr().err
+    cfg.write_text("no_strict_budget = true\n")
+    assert main(argv) == 2
+    assert "refinement emptied at modulus 47" in capsys.readouterr().err
+    cfg.write_text("no_strict_budget = yes\n")
+    assert main(argv) == 2
+    assert "no_strict_budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divisor-ap", "--M", "20", "--q", "4", "--s", "1", "--format", "csv"],
+        ["expsum", "--b", "1,0,0,0", "--q", "21", "--eta", "1/3"],
+        ["suite", "--level", "quick", "--only", "A5", "--threads", "2"],
+    ],
+)
+def test_flags_the_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_suite_quick_subset(tmp_path, capsys):
@@ -186,6 +220,7 @@ def test_suite_quick_subset(tmp_path, capsys):
     assert "A5" in text and "A8" in text and "suite: PASS" in text
     report = json.loads(out.read_text())
     assert report["suite_passed"] is True
+    assert report["config"] == {"level": "quick"}
     assert [c["name"] for c in report["criteria"]] == ["A5", "A8"]
 
 
@@ -219,8 +254,8 @@ def test_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
     assert [row["eta"] for row in json.loads(text)] == ["1/100", "1/100"]
 
 
-def _fail_first_call(monkeypatch, name):
-    real = getattr(paircorr, name)
+def _fail_first_call(monkeypatch, name, module=paircorr):
+    real = getattr(module, name)
     calls = []
 
     def flaky(*args, **kwargs):
@@ -229,7 +264,7 @@ def _fail_first_call(monkeypatch, name):
             raise PrecisionError("first attempt cannot certify")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(paircorr, name, flaky)
+    monkeypatch.setattr(module, name, flaky)
     return calls
 
 
@@ -249,3 +284,37 @@ def test_precision_error_past_sequence_build_retries(monkeypatch, capsys, argv, 
     assert text == expected
     # the retry rebuilt the sequence at more bits
     assert calls[1][0].den > calls[0][0].den
+
+
+@pytest.mark.parametrize(
+    "argv, name, bits_of",
+    [
+        (
+            ["lattice", "--M", "50,100", "--beta", "sqrt:2", "--delta", "3/10"],
+            "near_multiple_count",
+            lambda args: args[1].frac_bits,
+        ),
+        (
+            ["vcounts", "--A", "6", "--B", "9", "--delta", "1/2", "--alpha", "sqrt:2"],
+            "v_count",
+            lambda args: args[0].alpha.frac_bits,
+        ),
+    ],
+)
+def test_precision_error_in_lattice_and_vcounts_retries(monkeypatch, capsys, argv, name, bits_of):
+    code, expected = run(argv, capsys)
+    assert code == 0
+    calls = _fail_first_call(monkeypatch, name, latcount)
+    code, text = run(argv, capsys)
+    assert code == 0
+    assert text == expected
+    assert bits_of(calls[1]) > bits_of(calls[0])
+
+
+def test_verify_avoidance_escalates_precision(capsys):
+    # within 2^-192 of 49/144, the edge of the class-2 interval at 4/12
+    alpha = "dec:0.3402777777777777777777777777777777777777777777777777777777777777"
+    argv = ["verify-avoidance", "--alpha", alpha, "--qstart", "12", "--qmax", "12"]
+    code, text = run(argv, capsys)
+    assert code == 0
+    assert run(argv + ["--bits", "384"], capsys) == (0, text)

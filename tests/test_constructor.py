@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from quadpair import constructor
-from quadpair.errors import BudgetError, CostGuardError, EmptyRefinementError
-from quadpair.exactreal import floor_power, parse_alpha, q1_part, sqrt_fixed
+from quadpair.errors import BudgetError, CostGuardError, EmptyRefinementError, PrecisionError
+from quadpair.exactreal import FixedReal, floor_power, parse_alpha, q1_part, sqrt_fixed
 from quadpair.modcount import bad_set
 from quadpair.constructor import (
     Q_GUARD,
@@ -313,6 +313,15 @@ def test_enumerate_and_verify_match_the_family_definitions(monkeypatch, bad_resi
         inside = [b for b in family if b.contains_open(golden.lo)]
         assert inside == [b for b in family if b.contains_open(golden.hi)]
         assert verify_avoidance(golden, q, q, ETA) == inside
+
+
+def test_verify_avoidance_refuses_an_enclosure_reaching_an_edge():
+    # 3/16 is the left edge of both q=4 intervals around 1/4 (radius 1/16)
+    edge = 3 << 188
+    assert verify_avoidance(FixedReal(edge, 192, 0), 4, 4, ETA) == []
+    for mantissa in (edge, edge + 1):
+        with pytest.raises(PrecisionError, match="class-1 interval at 1/4"):
+            verify_avoidance(FixedReal(mantissa, 192, 1), 4, 4, ETA)
 
 
 def test_tail_budget_shapes():
