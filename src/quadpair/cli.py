@@ -219,7 +219,9 @@ def _cmd_verify_avoidance(args) -> int:
     def hits_at(value) -> list:
         return verify_avoidance(value, int(args.qstart), int(args.qmax), Fraction(args.eta))
 
-    if args.alpha:
+    if (args.alpha is None) == (args.x is None):
+        raise ValueError("verify-avoidance needs exactly one of --alpha and --x")
+    if args.alpha is not None:
         hits = eval_with_retry(parse_alpha(args.alpha), hits_at, int(args.bits))
         label = args.alpha
     else:
@@ -550,7 +552,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.handler(args)
-    except (QuadpairError, ValueError, OSError) as exc:
+    except (QuadpairError, ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, CostGuardError, EmptyRefinementError, PrecisionError
-from .exactreal import FixedReal, floor_power, ge_power, iroot, q1_part
+from .exactreal import floor_power, ge_power, interval_of, iroot, q1_part
 from .modcount import bad_set
 
 Q_GUARD = 3000
@@ -422,10 +422,7 @@ def verify_avoidance(x, q_start: int, q_max: int, eta) -> list[BadInterval]:
     an empty result certifies avoidance over the sweep."""
     eta = Fraction(eta)
     _check_sweep(q_start, q_max)
-    if isinstance(x, FixedReal):
-        x_lo, x_hi = x.lo, x.hi
-    else:
-        x_lo = x_hi = Fraction(x)
+    x_lo, x_hi = interval_of(x)
     violated: list[BadInterval] = []
     for q in range(q_start, q_max + 1):
         for cls, radius, centres in _families(q, eta):

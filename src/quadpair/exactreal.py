@@ -210,6 +210,17 @@ def interval_of(x) -> tuple[Fraction, Fraction]:
     return v, v
 
 
+def residue_of(x) -> tuple[int, int, int]:
+    """x mod 1 as an integer residue over a denominator, with the error
+    radius counted in units of 1/den: (a, den, err_ulp), err_ulp = 0 for a
+    rational."""
+    if isinstance(x, FixedReal):
+        den = 1 << x.frac_bits
+        return x.mantissa % den, den, x.err_ulp
+    v = Fraction(x)
+    return v.numerator % v.denominator, v.denominator, 0
+
+
 def fixed_from_fraction(fr: Fraction, bits: int = DEFAULT_BITS) -> FixedReal:
     if bits < MIN_BITS:
         raise ValueError(f"bits must be >= {MIN_BITS}")

@@ -1,14 +1,12 @@
 """Exponential sums over the quadric x1^2 + x2^2 - x3^2 - x4^2 = 0 mod q,
-and linear phase sums, with closed forms at odd primes, a product rule over
-coprime factors, and a brute-force enumeration oracle.
+with closed forms at odd primes, a product rule over coprime factors, and a
+brute-force enumeration oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -16,18 +14,6 @@ from .errors import CostGuardError
 from .exactreal import factorize, is_prime
 
 BRUTE_GUARD = 36
-
-
-@dataclass(frozen=True)
-class ExpSumInput:
-    b: tuple[int, int, int, int]
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("modulus must be >= 1")
-        if len(self.b) != 4:
-            raise ValueError("b must have four components")
 
 
 @dataclass
@@ -130,38 +116,3 @@ def quad_sum(b, q: int) -> ComplexValue:
     if exact_only:
         return ComplexValue(float(exact), 0.0, 0.0, "product")
     return ComplexValue(re, im, err, "product")
-
-
-def linear_sum(b: int, n: int, q: int) -> ComplexValue:
-    """Geometric sum of phases -b*x/q for x = 1..n, evaluated in closed form.
-
-    Full periods contribute nothing for b != 0 mod q, so n is reduced mod q
-    first; the remainder is summed by the stable sine-ratio product.
-    """
-    if n < 1 or q < 1:
-        raise ValueError("need n >= 1 and q >= 1")
-    b %= q
-    if b == 0:
-        return ComplexValue(float(n), 0.0, 0.0, "closed-form")
-    n_red = n % q
-    if n_red == 0:
-        return ComplexValue(0.0, 0.0, 0.0, "closed-form")
-    if 2 * b == q:
-        # alternating signs: -1 for odd prefix length, 0 for even
-        val = -1.0 if n_red % 2 else 0.0
-        return ComplexValue(val, 0.0, 0.0, "closed-form")
-    theta = -2 * math.pi * b / q
-    mag = math.sin(n_red * theta / 2) / math.sin(theta / 2)
-    z = cmath.exp(1j * theta * (n_red + 1) / 2) * mag
-    err = 16 * np.finfo(float).eps * (abs(mag) + n_red)
-    return ComplexValue(z.real, z.imag, err, "closed-form")
-
-
-def linear_sum_bound(b: int, n: int, q: int) -> float:
-    """min(n, 1/(2||b/q||)) + 1, the magnitude envelope used in checks."""
-    b %= q
-    if b == 0:
-        return float(n) + 1
-    f = Fraction(b, q)
-    norm = min(f, 1 - f)
-    return min(float(n), 1 / (2 * float(norm))) + 1

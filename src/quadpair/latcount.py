@@ -1,6 +1,6 @@
 """Planar lattice counting: near-multiple counts, the rescaled lattice whose
-square sections encode them, Lagrange-Gauss reduction with a certified first
-minimum, coprime-triple box counts, and coprime points in ellipses.
+square section encodes them (counted exactly), Lagrange-Gauss reduction with
+a certified first minimum, and coprime-triple box counts.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuardError, PrecisionError
-from .exactreal import FixedReal
+from .exactreal import FixedReal, residue_of
 
 V_ENUM_GUARD = 10 ** 7
-SQUARE_ENUM_GUARD = 10 ** 8
 ILL_CONDITION_SQ = 1e24
 HERMITE_SQ = (4.0 / 3.0) ** 0.5
 
@@ -31,15 +30,7 @@ def near_multiple_count(m: int, beta, delta) -> int:
         raise ValueError("delta must be non-negative")
     if 2 * delta >= 1:
         return m
-    if isinstance(beta, FixedReal):
-        den = 1 << beta.frac_bits
-        a = beta.mantissa % den
-        base_err = beta.err_ulp
-    else:
-        fr = Fraction(beta)
-        den = fr.denominator
-        a = fr.numerator % den
-        base_err = 0
+    a, den, base_err = residue_of(beta)
     t = (delta.numerator * den) // delta.denominator
     w_hi = den - t
     count = 0
@@ -121,15 +112,10 @@ def _reduce_exact_scaled(u, v):
     return (iu[0] / scale, iu[1] / scale), (iv[0] / scale, iv[1] / scale)
 
 
-def gauss_reduce(basis_or_u, v=None, exact=None) -> LatticeBasis2:
+def gauss_reduce(u, v, exact=None) -> LatticeBasis2:
     """Lagrange-Gauss reduction; the first vector of the result realises the
     first minimum.  Certified by checking every combination with coefficients
     in [-2, 2]; very skew inputs fall back to exact integer arithmetic."""
-    if isinstance(basis_or_u, LatticeBasis2):
-        u, v = basis_or_u.u, basis_or_u.v
-        exact = basis_or_u.exact
-    else:
-        u = basis_or_u
     det = u[0] * v[1] - u[1] * v[0]
     if det == 0 or not math.isfinite(det):
         raise ValueError("degenerate basis")
@@ -230,54 +216,17 @@ def _square_count_exact(params: PairLatticeParams) -> int:
     return count
 
 
-def lattice_square_count(basis: LatticeBasis2, s=None) -> SquareCountResult:
-    """Lattice points in [-s, s]^2 by enumerating integer coordinates over the
-    reduced basis.
-
-    For a pair lattice with s omitted, s defaults to sqrt(m*delta) and the
-    count is exact: membership reduces to |x| <= m together with an integer
-    window around beta*x, decided in exact arithmetic.
-    """
-    if s is None:
-        if basis.exact is None:
-            raise ValueError("s may be omitted only for pair lattices")
-        p = basis.exact
-        count = _square_count_exact(p)
-        s_val = math.sqrt(p.m * float(p.delta))
-        main = 4.0 * p.m * float(p.delta)
-        return SquareCountResult(count, main, abs(count - main), s_val, basis.lambda1)
-
-    s = float(s)
-    if s <= 0:
-        raise ValueError("s must be positive")
-    red = gauss_reduce(basis)
-    ru, rv = red.u, red.v
-    det = abs(red.det)
-    a_max = int(math.floor(s * (abs(rv[0]) + abs(rv[1])) / det)) + 1
-    if a_max > SQUARE_ENUM_GUARD:
-        raise CostGuardError("square enumeration too large")
-    count = 0
-    for a in range(-a_max, a_max + 1):
-        bx, by = a * ru[0], a * ru[1]
-        blo, bhi = -math.inf, math.inf
-        feasible = True
-        for base, coef in ((bx, rv[0]), (by, rv[1])):
-            if coef == 0:
-                if abs(base) > s:
-                    feasible = False
-                    break
-                continue
-            lo = (-s - base) / coef
-            hi = (s - base) / coef
-            if coef < 0:
-                lo, hi = hi, lo
-            blo = max(blo, lo)
-            bhi = min(bhi, hi)
-        if not feasible or blo > bhi:
-            continue
-        count += math.floor(bhi) - math.ceil(blo) + 1 if math.floor(bhi) >= math.ceil(blo) else 0
-    main = 4.0 * s * s / det
-    return SquareCountResult(count, main, abs(count - main), s, red.lambda1)
+def lattice_square_count(basis: LatticeBasis2) -> SquareCountResult:
+    """Points of a pair lattice in [-s, s]^2 with s = sqrt(m*delta), counted
+    exactly: membership reduces to |x| <= m together with an integer window
+    around beta*x, decided in exact arithmetic."""
+    if basis.exact is None:
+        raise ValueError("squares are counted only for pair lattices")
+    p = basis.exact
+    count = _square_count_exact(p)
+    s_val = math.sqrt(p.m * float(p.delta))
+    main = 4.0 * p.m * float(p.delta)
+    return SquareCountResult(count, main, abs(count - main), s_val, basis.lambda1)
 
 
 # ---------------------------------------------------------------------------
@@ -394,39 +343,3 @@ def v2_count(spec: VCountSpec) -> dict[int, int]:
                 key = 1 << (p - 1).bit_length() - 1
                 bins[key] = bins.get(key, 0) + hits
     return bins
-
-
-# ---------------------------------------------------------------------------
-# coprime points in ellipses
-
-
-def ellipse_area(form, level: float) -> float:
-    fxx, fxy, fyy = form
-    det = fxx * fyy - fxy * fxy
-    return math.pi * level / math.sqrt(det)
-
-
-def coprime_ellipse_count(form, level: float) -> int:
-    """Integer pairs with coprime coordinates (gcd(x, 0) = |x|) inside
-    {fxx x^2 + 2 fxy xy + fyy y^2 <= level}."""
-    fxx, fxy, fyy = (float(t) for t in form)
-    det = fxx * fyy - fxy * fxy
-    if fxx <= 0 or det <= 0:
-        raise ValueError("form must be positive definite")
-    if level < 0:
-        return 0
-    x_max = int(math.floor(math.sqrt(level * fyy / det))) + 1
-    if x_max > SQUARE_ENUM_GUARD:
-        raise CostGuardError("ellipse enumeration too large")
-    count = 0
-    for x in range(-x_max, x_max + 1):
-        inner = fyy * level - det * x * x
-        if inner < 0:
-            continue
-        root = math.sqrt(inner)
-        ylo = math.ceil((-fxy * x - root) / fyy)
-        yhi = math.floor((-fxy * x + root) / fyy)
-        for y in range(ylo, yhi + 1):
-            if fxx * x * x + 2 * fxy * x * y + fyy * y * y <= level and math.gcd(x, y) == 1:
-                count += 1
-    return count

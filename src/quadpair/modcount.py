@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import CostGuardError
 from .exactreal import euler_phi, factorize, floor_power, q1_part
-from .paircorr import pair_correlation, quadratic_sequence
 
 A0_DIRECT_GUARD = 10 ** 5
 A_ARRAY_GUARD = 10 ** 9
@@ -94,15 +93,6 @@ def count_A0(q: int, c: Optional[int] = None):
     if q > A0_DIRECT_GUARD:
         raise CostGuardError(f"direct A0 is capped at q <= {A0_DIRECT_GUARD}")
     return count_A(q, q, c)
-
-
-def count_A0_crt(q: int, c: int) -> int:
-    """A0(q, c) assembled from prime-power factors; A0 is multiplicative."""
-    out = 1
-    for p, e in factorize(q).items():
-        f = p ** e
-        out *= count_A0(f, c % f)
-    return out
 
 
 def hyperbola_count(q0: int, r: int) -> int:
@@ -325,21 +315,6 @@ def divisor_sum_ap(m: int, q: int, s: int) -> int:
     return int(table[first : m + 1 : q].sum(dtype=np.int64))
 
 
-def tau_star(m: int, n: int) -> int:
-    """Number of factorisations n = a*b with both factors at most m."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    count = 0
-    a = 1
-    while a * a <= n:
-        if n % a == 0:
-            b = n // a
-            if a <= m and b <= m:
-                count += 1 if a == b else 2
-        a += 1
-    return count
-
-
 @dataclass
 class HyperbolaBoxCount:
     count: int
@@ -365,53 +340,3 @@ def hyperbola_ap_count(n: int, q: int, c: int) -> HyperbolaBoxCount:
     total = int(counts[unit].sum())
     expected = Fraction(euler_phi(q) * n * n, q * q)
     return HyperbolaBoxCount(total, expected, total / float(expected))
-
-
-@dataclass
-class PartialA0Sum:
-    total: int
-    main_term: int
-    defect: int
-
-
-def partial_A0_sum(q: int, a: int, r_bound: int) -> PartialA0Sum:
-    """Sum of A0(q, a^-1 r) for r = 1..r_bound against the main term r_bound*q."""
-    if math.gcd(a, q) != 1:
-        raise ValueError("partial_A0_sum needs gcd(a, q) = 1")
-    if not 1 <= r_bound <= q:
-        raise ValueError("need 1 <= r_bound <= q")
-    a0 = count_A0(q, None)
-    abar = pow(a, -1, q)
-    total = int(sum(int(a0[(abar * r) % q]) for r in range(1, r_bound + 1)))
-    main = r_bound * q
-    return PartialA0Sum(total, main, abs(total - main))
-
-
-@dataclass
-class ApproxIdentityResult:
-    lhs: Fraction
-    rhs: Fraction
-    gap: float
-    r_bound: int
-
-
-def approx_identity_R(alpha, n: int, x, a: int, q: int) -> ApproxIdentityResult:
-    """Both sides of the congruence approximation to the pair correlation.
-
-    lhs is the exact pair correlation of alpha*k^2; rhs resolves the same
-    count through residues of m^2 - n^2 modulo the convergent denominator q.
-    The gap is diagnostic: the error bound is asymptotic and vacuous at desk
-    scale.
-    """
-    if math.gcd(a, q) != 1:
-        raise ValueError("approx_identity_R needs gcd(a, q) = 1")
-    x = Fraction(x)
-    lhs = pair_correlation(quadratic_sequence(alpha, n), x).r
-    r_bound = math.floor(x * q / n)
-    if r_bound >= 1:
-        arr = count_A(n, q, None)
-        abar = pow(a, -1, q)
-        rhs = Fraction(int(sum(int(arr[(abar * r) % q]) for r in range(1, r_bound + 1))), n)
-    else:
-        rhs = Fraction(0)
-    return ApproxIdentityResult(lhs, rhs, abs(float(lhs - rhs)), r_bound)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuardError, PrecisionError
-from .exactreal import FixedReal, is_prime
+from .exactreal import is_prime, residue_of
 
 NAIVE_GUARD = 5000
 SWEEP_GUARD = 4000
@@ -83,22 +83,15 @@ def quadratic_sequence(alpha, n: int) -> SequenceModOne:
     """Points alpha * k^2 mod 1 for k = 1..n, certified well below 1/(2 n^2)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if isinstance(alpha, FixedReal):
-        den = 1 << alpha.frac_bits
-        a = alpha.mantissa % den
-        nums = [(a * k * k) % den for k in range(1, n + 1)]
-        err = Fraction(alpha.err_ulp * n * n, den)
-        # certification guard: 20 bits of slack below the pair threshold scale
-        if err * (2 * n * n) * (1 << 20) > 1:
-            raise PrecisionError(
-                f"{alpha.frac_bits} bits cannot certify alpha*k^2 up to k={n}"
-            )
-        return SequenceModOne(nums, den, "quadratic", err)
-    a = Fraction(alpha)
-    den = a.denominator
-    p = a.numerator % den
-    nums = [(p * k * k) % den for k in range(1, n + 1)]
-    return SequenceModOne(nums, den, "quadratic")
+    a, den, err_ulp = residue_of(alpha)
+    nums = [(a * k * k) % den for k in range(1, n + 1)]
+    err = Fraction(err_ulp * n * n, den)
+    # certification guard: 20 bits of slack below the pair threshold scale
+    if err * (2 * n * n) * (1 << 20) > 1:
+        raise PrecisionError(
+            f"{alpha.frac_bits} bits cannot certify alpha*k^2 up to k={n}"
+        )
+    return SequenceModOne(nums, den, "quadratic", err)
 
 
 @dataclass
@@ -259,15 +252,7 @@ def pair_correlation_uv(alpha, n: int, x) -> PairCorrResult:
         raise ValueError("window parameter must be non-negative")
     if n < 1:
         raise ValueError("need n >= 1")
-    if isinstance(alpha, FixedReal):
-        den = 1 << alpha.frac_bits
-        a = alpha.mantissa % den
-        base_err = alpha.err_ulp
-    else:
-        fr = Fraction(alpha)
-        den = fr.denominator
-        a = fr.numerator % den
-        base_err = 0
+    a, den, base_err = residue_of(alpha)
     tau = x / n
     t = _scaled_threshold(tau, den)
     count = 0

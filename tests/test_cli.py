@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from quadpair.errors import PrecisionError
 from quadpair.expsum import quad_sum
 from quadpair.modcount import divisor_sum_ap
 from quadpair.paircorr import demo_counterexample
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args, capsys):
@@ -38,6 +42,49 @@ def test_paircorr_rejects_zero_denominator(capsys):
 
 def test_usage_error_exit_code():
     assert main(["nonsense-subcommand"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paircorr", "--alpha", "sqrt:2", "--N", "10", "--X", "1/0"],
+        ["construct", "--interval", "1/0:1", "--qstart", "10", "--qmax", "12"],
+        ["lattice", "--M", "10", "--beta", "sqrt:2", "--delta", "1/0"],
+    ],
+)
+def test_arithmetic_errors_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: Fraction(1, 0)\n"
+
+
+def _command_line_section(name: str) -> str:
+    text = (ROOT / name).read_text(encoding="utf-8")
+    return re.search(r"^## Command line\n.*?(?=^#)", text, re.M | re.S).group(0)
+
+
+def _readme_examples() -> list[str]:
+    """Each example line of README's "Command line" block, once with every
+    bracketed optional given and once with none."""
+    block = _command_line_section("README.md").split("```")[1]
+    runs = []
+    for line in block.strip().splitlines():
+        for variant in (re.sub(r"\[([^]]*)\]", r"\1", line), re.sub(r" *\[[^]]*\]", "", line)):
+            if variant not in runs:
+                runs.append(variant)
+    return runs
+
+
+def test_paper_command_line_section_matches_readme():
+    assert _command_line_section("PAPER.md") == _command_line_section("README.md")
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_readme_examples_run(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)
+    prog, *argv = line.split()
+    assert prog == "quadpair"
+    code = main(argv)
+    assert code == 0, capsys.readouterr().err
 
 
 def test_expsum_json_matches_library(tmp_path):
@@ -78,6 +125,13 @@ def test_construct_budget_failure_is_an_error(capsys):
         ["construct", "--interval", "1/3:2/5", "--qstart", "10", "--qmax", "200"], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("values", [[], ["--x", "7/20", "--alpha", "sqrt:2"]])
+def test_verify_avoidance_takes_exactly_one_value(capsys, values):
+    argv = ["verify-avoidance", "--qstart", "10", "--qmax", "12", *values]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: verify-avoidance needs exactly one of --alpha and --x\n"
 
 
 def test_verify_avoidance_json(tmp_path):

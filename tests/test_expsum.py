@@ -1,5 +1,3 @@
-import cmath
-import math
 import random
 
 import numpy as np
@@ -8,9 +6,6 @@ import pytest
 from quadpair.errors import CostGuardError
 from quadpair.expsum import (
     ComplexValue,
-    ExpSumInput,
-    linear_sum,
-    linear_sum_bound,
     quad_sum,
     quad_sum_brute,
     quad_sum_prime,
@@ -121,55 +116,8 @@ def test_parseval_small_moduli():
             assert got.im == pytest.approx(ref.imag, abs=1e-8)
 
 
-# ---------------------------------------------------------------------------
-# linear sums
-
-
-def test_linear_sum_zero_frequency():
-    v = linear_sum(0, 17, 5)
-    assert (v.re, v.im, v.err) == (17.0, 0.0, 0.0)
-
-
-def test_linear_sum_alternating():
-    assert linear_sum(3, 10, 6).re == 0
-    assert linear_sum(3, 11, 6).re == -1
-
-
-def test_linear_sum_full_period():
-    v = linear_sum(1, 9, 9)
-    assert (v.re, v.im) == (0.0, 0.0)
-
-
-def test_linear_sum_matches_direct():
-    rng = random.Random(4)
-    for _ in range(40):
-        q = rng.randrange(1, 50)
-        n = rng.randrange(1, 200)
-        b = rng.randrange(q) if q > 1 else 0
-        direct = sum(cmath.exp(-2j * math.pi * b * x / q) for x in range(1, n + 1))
-        got = linear_sum(b, n, q)
-        assert got.re == pytest.approx(direct.real, abs=1e-8 * n + 1e-9)
-        assert got.im == pytest.approx(direct.imag, abs=1e-8 * n + 1e-9)
-
-
-def test_linear_sum_magnitude_bound():
-    rng = random.Random(6)
-    for _ in range(60):
-        q = rng.randrange(1, 80)
-        n = rng.randrange(1, 300)
-        b = rng.randrange(q) if q > 1 else 0
-        assert abs(linear_sum(b, n, q)) <= linear_sum_bound(b, n, q)
-
-
 def test_complex_value_integer_guard():
     with pytest.raises(ValueError):
         ComplexValue(1.5, 0.0, 0.0).as_integer()
     with pytest.raises(ValueError):
         ComplexValue(1.0, 0.5, 0.0).as_integer()
-
-
-def test_exp_sum_input_validation():
-    with pytest.raises(ValueError):
-        ExpSumInput((1, 2, 3, 4), 0)
-    with pytest.raises(ValueError):
-        ExpSumInput((1, 2, 3), 5)

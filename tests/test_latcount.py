@@ -7,8 +7,6 @@ import pytest
 from quadpair.exactreal import sqrt_fixed
 from quadpair.latcount import (
     VCountSpec,
-    coprime_ellipse_count,
-    ellipse_area,
     gauss_reduce,
     lattice_square_count,
     make_basis,
@@ -126,17 +124,6 @@ def test_gauss_reduce_rejects_degenerate():
         gauss_reduce((1.0, 2.0), (2.0, 4.0))
 
 
-def test_square_count_identity_basis():
-    basis = make_basis((1.0, 0.0), (0.0, 1.0))
-    res = lattice_square_count(basis, 2.5)
-    assert res.count == 25
-    assert res.main == pytest.approx(25.0)
-    res = lattice_square_count(basis, 2.0)
-    assert res.count == 25
-    assert res.error_term == pytest.approx(9.0)
-    assert res.error_term <= 8 * (2.0 / 1.0 + 1)
-
-
 def test_square_count_matches_near_multiple_identity():
     rng = random.Random(16)
     for _ in range(40):
@@ -243,45 +230,3 @@ def test_vspec_validation():
         VCountSpec(5, 5, Fraction(1), Fraction(1, 2), 3, None)
     with pytest.raises(ValueError):
         VCountSpec(5, 5, Fraction(1), Fraction(1, 2), 5, 3)
-
-
-# ---------------------------------------------------------------------------
-# coprime points in ellipses
-
-
-def test_coprime_circle_counts():
-    assert coprime_ellipse_count((1, 0, 1), 6.25) == 16
-    assert coprime_ellipse_count((1, 0, 1), 0.25) == 0
-
-
-def test_coprime_ellipse_brute():
-    rng = random.Random(24)
-    for _ in range(25):
-        fxx = rng.uniform(0.2, 3)
-        fyy = rng.uniform(0.2, 3)
-        fxy = rng.uniform(-0.9, 0.9) * math.sqrt(fxx * fyy)
-        level = rng.uniform(0.1, 40)
-        got = coprime_ellipse_count((fxx, fxy, fyy), level)
-        lim = int(math.sqrt(level / min(fxx, fyy) / (1 - abs(fxy) / math.sqrt(fxx * fyy)))) + 2
-        brute = 0
-        for x in range(-lim, lim + 1):
-            for y in range(-lim, lim + 1):
-                if fxx * x * x + 2 * fxy * x * y + fyy * y * y <= level and math.gcd(x, y) == 1:
-                    brute += 1
-        assert got == brute
-
-
-def test_coprime_ellipse_calibrated_bound():
-    rng = random.Random(26)
-    for _ in range(200):
-        fxx = rng.uniform(0.05, 4)
-        fyy = rng.uniform(0.05, 4)
-        fxy = rng.uniform(-0.98, 0.98) * math.sqrt(fxx * fyy)
-        level = rng.uniform(0.01, 60)
-        count = coprime_ellipse_count((fxx, fxy, fyy), level)
-        assert count <= 16 * (1 + ellipse_area((fxx, fxy, fyy), level))
-
-
-def test_coprime_ellipse_rejects_indefinite():
-    with pytest.raises(ValueError):
-        coprime_ellipse_count((1, 2, 1), 5)

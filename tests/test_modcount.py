@@ -7,7 +7,7 @@ import pytest
 
 from quadpair import modcount
 from quadpair.errors import CostGuardError
-from quadpair.exactreal import cmp_power, euler_phi, floor_power, sqrt_fixed
+from quadpair.exactreal import cmp_power, euler_phi, floor_power
 from quadpair.modcount import (
     PROFILE_GUARD,
     CongruenceProfile,
@@ -16,18 +16,14 @@ from quadpair.modcount import (
     _bad_set_of_profile,
     _bad_threshold,
     _gather_width,
-    approx_identity_R,
     bad_set,
     count_A,
     count_A0,
-    count_A0_crt,
     delta_star_profile,
     dispersion_report,
     divisor_sum_ap,
     hyperbola_ap_count,
     hyperbola_count,
-    partial_A0_sum,
-    tau_star,
 )
 
 ETA = Fraction(1, 200)
@@ -90,7 +86,7 @@ def test_count_A0_total_is_q_squared():
         assert int(count_A0(q, None).sum()) == q * q
 
 
-def test_count_A0_crt_multiplicative():
+def test_count_A0_multiplicative():
     rng = random.Random(9)
     for _ in range(25):
         q1 = rng.randrange(2, 50)
@@ -98,7 +94,6 @@ def test_count_A0_crt_multiplicative():
         if math.gcd(q1, q2) != 1:
             continue
         c = rng.randrange(q1 * q2)
-        assert count_A0_crt(q1 * q2, c) == count_A0(q1 * q2, c)
         assert count_A0(q1, c % q1) * count_A0(q2, c % q2) == count_A0(q1 * q2, c)
 
 
@@ -307,14 +302,6 @@ def test_divisor_sum_ap_partition():
     assert sum(divisor_sum_ap(m, q, s) for s in range(q)) == divisor_sum_ap(m, 1, 0)
 
 
-def test_tau_star_values():
-    assert tau_star(3, 4) == 1
-    assert tau_star(12, 12) == 6  # d(12)
-    assert tau_star(1, 2) == 0
-    assert tau_star(4, 16) == 1
-    assert tau_star(100, 36) == 9
-
-
 def test_hyperbola_ap_count_hand_example():
     res = hyperbola_ap_count(10, 7, 1)
     assert res.count == 13
@@ -342,46 +329,6 @@ def test_hyperbola_ap_count_brute():
 def test_hyperbola_ap_count_rejects_nonunit():
     with pytest.raises(ValueError):
         hyperbola_ap_count(10, 6, 2)
-
-
-def test_partial_A0_sum_examples():
-    res = partial_A0_sum(3, 1, 1)
-    assert (res.total, res.main_term, res.defect) == (2, 3, 1)
-    # complete sum equals q^2, defect q^2 - q*q = 0
-    res = partial_A0_sum(7, 3, 7)
-    assert res.total == 49
-    assert res.defect == 0
-    res = partial_A0_sum(5, 2, 2)
-    abar = pow(2, -1, 5)
-    expected = count_A0(5, abar % 5) + count_A0(5, (2 * abar) % 5)
-    assert res.total == expected
-
-
-def test_partial_A0_sum_rejects_nonunit():
-    with pytest.raises(ValueError):
-        partial_A0_sum(6, 2, 3)
-
-
-def test_approx_identity_rational_alpha():
-    res = approx_identity_R(Fraction(3, 7), 10, 1, 3, 7)
-    # both sides are exact; just confirm the reported gap matches them
-    assert res.gap == pytest.approx(abs(float(res.lhs - res.rhs)))
-    assert res.lhs * 10 == int(res.lhs * 10)
-
-
-def test_approx_identity_empty_sum():
-    res = approx_identity_R(sqrt_fixed(2, 192), 50, Fraction(1, 10), 3, 5)
-    assert res.r_bound == 0
-    assert res.rhs == 0
-
-
-def test_approx_identity_sqrt2_convergent():
-    # denominator 985 is the convergent denominator nearest 100^(3/2)
-    res = approx_identity_R(sqrt_fixed(2, 256), 100, 1, 1393, 985)
-    assert res.r_bound == math.floor(Fraction(985, 100))
-    assert res.lhs * 100 == int(res.lhs * 100)
-    assert res.rhs * 100 == int(res.rhs * 100)
-    assert res.gap == pytest.approx(abs(float(res.lhs - res.rhs)))
 
 
 def test_sum_A0_squared_growth():
