@@ -120,6 +120,45 @@ def test_construct_certificate(tmp_path):
     assert len(cert["r_sequence"]) == 4
 
 
+README_CERTIFICATE = """\
+{
+  "budget_ok": true,
+  "class_measures": {
+    "class1": "1941066020709825755555253482873/167692782014408351744023137987830",
+    "class2": "47392628377501/7906657000500000",
+    "class3": "0",
+    "total": "2329474494067616034681495370868018663322031283/132588930884754228618254692800545355330391500000"
+  },
+  "eta": "1/200",
+  "final": "334669/1004004",
+  "interval": [
+    "1/3",
+    "2/5"
+  ],
+  "lemma2_constant": "1",
+  "q_max": 1005,
+  "q_start": 1000,
+  "r_sequence": [
+    "1/3",
+    "1/3",
+    "334669/1004004",
+    "334669/1004004",
+    "334669/1004004",
+    "334669/1004004"
+  ],
+  "violations": []
+}
+"""
+
+
+def test_readme_construct_certificate_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["construct", "--interval", "1/3:2/5", "--qstart", "1000", "--qmax", "1005"]
+    assert main(argv + ["--out", "cert.json"]) == 0
+    assert (tmp_path / "cert.json").read_bytes() == README_CERTIFICATE.encode()
+    assert run(argv, capsys) == (0, README_CERTIFICATE)
+
+
 def test_construct_budget_failure_is_an_error(capsys):
     code, _ = run(
         ["construct", "--interval", "1/3:2/5", "--qstart", "10", "--qmax", "200"], capsys
