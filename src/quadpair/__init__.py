@@ -10,15 +10,9 @@ from .errors import (
 )
 from .exactreal import (
     AlphaSpec,
-    CertifiedNorm,
-    ContinuedFraction,
     FixedReal,
-    Rational,
-    continued_fraction,
-    diophantine_margin,
     eval_with_retry,
     fixed_from_decimal,
-    frac_norm_mul,
     parse_alpha,
     q1_part,
     sqrt_fixed,
@@ -35,29 +29,22 @@ from .paircorr import (
     sequence_from_points,
     verify_integral_identities,
     weighted_pair_correlation,
-    window_function_l,
 )
 
 __all__ = [
     "AlphaSpec",
     "BudgetError",
-    "CertifiedNorm",
-    "ContinuedFraction",
     "CostGuardError",
     "EmptyRefinementError",
     "FixedReal",
     "PairCorrResult",
     "PrecisionError",
     "QuadpairError",
-    "Rational",
     "SequenceModOne",
-    "continued_fraction",
-    "diophantine_margin",
     "equally_spaced",
     "equally_spaced_reference",
     "eval_with_retry",
     "fixed_from_decimal",
-    "frac_norm_mul",
     "pair_correlation",
     "pair_correlation_naive",
     "pair_correlation_uv",
@@ -68,5 +55,4 @@ __all__ = [
     "sqrt_fixed",
     "verify_integral_identities",
     "weighted_pair_correlation",
-    "window_function_l",
 ]

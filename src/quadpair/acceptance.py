@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyRefinementError, QuadpairError
-from .exactreal import parse_alpha, sqrt_fixed
+from .exactreal import factorize, parse_alpha, sqrt_fixed
 from . import latcount, modcount, paircorr
 from .constructor import construct_alpha, enumerate_bad_intervals, interval, subtract, verify_avoidance
 
@@ -145,14 +145,7 @@ def criterion_a3(level="desk") -> CriterionResult:
             return _finish("A3", t0, False, f"complete sum != q^2 at q={q}")
     hyp_top = 200 if level == "desk" else 60
     for q0 in range(3, hyp_top + 1, 2):
-        fac = {}
-        try:
-            from .exactreal import factorize
-
-            fac = factorize(q0)
-        except ValueError:
-            continue
-        if any(e > 1 for e in fac.values()):
+        if any(e > 1 for e in factorize(q0).values()):
             continue
         a0 = modcount.count_A0(q0, None)
         for r in range(q0):
@@ -422,6 +415,12 @@ CRITERIA = [
 
 def run_suite(level: str = "desk", names=None) -> list[CriterionResult]:
     wanted = set(names) if names else None
+    known = [name for name, _ in CRITERIA]
+    unknown = sorted(set(wanted or ()) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown criterion name(s) {', '.join(unknown)}; valid names are {', '.join(known)}"
+        )
     out = []
     for name, fn in CRITERIA:
         if wanted and name not in wanted:

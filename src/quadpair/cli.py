@@ -24,21 +24,6 @@ from .exactreal import DEFAULT_BITS, eval_with_retry, parse_alpha
 from . import latcount, modcount, paircorr
 from .constructor import construct_alpha, interval, verify_avoidance
 
-SUBCOMMANDS = (
-    "paircorr",
-    "r0",
-    "badset",
-    "dispersion",
-    "construct",
-    "verify-avoidance",
-    "expsum",
-    "lattice",
-    "vcounts",
-    "conjecture2",
-    "divisor-ap",
-    "suite",
-)
-
 
 def fmt_float(v) -> str:
     return f"{float(v):.17g}"
@@ -208,7 +193,6 @@ def _cmd_construct(args) -> int:
         int(args.qstart),
         int(args.qmax),
         Fraction(args.eta),
-        lemma2_constant=Fraction(args.lemma2_constant),
         strict_budget=not args.no_strict_budget,
     )
     _emit_json(args, res.certificate)
@@ -343,7 +327,7 @@ def _cmd_suite(args) -> int:
     from .acceptance import run_suite
 
     t0 = time.time()
-    names = args.only.split(",") if args.only else None
+    names = [name for name in args.only.split(",") if name] if args.only else None
     results = run_suite(level=args.level, names=names)
     all_ok = all(r.passed for r in results)
     width = max(len(r.name) for r in results)
@@ -431,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", help="lo:hi with rational endpoints")
     p.add_argument("--qstart")
     p.add_argument("--qmax")
-    p.add_argument("--lemma2-constant", dest="lemma2_constant")
     p.add_argument(
         "--no-strict-budget",
         action="store_true",
@@ -517,7 +500,6 @@ _DEFAULTS = {
     "N": None,
     "P0": None,
     "P1": None,
-    "lemma2_constant": "1",
     "no_strict_budget": False,
     "samples": "50",
     "level": "desk",

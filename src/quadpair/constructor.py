@@ -20,10 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .errors import BudgetError, CostGuardError, EmptyRefinementError, PrecisionError
-from .exactreal import floor_power, ge_power, interval_of, iroot, q1_part
+from .exactreal import floor_power, ge_power, interval_of, q1_part
 from .modcount import bad_set
 
 Q_GUARD = 3000
@@ -35,30 +33,21 @@ Q_GUARD = 3000
 
 @dataclass(frozen=True)
 class RationalInterval:
+    """The closed interval [lo, hi]."""
+
     lo: Fraction
     hi: Fraction
-    lo_closed: bool = True
-    hi_closed: bool = True
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ValueError("a degenerate interval must be closed")
 
     @property
     def measure(self) -> Fraction:
         return self.hi - self.lo
 
     def contains(self, x) -> bool:
-        x = Fraction(x)
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        return self.lo <= Fraction(x) <= self.hi
 
 
 def interval(lo, hi) -> RationalInterval:
@@ -179,15 +168,6 @@ def _centres_near(q: int, radius: Fraction, centres, lo: Fraction, hi: Fraction)
     return centres[i:j]
 
 
-def _class_measures(q: int, eta: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Total measure of each exclusion family at modulus q, counting every
-    centre a/q in [0, 1] for the two full families."""
-    measures = [Fraction(0)] * 3
-    for cls, radius, centres in _families(q, eta):
-        measures[cls - 1] = radius * (2 * len(centres))
-    return tuple(measures)
-
-
 def enumerate_bad_intervals(
     q_lo: int, q_hi: int, eta, within: Optional[RationalInterval] = None
 ) -> list[BadInterval]:
@@ -218,84 +198,19 @@ class TailBudget:
     class2_sum: Fraction
     class3_sum: Fraction
     total: Fraction
-    class1_tail: Fraction
-    class2_tail: float
-    class3_tail_conditional: float
-    lemma2_constant: Fraction
-    note: str
 
 
-def _class1_tail_bound(q_hi: int, eta: Fraction) -> Fraction:
-    # term(q) = 2(q+1)/floor(q^(2+eta)) <= 4 q^(-1-eta) for q >= 2, and
-    # sum_{q > Q} q^(-1-eta) <= Q^(-eta)/eta by integral comparison
-    prec = 64
-    t = iroot(q_hi ** eta.numerator << (eta.denominator * prec), eta.denominator)
-    return 4 / eta * Fraction(1 << prec, t)
-
-
-@lru_cache(maxsize=None)
-def _squarefull_series(eta: float, upto: int = 200_000) -> float:
-    # sum over q of sqrt(q1(q)) * q^(-1-eta), via its Euler product
-    total = math.log(1 + 1 / (2 ** (0.5 + eta) - 1))
-    flags = np.ones(upto + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(upto ** 0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    for p in map(int, np.nonzero(flags)[0]):
-        if p == 2:
-            continue
-        y = p ** (-0.5 - eta)
-        total += math.log(1 + p ** (-1.0 - eta) + y * y / (1 - y))
-    return math.exp(total)
-
-
-def tail_budget(q_start: int, q_hi: int, eta, lemma2_constant=Fraction(1)) -> TailBudget:
-    """Exact per-class measure sums over [q_start, q_hi], the rigorous
-    analytic tail of the wide family past q_hi, and float tail estimates for
-    the two narrow families.
-
-    The class-3 tail scales with the caller-supplied effective constant of
-    the dispersion bound (the text leaves it unstated); the class-2 tail uses
-    the convergent squarefull-part series evaluated numerically.
-    """
+def tail_budget(q_start: int, q_hi: int, eta) -> TailBudget:
+    """Exact measure of each exclusion family summed over q_start..q_hi,
+    counting every centre a/q in [0, 1] for the two full families, and
+    their total."""
     eta = Fraction(eta)
-    lemma2_constant = Fraction(lemma2_constant)
     _check_sweep(q_start, q_hi)
-    c1 = c2 = c3 = Fraction(0)
+    sums = [Fraction(0)] * 3
     for q in range(q_start, q_hi + 1):
-        m1, m2, m3 = _class_measures(q, eta)
-        c1 += m1
-        c2 += m2
-        c3 += m3
-
-    ef = float(eta)
-    full = _squarefull_series(ef)
-    partial = sum(
-        math.sqrt(q1_part(q)) * q ** (-1.0 - ef) for q in range(1, q_hi + 1)
-    )
-    class2_tail = 4.0 * max(full - partial, 0.0)
-    exp3 = 1.0 / 12 - 9 * ef
-    if exp3 > 0:
-        class3_tail = float(lemma2_constant) * 2.0 * q_hi ** (-exp3) / exp3
-    else:
-        class3_tail = math.inf
-
-    return TailBudget(
-        class1_sum=c1,
-        class2_sum=c2,
-        class3_sum=c3,
-        total=c1 + c2 + c3,
-        class1_tail=_class1_tail_bound(q_hi, eta),
-        class2_tail=class2_tail,
-        class3_tail_conditional=class3_tail,
-        lemma2_constant=lemma2_constant,
-        note=(
-            "class-3 tail (and any cardinality bound on the bad sets) is "
-            "conditional on the effective constant of the dispersion bound; "
-            "class-2 tail uses the numerically evaluated squarefull series"
-        ),
-    )
+        for cls, radius, centres in _families(q, eta):
+            sums[cls - 1] += radius * (2 * len(centres))
+    return TailBudget(*sums, sum(sums))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +260,6 @@ def construct_alpha(
     q_start: int,
     q_max: int,
     eta,
-    lemma2_constant=Fraction(1),
     strict_budget: bool = True,
 ) -> ConstructionResult:
     """Sweep the exclusion families over q = q_start..q_max inside ``base``
@@ -361,15 +275,16 @@ def construct_alpha(
     precondition and instead verifies survival constructively at every step
     (long low sweeps genuinely empty out: neighbouring exclusion intervals
     overlap across every gap once the modulus range is deep enough).  The
-    certificate's class measures are summed during the sweep, so a sweep
-    that empties early never touches the moduli past that point.
+    certificate's class measures are summed once, before the sweep in strict
+    mode and after it otherwise, so a sweep that empties early never
+    classifies the moduli past that point.
     """
     eta = Fraction(eta)
     if not (0 <= base.lo < base.hi <= 1):
         raise ValueError("base interval must lie in [0, 1] with positive length")
     _check_sweep(q_start, q_max)
     if strict_budget:
-        budget = tail_budget(q_start, q_max, eta, lemma2_constant)
+        budget = tail_budget(q_start, q_max, eta)
         if not budget.total < base.measure / 2:
             raise BudgetError(
                 f"enumerated measure {float(budget.total):.4g} is not below "
@@ -377,12 +292,7 @@ def construct_alpha(
             )
     union = _OpenUnion()
     r_sequence: list[Fraction] = []
-    c1 = c2 = c3 = Fraction(0)
     for q in range(q_start, q_max + 1):
-        m1, m2, m3 = _class_measures(q, eta)
-        c1 += m1
-        c2 += m2
-        c3 += m3
         for bad in enumerate_bad_intervals(q, q, eta, within=base):
             union.insert(bad.lo, bad.hi)
         r = union.first_uncovered(base.lo)
@@ -392,21 +302,23 @@ def construct_alpha(
             raise AssertionError("survivor sequence decreased")  # pragma: no cover
         r_sequence.append(r)
     final = r_sequence[-1]
-    total = c1 + c2 + c3
-    budget_ok = bool(total < base.measure / 2)
+    if not strict_budget:
+        budget = tail_budget(q_start, q_max, eta)
+    budget_ok = bool(budget.total < base.measure / 2)
     violations = verify_avoidance(final, q_start, q_max, eta)
     certificate = {
         "interval": [str(base.lo), str(base.hi)],
         "q_start": q_start,
         "q_max": q_max,
         "eta": str(eta),
-        "lemma2_constant": str(Fraction(lemma2_constant)),
+        # the dispersion-bound constant that modcount.dispersion_report uses
+        "lemma2_constant": "1",
         "budget_ok": budget_ok,
         "class_measures": {
-            "class1": str(c1),
-            "class2": str(c2),
-            "class3": str(c3),
-            "total": str(total),
+            "class1": str(budget.class1_sum),
+            "class2": str(budget.class2_sum),
+            "class3": str(budget.class3_sum),
+            "total": str(budget.total),
         },
         "r_sequence": [str(r) for r in r_sequence],
         "final": str(final),

@@ -2,7 +2,7 @@
 
 Numbers come in two flavours throughout the package:
 
-* ``fractions.Fraction`` for exactly known rationals (aliased ``Rational``);
+* ``fractions.Fraction`` for exactly known rationals;
 * ``FixedReal`` for irrationals, held as an integer mantissa with a fixed
   number of fractional bits plus a certified error radius in ulps.
 
@@ -22,8 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PrecisionError
-
-Rational = Fraction
 
 DEFAULT_BITS = 192
 MIN_BITS = 64
@@ -257,194 +255,6 @@ def sqrt_fixed(n: int, bits: int = DEFAULT_BITS) -> FixedReal:
     if m * m == n << (2 * bits):
         return FixedReal(m, bits, 0)
     return FixedReal(m, bits, 1)
-
-
-# ---------------------------------------------------------------------------
-# continued fractions
-
-
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Partial quotients plus convergents; ``exact`` marks a rational input
-    whose expansion terminated (canonical even-length form)."""
-
-    partial_quotients: tuple[int, ...]
-    convergents: tuple[Fraction, ...]
-    exact: bool = False
-
-
-def _convergents(quotients) -> tuple[Fraction, ...]:
-    out = []
-    p0, q0 = 1, 0
-    p1, q1 = quotients[0], 1
-    out.append(Fraction(p1, q1))
-    for a in quotients[1:]:
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        out.append(Fraction(p1, q1))
-    return tuple(out)
-
-
-def _even_length(quotients: list[int]) -> list[int]:
-    if len(quotients) % 2 == 0:
-        return quotients
-    if len(quotients) > 1 and quotients[-1] == 1:
-        quotients = quotients[:-1]
-        quotients[-1] += 1
-    elif quotients[-1] >= 2:
-        last = quotients[-1]
-        quotients = quotients[:-1] + [last - 1, 1]
-    else:  # single-term [a0]
-        quotients = [quotients[0] - 1, 1]
-    return quotients
-
-
-def continued_fraction(x, depth: int) -> ContinuedFraction:
-    """Continued-fraction expansion certified against the error radius of x.
-
-    A rational input (or an exact FixedReal whose expansion terminates)
-    yields the canonical even-length expansion with ``exact=True``.  When the
-    enclosure of an inexact x straddles an integer mid-expansion, the quotient
-    cannot be certified and PrecisionError is raised: the working precision is
-    too small.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    lo, hi = interval_of(x)
-    point = lo == hi
-    quotients: list[int] = []
-    while len(quotients) < depth:
-        a_lo = math.floor(lo)
-        a_hi = math.floor(hi)
-        if a_lo != a_hi:
-            raise PrecisionError(
-                f"partial quotient {len(quotients)} undecidable: enclosure "
-                f"[{float(lo):.17g}, {float(hi):.17g}] straddles an integer"
-            )
-        quotients.append(a_lo)
-        lo -= a_lo
-        hi -= a_lo
-        if point and hi == 0:
-            quotients = _even_length(quotients)
-            return ContinuedFraction(tuple(quotients), _convergents(quotients), True)
-        if lo <= 0:
-            # enclosure touches the integer just emitted; since the value is
-            # not known exactly the next quotient is unbounded
-            raise PrecisionError("enclosure exhausted at a near-integer remainder")
-        lo, hi = 1 / hi, 1 / lo
-    return ContinuedFraction(tuple(quotients), _convergents(quotients), False)
-
-
-def diophantine_margin(x, q_max: int, e) -> tuple[Fraction, Fraction]:
-    """min over convergents a/q, q <= q_max, of a certified lower bound on
-    q**e * |x - a/q|, together with the minimising convergent.
-
-    Only convergents need scanning: they are the best rational
-    approximations.  Rational x is rejected (its margin is 0 at itself).
-    """
-    e = Fraction(e)
-    if q_max < 1:
-        raise ValueError("q_max must be >= 1")
-    lo, hi = interval_of(x)
-    if lo == hi:
-        raise ValueError("rational input has margin 0 at itself")
-
-    convs: list[Fraction] = []
-    depth = 8
-    while True:
-        cf = continued_fraction(x, depth)
-        if cf.exact:
-            raise ValueError("rational input has margin 0 at itself")
-        convs = [c for c in cf.convergents if c.denominator <= q_max]
-        if cf.convergents[-1].denominator > q_max:
-            break
-        depth += 8
-
-    prec = 64
-    best_lower = None
-    witness = None
-    best_upper = None
-    for c in convs:
-        d_lo = min(abs(lo - c), abs(hi - c))
-        d_hi = max(abs(lo - c), abs(hi - c))
-        if lo <= c <= hi or d_lo == 0:
-            raise PrecisionError(f"enclosure of x touches convergent {c}")
-        q = c.denominator
-        t = iroot(q ** e.numerator << (e.denominator * prec), e.denominator)
-        w_lo = Fraction(t, 1 << prec)
-        w_hi = Fraction(t + 1, 1 << prec)
-        m_lo = d_lo * w_lo
-        m_hi = d_hi * w_hi
-        if best_lower is None or m_lo < best_lower:
-            best_lower = m_lo
-        if best_upper is None or m_hi < best_upper:
-            best_upper = m_hi
-            witness = c
-    return best_lower, witness
-
-
-# ---------------------------------------------------------------------------
-# distances to the nearest integer
-
-
-@dataclass(frozen=True)
-class CertifiedNorm:
-    """Enclosure [lower, upper] of a distance-to-nearest-integer value."""
-
-    lower: Fraction
-    upper: Fraction
-
-    def __post_init__(self):
-        if not (0 <= self.lower <= self.upper <= Fraction(1, 2)):
-            raise ValueError("norm enclosure must satisfy 0 <= lower <= upper <= 1/2")
-
-    def le(self, t) -> bool:
-        """Certified decision of (value <= t)."""
-        t = Fraction(t)
-        if self.upper <= t:
-            return True
-        if self.lower > t:
-            return False
-        raise PrecisionError(f"norm in [{self.lower}, {self.upper}] vs threshold {t} is ambiguous")
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-
-def _norm_of_point(t: Fraction) -> Fraction:
-    f = t - math.floor(t)
-    return min(f, 1 - f)
-
-
-def frac_norm_mul(x, k: int) -> CertifiedNorm:
-    """Enclosure of the distance from k*x to the nearest integer."""
-    if isinstance(x, FixedReal):
-        err = abs(k) * x.err_ulp
-        if 4 * err >= (1 << x.frac_bits):
-            raise PrecisionError(
-                f"guard band violated: |k|*err = {err} ulp at {x.frac_bits} bits; raise the precision"
-            )
-        lo = Fraction(k * x.mantissa - err, 1 << x.frac_bits)
-        hi = Fraction(k * x.mantissa + err, 1 << x.frac_bits)
-    else:
-        v = Fraction(x) * k
-        n = _norm_of_point(v)
-        return CertifiedNorm(n, n)
-
-    n0 = math.floor((lo + hi) / 2 + Fraction(1, 2))
-    a, b = lo - n0, hi - n0
-
-    def g(t: Fraction) -> Fraction:
-        return min(abs(t), 1 - abs(t))
-
-    lower = Fraction(0) if a <= 0 <= b else min(g(a), g(b))
-    upper = (
-        Fraction(1, 2)
-        if (a <= Fraction(1, 2) <= b or a <= Fraction(-1, 2) <= b)
-        else max(g(a), g(b))
-    )
-    return CertifiedNorm(lower, min(upper, Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------------------

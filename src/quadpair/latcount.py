@@ -18,7 +18,6 @@ from .exactreal import FixedReal, residue_of
 
 V_ENUM_GUARD = 10 ** 7
 ILL_CONDITION_SQ = 1e24
-HERMITE_SQ = (4.0 / 3.0) ** 0.5
 
 
 def near_multiple_count(m: int, beta, delta) -> int:

@@ -319,25 +319,6 @@ def weighted_pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     return PairCorrResult(n, x, None, r0=r0, method="weighted")
 
 
-def window_function_l(seq: SequenceModOne, t, x) -> int:
-    """Number of sequence points within x/(2N) of the circle point t."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("window parameter must be positive")
-    h = x / (2 * seq.n)
-    if 2 * h >= 1:
-        return seq.n
-    tf = Fraction(t)
-    tf -= math.floor(tf)
-    count = 0
-    for v in seq.nums:
-        f = Fraction(v, seq.den) - tf
-        f -= math.floor(f)
-        if min(f, 1 - f) <= h:
-            count += 1
-    return count
-
-
 def equally_spaced_reference(x) -> Fraction:
     """Weighted-correlation value achieved by equally spaced points."""
     x = Fraction(x)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from quadpair import latcount, paircorr
+from quadpair.acceptance import run_suite
 from quadpair.cli import fmt_float, load_config, main
 from quadpair.errors import PrecisionError
 from quadpair.expsum import quad_sum
@@ -299,6 +300,8 @@ def test_config_booleans_are_true_or_false(tmp_path, capsys):
         ["divisor-ap", "--M", "20", "--q", "4", "--s", "1", "--format", "csv"],
         ["expsum", "--b", "1,0,0,0", "--q", "21", "--eta", "1/3"],
         ["suite", "--level", "quick", "--only", "A5", "--threads", "2"],
+        ["construct", "--interval", "1/3:2/5", "--qstart", "1000", "--qmax", "1005",
+         "--lemma2-constant", "2"],
     ],
 )
 def test_flags_the_subcommand_does_not_read_are_usage_errors(capsys, argv):
@@ -315,6 +318,17 @@ def test_suite_quick_subset(tmp_path, capsys):
     assert report["suite_passed"] is True
     assert report["config"] == {"level": "quick"}
     assert [c["name"] for c in report["criteria"]] == ["A5", "A8"]
+
+
+@pytest.mark.parametrize("only, unknown", [("A5,A0", "A0"), ("A0", "A0")])
+def test_suite_only_rejects_unknown_criteria(capsys, only, unknown):
+    assert main(["suite", "--level", "quick", "--only", only]) == 2
+    valid = ", ".join(f"A{i}" for i in range(1, 10))
+    assert capsys.readouterr() == (
+        "", f"error: unknown criterion name(s) {unknown}; valid names are {valid}\n"
+    )
+    with pytest.raises(ValueError, match=unknown):
+        run_suite("quick", only.split(","))
 
 
 def test_demo_counterexample_values():

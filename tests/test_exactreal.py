@@ -7,16 +7,11 @@ from hypothesis import strategies as st
 
 from quadpair.errors import PrecisionError
 from quadpair.exactreal import (
-    CertifiedNorm,
-    FixedReal,
     cmp_power,
-    continued_fraction,
-    diophantine_margin,
     eval_with_retry,
     factorize,
     fixed_from_decimal,
     floor_power,
-    frac_norm_mul,
     iroot,
     parse_alpha,
     q1_part,
@@ -90,106 +85,6 @@ def test_cmp_power_exact_boundary():
     assert cmp_power(Fraction(401, 100), 2, Fraction(2)) > 0
 
 
-def test_continued_fraction_sqrt2():
-    cf = continued_fraction(sqrt_fixed(2, 192), 5)
-    assert cf.partial_quotients == (1, 2, 2, 2, 2)
-    assert cf.convergents == (
-        Fraction(1),
-        Fraction(3, 2),
-        Fraction(7, 5),
-        Fraction(17, 12),
-        Fraction(41, 29),
-    )
-    assert not cf.exact
-
-
-def test_continued_fraction_golden_ratio():
-    phi = parse_alpha("ratio:(1+sqrt:5)/2").value(192)
-    cf = continued_fraction(phi, 6)
-    assert cf.partial_quotients == (1, 1, 1, 1, 1, 1)
-
-
-def test_continued_fraction_rational_terminates_even_length():
-    cf = continued_fraction(fixed_from_decimal("0.5", 64), 10)
-    assert cf.exact
-    assert cf.partial_quotients == (0, 2)
-    assert cf.convergents[-1] == Fraction(1, 2)
-    assert len(cf.partial_quotients) % 2 == 0
-
-
-@given(st.fractions(min_value=-10, max_value=10))
-def test_continued_fraction_rational_roundtrip(fr):
-    cf = continued_fraction(fr, 64)
-    if cf.exact:
-        assert cf.convergents[-1] == fr
-        assert len(cf.partial_quotients) % 2 == 0
-
-
-def test_continued_fraction_precision_exhaustion():
-    # huge error radius: the first quotient cannot be certified
-    x = FixedReal(1 << 191, 192, err_ulp=1 << 191)
-    with pytest.raises(PrecisionError):
-        continued_fraction(x, 3)
-
-
-def test_convergent_quality_bound():
-    # |x - p_k/q_k| <= 1/(q_k q_{k+1})
-    x = sqrt_fixed(2, 256)
-    cf = continued_fraction(x, 12)
-    for k in range(len(cf.convergents) - 1):
-        c = cf.convergents[k]
-        qk = c.denominator
-        qk1 = cf.convergents[k + 1].denominator
-        assert abs(x.mid - c) <= Fraction(1, qk * qk1) + x.hi - x.lo
-
-
-def test_best_approximation_property_sqrt2():
-    # every non-convergent with smaller denominator approximates less well
-    x = sqrt_fixed(2, 256)
-    cf = continued_fraction(x, 14)
-    convs = [c for c in cf.convergents if c.denominator <= 200]
-    conv_set = set(convs)
-    for c in convs:
-        assert abs(x.mid - c) < Fraction(1, c.denominator ** 2)
-        for q in range(1, c.denominator):
-            a = round(x.mid * q)
-            cand = Fraction(a, q)
-            if cand in conv_set:
-                continue
-            assert abs(x.mid - cand) > abs(x.mid - c)
-
-
-def test_diophantine_margin_golden():
-    phi = parse_alpha("ratio:(1+sqrt:5)/2").value(192)
-    margin, witness = diophantine_margin(phi, 1000, Fraction(9, 4))
-    assert margin > 0
-    assert witness.denominator == 1
-
-
-def test_diophantine_margin_sqrt2_matches_scan():
-    x = sqrt_fixed(2, 256)
-    margin, witness = diophantine_margin(x, 100, Fraction(9, 4))
-    # oracle scan over the convergents with q <= 100
-    cf = continued_fraction(x, 12)
-    best = None
-    for c in cf.convergents:
-        q = c.denominator
-        if q > 100:
-            break
-        val = float(q) ** 2.25 * abs(float(x.mid - c))
-        if best is None or val < best:
-            best = val
-    assert margin > 0
-    assert float(margin) == pytest.approx(best, rel=1e-6)
-
-
-def test_diophantine_margin_rejects_rational():
-    with pytest.raises(ValueError):
-        diophantine_margin(Fraction(1, 3), 100, Fraction(9, 4))
-    with pytest.raises(ValueError):
-        diophantine_margin(fixed_from_decimal("0.5", 64), 100, Fraction(9, 4))
-
-
 @pytest.mark.parametrize("q,expected", [(15, 1), (12, 4), (18, 18), (1, 1), (8, 8), (45, 9)])
 def test_q1_part_examples(q, expected):
     assert q1_part(q) == expected
@@ -202,45 +97,6 @@ def test_q1_part_cofactor_odd_squarefree(q):
     assert q1 * q0 == q
     assert q0 % 2 == 1
     assert all(e == 1 for e in factorize(q0).values()) or q0 == 1
-
-
-def test_frac_norm_mul_exact_cases():
-    n = frac_norm_mul(Fraction(1, 2), 3)
-    assert n.lower == n.upper == Fraction(1, 2)
-    n = frac_norm_mul(Fraction(1, 4), 2)
-    assert n.lower == n.upper == Fraction(1, 2)
-
-
-def test_frac_norm_mul_contains_high_precision_value():
-    x = sqrt_fixed(2, 192)
-    k = 10 ** 6
-    n = frac_norm_mul(x, k)
-    assert n.width <= Fraction(2 * k * 2, 1 << 190)
-    # independent oracle at 512 bits
-    hi = sqrt_fixed(2, 512)
-    v = hi.mid * k
-    f = v - math.floor(v)
-    truth = min(f, 1 - f)
-    assert n.lower <= truth <= n.upper
-
-
-def test_frac_norm_mul_guard_band():
-    x = FixedReal(1 << 100, 192, err_ulp=1 << 100)
-    with pytest.raises(PrecisionError):
-        frac_norm_mul(x, 1 << 91)
-
-
-@given(
-    st.integers(min_value=-(10 ** 9), max_value=10 ** 9),
-    st.integers(min_value=-(10 ** 4), max_value=10 ** 4),
-)
-def test_frac_norm_mul_interval_contains_truth(mantissa, k):
-    x = FixedReal(mantissa, 64, err_ulp=3)
-    n = frac_norm_mul(x, k)
-    # 2x-precision evaluation of the midpoint must land inside
-    v = Fraction(mantissa * k, 1 << 64)
-    f = v - math.floor(v)
-    assert n.lower <= min(f, 1 - f) <= n.upper
 
 
 def test_parse_alpha_forms():
@@ -285,11 +141,3 @@ def test_eval_with_retry_escalates():
 
     assert eval_with_retry(parse_alpha("sqrt:2"), compute, bits=128) == 512
     assert calls == [128, 256, 512]
-
-
-def test_certified_norm_decisions():
-    n = CertifiedNorm(Fraction(1, 4), Fraction(1, 3))
-    assert n.le(Fraction(1, 2))
-    assert not n.le(Fraction(1, 5))
-    with pytest.raises(PrecisionError):
-        n.le(Fraction(3, 10))

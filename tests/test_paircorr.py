@@ -19,7 +19,6 @@ from quadpair.paircorr import (
     sequence_from_points,
     verify_integral_identities,
     weighted_pair_correlation,
-    window_function_l,
 )
 
 
@@ -245,24 +244,7 @@ def test_monotone_in_window():
 
 
 # ---------------------------------------------------------------------------
-# window counts and integral identities
-
-
-def test_window_count_example():
-    seq = sequence_from_points([0.25, 0.5, 0.75, 1.0])
-    assert window_function_l(seq, Fraction(1, 2), 1) == 1
-
-
-def test_window_count_at_a_point():
-    seq = sequence_from_points([Fraction(1, 3), Fraction(2, 3)])
-    assert window_function_l(seq, Fraction(1, 3), Fraction(1, 10)) >= 1
-
-
-def test_window_count_saturates():
-    seq = sequence_from_points([Fraction(1, 5), Fraction(2, 5), Fraction(4, 5)])
-    n = seq.n
-    for t in (0, Fraction(1, 7), Fraction(9, 10)):
-        assert window_function_l(seq, t, n) == n
+# integral identities
 
 
 def test_identities_single_point():

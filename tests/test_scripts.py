@@ -1,0 +1,24 @@
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("paircorr_growth.py", ["--N", "200"]),
+        ("dispersion_sweep.py", ["--qlo", "50", "--qhi", "60"]),
+        ("build_alpha.py", ["--N", "200"]),
+    ],
+)
+def test_script_runs(tmp_path, monkeypatch, capsys, script, args):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert exc.value.code == 0, capsys.readouterr().err
+    assert capsys.readouterr().out
