@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from quadpair.exactreal import sqrt_fixed
+from quadpair.errors import PrecisionError
+from quadpair.exactreal import FixedReal, sqrt_fixed
 from quadpair.latcount import (
     VCountSpec,
     gauss_reduce,
@@ -39,6 +40,25 @@ def test_near_multiple_brute():
                 brute += 1
         assert near_multiple_count(m, beta, delta) == brute
 
+
+
+@pytest.mark.parametrize(
+    "mantissa, err_ulp, raises",
+    [
+        ((1 << 62) + 1, 1, True),  # beta itself sits 1 ulp above t = 2^62
+        ((1 << 62) + 2, 1, False),
+        ((1 << 62) + 1, 0, False),
+        ((3 << 62) - 1, 1, True),  # 1 ulp below the wrapped threshold
+        ((3 << 62) - 2, 1, False),
+    ],
+)
+def test_near_multiple_raises_inside_its_guard_band(mantissa, err_ulp, raises):
+    beta = FixedReal(mantissa, 64, err_ulp)
+    if raises:
+        with pytest.raises(PrecisionError):
+            near_multiple_count(1, beta, Fraction(1, 4))
+    else:
+        assert near_multiple_count(1, beta, Fraction(1, 4)) == 0
 
 def test_pair_lattice_formula():
     basis = pair_lattice(4, 0, Fraction(1, 4))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadpair.errors import CostGuardError
-from quadpair.exactreal import sqrt_fixed
+from quadpair.errors import CostGuardError, PrecisionError
+from quadpair.exactreal import FixedReal, sqrt_fixed
 from quadpair.paircorr import (
     PairCorrResult,
     SequenceModOne,
@@ -298,3 +298,93 @@ def test_result_validation():
         PairCorrResult(3, Fraction(1), Fraction(-1, 3))
     with pytest.raises(ValueError):
         PairCorrResult(3, Fraction(1), None, r0=Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# certified windows: real sequences with a non-zero error radius
+
+
+def _band(seq, x):
+    # scaled thresholds widened by twice the error radius, as documented
+    tau = Fraction(x) / seq.n
+    lo = max(tau - 2 * seq.err, Fraction(0))
+    hi = tau + 2 * seq.err
+    return lo.numerator * seq.den // lo.denominator, hi.numerator * seq.den // hi.denominator
+
+
+def _exact_copy(seq):
+    return SequenceModOne(list(seq.nums), seq.den)
+
+
+@pytest.mark.parametrize(
+    "d, raises",
+    [(993, False), (994, False), (995, True), (1000, True), (1006, True), (1007, False)],
+)
+def test_certified_pair_at_the_band_edges(d, raises):
+    # tau = 1/10 scales to 1000 and 2 err to 6: the band is (994, 1006]; a
+    # distance at 994 is counted whatever the true points are, one at 1006
+    # may or may not be
+    seq = SequenceModOne([0, d], 10_000, err=Fraction(3, 10_000))
+    x = Fraction(1, 5)
+    assert _band(seq, x) == (994, 1006)
+    if raises:
+        with pytest.raises(PrecisionError):
+            pair_correlation(seq, x)
+    else:
+        assert pair_correlation(seq, x).pair_count == pair_correlation(_exact_copy(seq), x).pair_count
+
+
+@pytest.mark.parametrize("d, raises", [(0, False), (1, True), (6, True), (7, False)])
+def test_certified_zero_window_clips_the_lower_threshold(d, raises):
+    seq = SequenceModOne([5, 5 + d], 10_000, err=Fraction(3, 10_000))
+    assert _band(seq, 0) == (0, 6)
+    if raises:
+        with pytest.raises(PrecisionError):
+            pair_correlation(seq, 0)
+    else:
+        assert pair_correlation(seq, 0).pair_count == (1 if d == 0 else 0)
+
+
+def test_certified_window_raises_exactly_when_a_distance_is_in_the_band():
+    rng = random.Random(29)
+    raised = kept = 0
+    for _ in range(200):
+        n = rng.randrange(2, 30)
+        den = 1 << 12
+        seq = SequenceModOne([rng.randrange(den) for _ in range(n)], den,
+                             err=Fraction(rng.randrange(1, 8), den))
+        x = Fraction(rng.randrange(0, 4 * n), 4)
+        lo, hi = _band(seq, x)
+        dists = [min(abs(a - b), den - abs(a - b)) for i, a in enumerate(seq.nums) for b in seq.nums[i + 1:]]
+        if any(lo < d <= hi for d in dists):
+            raised += 1
+            with pytest.raises(PrecisionError):
+                pair_correlation(seq, x)
+        else:
+            kept += 1
+            got = pair_correlation(seq, x).pair_count
+            assert got == pair_correlation(_exact_copy(seq), x).pair_count
+            assert got == pair_correlation_naive(_exact_copy(seq), x).pair_count
+    assert raised and kept
+
+
+def test_certified_quadratic_sequence_matches_its_exact_copy():
+    seq = quadratic_sequence(sqrt_fixed(2, 192), 3000)
+    assert seq.err > 0
+    for x in (Fraction(1, 4), 1, 16):
+        lo, hi = _band(seq, x)
+        assert lo < hi
+        assert pair_correlation(seq, x).pair_count == pair_correlation(_exact_copy(seq), x).pair_count
+
+
+@pytest.mark.parametrize("offset, err_ulp, raises", [(1, 1, True), (2, 1, False), (1, 0, False)])
+def test_uv_raises_inside_its_guard_band(offset, err_ulp, raises):
+    # n = 2 has the single pair u = 1, v = 3: the scaled point 3a lands
+    # 3 * offset above t = 3 * 2^60, and the guard is 3 err_ulp wide
+    alpha = FixedReal((1 << 60) + offset, 64, err_ulp)
+    x = Fraction(3, 8)
+    if raises:
+        with pytest.raises(PrecisionError):
+            pair_correlation_uv(alpha, 2, x)
+    else:
+        assert pair_correlation_uv(alpha, 2, x).pair_count == 0
