@@ -177,29 +177,30 @@ def _scaled_threshold(tau: Fraction, den: int) -> int:
     return (tau.numerator * den) // tau.denominator
 
 
-def _certify_threshold(seq: SequenceModOne, tau: Fraction) -> None:
-    """Raise unless no pair distance can cross tau within the error radius."""
-    if seq.err == 0:
-        return
-    s = seq.sorted_nums()
-    lo = _scaled_threshold(max(tau - 2 * seq.err, Fraction(0)), seq.den)
-    hi = _scaled_threshold(tau + 2 * seq.err, seq.den)
-    if _pair_stats(s, seq.den, hi)[0] != _pair_stats(s, seq.den, lo)[0]:
-        raise PrecisionError(
-            f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold"
-        )
-
-
 def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
-    """Fraction of point pairs within x/N on the circle, threshold inclusive."""
+    """Fraction of point pairs within x/N on the circle, threshold inclusive.
+
+    On a sequence with error radius ``err > 0`` the true pair distances lie
+    within 2 err of the stored ones, so the window is counted at the widened
+    thresholds lo = tau - 2 err (clipped at 0) and hi = tau + 2 err.  The
+    count is monotone in the threshold and lo <= tau <= hi, so when the two
+    counts agree they are the certified count at tau; when they differ a
+    stored distance lies in (lo, hi] and ``PrecisionError`` is raised.
+    """
     x = Fraction(x)
     if x < 0:
         raise ValueError("window parameter must be non-negative")
     n = seq.n
     tau = x / n
-    _certify_threshold(seq, tau)
-    t = _scaled_threshold(tau, seq.den)
-    count, _ = _pair_stats(seq.sorted_nums(), seq.den, t)
+    s = seq.sorted_nums()
+    hi = _scaled_threshold(tau + 2 * seq.err, seq.den)
+    count, _ = _pair_stats(s, seq.den, hi)
+    if seq.err:
+        lo = _scaled_threshold(max(tau - 2 * seq.err, Fraction(0)), seq.den)
+        if lo != hi and _pair_stats(s, seq.den, lo)[0] != count:
+            raise PrecisionError(
+                f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold"
+            )
     return PairCorrResult(n, x, Fraction(count, n), method="sorted-window", pair_count=count)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadpair import paircorr
 from quadpair.errors import CostGuardError, PrecisionError
 from quadpair.exactreal import FixedReal, sqrt_fixed
 from quadpair.paircorr import (
@@ -388,3 +389,21 @@ def test_uv_raises_inside_its_guard_band(offset, err_ulp, raises):
             pair_correlation_uv(alpha, 2, x)
     else:
         assert pair_correlation_uv(alpha, 2, x).pair_count == 0
+
+
+def test_certified_window_counts_twice_exact_window_once(monkeypatch):
+    calls = []
+    original = paircorr._pair_stats
+
+    def counting(s, den, t):
+        calls.append(t)
+        return original(s, den, t)
+
+    monkeypatch.setattr(paircorr, "_pair_stats", counting)
+    seq = quadratic_sequence(sqrt_fixed(2, 192), 500)
+    assert _band(seq, 1)[0] < _band(seq, 1)[1]
+    certified = pair_correlation(seq, 1).pair_count
+    assert len(calls) == 2
+    calls.clear()
+    assert pair_correlation(_exact_copy(seq), 1).pair_count == certified
+    assert len(calls) == 1
