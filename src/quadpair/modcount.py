@@ -49,9 +49,9 @@ def _autocorr_kron(h: np.ndarray, q: int) -> np.ndarray:
     nco = 2 * q - 1
     raw = prod.to_bytes(8 * nco + 8, "little")
     co = np.frombuffer(raw[: 8 * nco], dtype="<u8").astype(np.int64)
-    out = np.zeros(q, dtype=np.int64)
-    idx = (np.arange(nco) - (q - 1)) % q
-    np.add.at(out, idx, co)
+    # coefficient k is lag k - (q - 1): lags 0..q-1, then -(q-1)..-1 folded
+    out = co[q - 1 :].copy()
+    out[1:] += co[: q - 1]
     return out
 
 
@@ -117,23 +117,18 @@ def hyperbola_count(q0: int, r: int) -> int:
 # dispersion profile
 
 
-@dataclass
+@dataclass(frozen=True)
 class CongruenceProfile:
     """Per-modulus dispersion data.
 
     ``delta_star_scaled[c]`` is q^2 times the running maximum over
-    M <= q^(2/3) of |A(M,q,c) - (M/q)^2 A0(q,c)|; ``bad`` is filled lazily.
+    M <= q^(2/3) of |A(M,q,c) - (M/q)^2 A0(q,c)|.
     """
 
     q: int
     eta: Fraction
-    a0: np.ndarray
     delta_star_scaled: np.ndarray
     m_max: int
-    bad: Optional[tuple[int, ...]] = None
-
-    def delta_star(self, c: int) -> Fraction:
-        return Fraction(int(self.delta_star_scaled[c % self.q]), self.q * self.q)
 
 
 def delta_star_profile(q: int, eta) -> CongruenceProfile:
@@ -160,12 +155,7 @@ def delta_star_profile(q: int, eta) -> CongruenceProfile:
         if m > 1:
             a += np.bincount((sq[: m - 1] - new) % q, minlength=q).astype(np.int64)
         np.maximum(best, np.abs(a * qsq - (m * m) * a0), out=best)
-    return CongruenceProfile(q, eta, a0, best, m_max)
-
-
-@lru_cache(maxsize=None)
-def _profile_cached(q: int, eta: Fraction) -> CongruenceProfile:
-    return delta_star_profile(q, eta)
+    return CongruenceProfile(q, eta, best, m_max)
 
 
 # Gathered sums are exact in int64: every entry of ``delta_star_scaled`` lies
@@ -220,16 +210,22 @@ def _bad_set_of_profile(profile: CongruenceProfile) -> tuple[int, ...]:
     return tuple(sorted(pow(b, -1, q) for b in bad_inverses))
 
 
-def bad_set(q: int, eta) -> tuple[int, ...]:
-    """Residues a (coprime to q) whose dispersion sum over small multiples of
-    the inverse is anomalously large.  Results are cached per (q, eta)."""
+def _check_eta(eta) -> Fraction:
     eta = Fraction(eta)
     if not 0 < eta <= Fraction(1, 100):
         raise ValueError("eta must lie in (0, 1/100]")
-    profile = _profile_cached(q, eta)
-    if profile.bad is None:
-        profile.bad = _bad_set_of_profile(profile)
-    return profile.bad
+    return eta
+
+
+@lru_cache(maxsize=None)
+def _bad_set_cached(q: int, eta: Fraction) -> tuple[int, ...]:
+    return _bad_set_of_profile(delta_star_profile(q, eta))
+
+
+def bad_set(q: int, eta) -> tuple[int, ...]:
+    """Residues a (coprime to q) whose dispersion sum over small multiples of
+    the inverse is anomalously large.  Results are cached per (q, eta)."""
+    return _bad_set_cached(q, _check_eta(eta))
 
 
 @dataclass
@@ -255,11 +251,12 @@ def dispersion_report(q: int, n: Optional[int] = None, eta=Fraction(1, 200)) -> 
     eta = Fraction(eta)
     q1 = q1_part(q)
     if n is None:
-        profile = _profile_cached(q, eta)
+        eta = _check_eta(eta)
+        profile = delta_star_profile(q, eta)
         total = sum(int(v) ** 2 for v in profile.delta_star_scaled)
         sum_delta = Fraction(total, q ** 4)
         bound = float(q) ** float(Fraction(3, 2) + 4 * eta) * q1 ** 3
-        card = len(bad_set(q, eta))
+        card = len(_bad_set_of_profile(profile))
     else:
         if not 1 <= n <= floor_power(q, Fraction(2, 3)):
             raise ValueError("n must satisfy 1 <= n <= q^(2/3)")

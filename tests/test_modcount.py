@@ -138,7 +138,7 @@ def test_delta_star_hand_values_q5():
     prof = delta_star_profile(5, ETA)
     assert prof.m_max == 2
     expected = [Fraction(16, 25), Fraction(16, 25), Fraction(9, 25), Fraction(9, 25), Fraction(16, 25)]
-    assert [prof.delta_star(c) for c in range(5)] == expected
+    assert [Fraction(int(v), 25) for v in prof.delta_star_scaled] == expected
 
 
 def test_delta_star_incremental_vs_direct():
@@ -159,7 +159,7 @@ def test_delta_star_lower_bound_m1():
         a0 = count_A0(q, None)
         for c in range(q):
             floor_term = abs((1 if c == 0 else 0) - Fraction(int(a0[c]), q * q))
-            assert prof.delta_star(c) >= floor_term
+            assert Fraction(int(prof.delta_star_scaled[c]), q * q) >= floor_term
 
 
 def test_bad_set_q5_empty():
@@ -170,7 +170,7 @@ def test_bad_set_q2_matches_oracle():
     prof = delta_star_profile(2, ETA)
     # only a = 1 is a unit; threshold is 2^(2/3 - 1/100)
     r_max = math.floor(2 ** (1 / 3 + 2 / 200))
-    total = sum(prof.delta_star((1 * r) % 2) for r in range(1, r_max + 1))
+    total = sum(Fraction(int(prof.delta_star_scaled[(1 * r) % 2]), 4) for r in range(1, r_max + 1))
     expected = (1,) if float(total) >= 2 ** (2 / 3 - 2 / 200) else ()
     assert bad_set(2, ETA) == expected
 
@@ -222,14 +222,14 @@ def test_bad_set_matches_oracle_on_synthetic_profiles(monkeypatch, chunk):
             base = t // r_max
             for spread in (1, 3, base // 2 + 1):
                 scaled = base + rng.integers(-spread, spread + 1, size=q, dtype=np.int64)
-                prof = CongruenceProfile(q, eta, np.zeros(q, dtype=np.int64), scaled, 0)
+                prof = CongruenceProfile(q, eta, scaled, 0)
                 got = _bad_set_of_profile(prof)
                 assert got == _bad_set_oracle(prof), (q, eta, spread)
             # exact ties: a gathered sum of exactly T is bad, T - 1 is not
             for total, bad in ((t, True), (t - 1, False)):
                 scaled = np.zeros(q, dtype=np.int64)
                 scaled[1] = total
-                prof = CongruenceProfile(q, eta, np.zeros(q, dtype=np.int64), scaled, 0)
+                prof = CongruenceProfile(q, eta, scaled, 0)
                 got = _bad_set_of_profile(prof)
                 assert got == _bad_set_oracle(prof)
                 assert (1 in got) == bad
