@@ -242,10 +242,6 @@ class _OpenUnion:
             return self.ends[i]
         return x
 
-    def covers_point(self, x: Fraction) -> bool:
-        i = bisect_right(self.starts, x) - 1
-        return i >= 0 and self.starts[i] < x < self.ends[i]
-
 
 @dataclass
 class ConstructionResult:

@@ -115,7 +115,7 @@ def test_open_union_keeps_touching_endpoint():
     u = _OpenUnion()
     u.insert(Fraction(0), Fraction(1, 2))
     u.insert(Fraction(1, 2), Fraction(1))
-    assert not u.covers_point(Fraction(1, 2))
+    assert u.first_uncovered(Fraction(1, 2)) == Fraction(1, 2)
     assert u.first_uncovered(Fraction(1, 4)) == Fraction(1, 2)
 
 
