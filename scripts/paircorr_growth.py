@@ -9,7 +9,13 @@ import argparse
 import sys
 from fractions import Fraction
 
-from quadpair import parse_alpha, pair_correlation, quadratic_sequence, weighted_pair_correlation
+from quadpair import (
+    eval_with_retry,
+    parse_alpha,
+    pair_correlation,
+    quadratic_sequence,
+    weighted_pair_correlation,
+)
 
 ALPHAS = ["sqrt:2", "sqrt:3", "ratio:(1+sqrt:5)/2", "dec:0.33333432934530144"]
 WINDOWS = [Fraction(1, 4), Fraction(1, 2), 1, 2, 4, 8, 16]
@@ -22,12 +28,14 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
+    def rows_at(alpha) -> list[tuple]:
+        # the whole alpha is redone at more bits on a PrecisionError
+        seq = quadratic_sequence(alpha, args.N)
+        return [(x, pair_correlation(seq, x).r, weighted_pair_correlation(seq, x).r0) for x in WINDOWS]
+
     lines = ["alpha,N,X,R,R0,R_minus_X"]
     for label in ALPHAS:
-        seq = quadratic_sequence(parse_alpha(label).value(args.bits), args.N)
-        for x in WINDOWS:
-            r = pair_correlation(seq, x).r
-            r0 = weighted_pair_correlation(seq, x).r0
+        for x, r, r0 in eval_with_retry(parse_alpha(label), rows_at, args.bits):
             lines.append(
                 f"{label},{args.N},{float(x):.17g},{float(r):.17g},"
                 f"{float(r0):.17g},{float(r - x):.17g}"
