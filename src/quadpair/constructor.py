@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -243,6 +244,13 @@ class _OpenUnion:
         return x
 
 
+def _exact_str(fr: Fraction) -> str:
+    """str(fr), also past sys.get_int_max_str_digits(): Decimal converts an
+    int exactly and without that limit."""
+    num, den = str(Decimal(fr.numerator)), str(Decimal(fr.denominator))
+    return num if den == "1" else f"{num}/{den}"
+
+
 @dataclass
 class ConstructionResult:
     r_sequence: list[Fraction]
@@ -311,10 +319,10 @@ def construct_alpha(
         "lemma2_constant": "1",
         "budget_ok": budget_ok,
         "class_measures": {
-            "class1": str(budget.class1_sum),
-            "class2": str(budget.class2_sum),
-            "class3": str(budget.class3_sum),
-            "total": str(budget.total),
+            "class1": _exact_str(budget.class1_sum),
+            "class2": _exact_str(budget.class2_sum),
+            "class3": _exact_str(budget.class3_sum),
+            "total": _exact_str(budget.total),
         },
         "r_sequence": [str(r) for r in r_sequence],
         "final": str(final),

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from quadpair import latcount, paircorr
 from quadpair.acceptance import run_suite
 from quadpair.cli import fmt_float, load_config, main
+from quadpair.constructor import tail_budget
 from quadpair.errors import PrecisionError
 from quadpair.expsum import quad_sum
 from quadpair.modcount import divisor_sum_ap
@@ -159,6 +161,28 @@ def test_readme_construct_certificate_bytes(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "cert.json").read_bytes() == README_CERTIFICATE.encode()
     assert run(argv, capsys) == (0, README_CERTIFICATE)
 
+
+def test_construct_certificate_prints_past_the_int_digit_limit(capsys):
+    # the class measures of 1000..1120 have a 676-digit denominator; 640 is
+    # the least limit Python accepts
+    argv = ["construct", "--interval", "1/3:2/5", "--qstart", "1000", "--qmax", "1120",
+            "--no-strict-budget"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run(argv, capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0, capsys.readouterr().err
+    measures = json.loads(out)["class_measures"]
+    assert len(measures["total"].partition("/")[2]) > 640
+    budget = tail_budget(1000, 1120, Fraction(1, 200))
+    assert measures == {
+        "class1": str(budget.class1_sum),
+        "class2": str(budget.class2_sum),
+        "class3": str(budget.class3_sum),
+        "total": str(budget.total),
+    }
 
 def test_construct_budget_failure_is_an_error(capsys):
     code, _ = run(
