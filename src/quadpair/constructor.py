@@ -245,8 +245,7 @@ class _OpenUnion:
 
 
 def _exact_str(fr: Fraction) -> str:
-    """str(fr), also past sys.get_int_max_str_digits(): Decimal converts an
-    int exactly and without that limit."""
+    # str(fr) without sys.get_int_max_str_digits()'s limit, which Decimal lacks
     num, den = str(Decimal(fr.numerator)), str(Decimal(fr.denominator))
     return num if den == "1" else f"{num}/{den}"
 

@@ -138,6 +138,8 @@ def delta_star_profile(q: int, eta) -> CongruenceProfile:
     maximum of the scaled deviation is updated after every step.
     """
     eta = Fraction(eta)
+    if not 0 < eta <= Fraction(1, 100):
+        raise ValueError("eta must lie in (0, 1/100]")
     if q < 2:
         raise ValueError("need q >= 2")
     if q > PROFILE_GUARD:
@@ -210,13 +212,6 @@ def _bad_set_of_profile(profile: CongruenceProfile) -> tuple[int, ...]:
     return tuple(sorted(pow(b, -1, q) for b in bad_inverses))
 
 
-def _check_eta(eta) -> Fraction:
-    eta = Fraction(eta)
-    if not 0 < eta <= Fraction(1, 100):
-        raise ValueError("eta must lie in (0, 1/100]")
-    return eta
-
-
 @lru_cache(maxsize=None)
 def _bad_set_cached(q: int, eta: Fraction) -> tuple[int, ...]:
     return _bad_set_of_profile(delta_star_profile(q, eta))
@@ -225,7 +220,7 @@ def _bad_set_cached(q: int, eta: Fraction) -> tuple[int, ...]:
 def bad_set(q: int, eta) -> tuple[int, ...]:
     """Residues a (coprime to q) whose dispersion sum over small multiples of
     the inverse is anomalously large.  Results are cached per (q, eta)."""
-    return _bad_set_cached(q, _check_eta(eta))
+    return _bad_set_cached(q, Fraction(eta))
 
 
 @dataclass
@@ -251,7 +246,6 @@ def dispersion_report(q: int, n: Optional[int] = None, eta=Fraction(1, 200)) -> 
     eta = Fraction(eta)
     q1 = q1_part(q)
     if n is None:
-        eta = _check_eta(eta)
         profile = delta_star_profile(q, eta)
         total = sum(int(v) ** 2 for v in profile.delta_star_scaled)
         sum_delta = Fraction(total, q ** 4)

@@ -180,12 +180,9 @@ def _scaled_threshold(tau: Fraction, den: int) -> int:
 def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     """Fraction of point pairs within x/N on the circle, threshold inclusive.
 
-    On a sequence with error radius ``err > 0`` the true pair distances lie
-    within 2 err of the stored ones, so the window is counted at the widened
-    thresholds lo = tau - 2 err (clipped at 0) and hi = tau + 2 err.  The
-    count is monotone in the threshold and lo <= tau <= hi, so when the two
-    counts agree they are the certified count at tau; when they differ a
-    stored distance lies in (lo, hi] and ``PrecisionError`` is raised.
+    With error radius err > 0 the count is taken at lo = max(tau - 2 err, 0)
+    and hi = tau + 2 err, tau = x/N: it is monotone in the threshold, so equal
+    counts certify the count at tau, and unequal ones raise PrecisionError.
     """
     x = Fraction(x)
     if x < 0:

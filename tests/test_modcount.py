@@ -263,6 +263,30 @@ def test_dispersion_report_q5():
     assert rep.ratio == pytest.approx(float(Fraction(930, 625)) / 5 ** 1.52)
 
 
+def test_bad_sets_are_cached_and_dispersion_profiles_once(monkeypatch):
+    calls = []
+    original = modcount.delta_star_profile
+
+    def counting(q, eta):
+        calls.append(q)
+        return original(q, eta)
+
+    monkeypatch.setattr(modcount, "delta_star_profile", counting)
+    eta = Fraction(1, 300)
+    first = bad_set(211, eta)
+    assert bad_set(211, eta) is first
+    assert calls == [211]
+    assert dispersion_report(211, eta=eta).card_bad_set == len(first)
+    assert calls == [211, 211]
+
+
+@pytest.mark.parametrize("eta", [0, Fraction(1, 50)])
+def test_bad_set_and_dispersion_reject_the_same_eta(eta):
+    with pytest.raises(ValueError, match="eta must lie"):
+        bad_set(5, eta)
+    with pytest.raises(ValueError, match="eta must lie"):
+        dispersion_report(5, eta=eta)
+
 def test_dispersion_report_power_of_two():
     rep = dispersion_report(64, eta=ETA)
     assert rep.q1 == 64
