@@ -11,10 +11,10 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     "script, args",
     [
         ("paircorr_growth.py", ["--N", "200"]),
-        # 64 bits cannot certify N = 3000: the script must escalate
-        ("paircorr_growth.py", ["--N", "3000", "--bits", "64"]),
         ("dispersion_sweep.py", ["--qlo", "50", "--qhi", "60"]),
         ("build_alpha.py", ["--N", "200"]),
+        # 64 bits cannot certify N = 3000: the script must escalate
+        ("paircorr_growth.py", ["--N", "3000", "--bits", "64"]),
     ],
 )
 def test_script_runs(tmp_path, monkeypatch, capsys, script, args):
