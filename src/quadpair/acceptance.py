@@ -147,10 +147,9 @@ def criterion_a3(level="desk") -> CriterionResult:
     for q0 in range(3, hyp_top + 1, 2):
         if any(e > 1 for e in factorize(q0).values()):
             continue
-        a0 = modcount.count_A0(q0, None)
-        for r in range(q0):
-            if modcount.hyperbola_count(q0, r) != int(a0[r]):
-                return _finish("A3", t0, False, f"hyperbola mismatch at q0={q0}, r={r}")
+        wrong = np.flatnonzero(modcount.hyperbola_counts(q0) != modcount.count_A0(q0, None))
+        if wrong.size:
+            return _finish("A3", t0, False, f"hyperbola mismatch at q0={q0}, r={wrong[0]}")
     return _finish("A3", t0, True, "closed forms, product rule and coincidences exact")
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import CostGuardError
 from .exactreal import euler_phi, factorize, floor_power, q1_part
 
-A0_DIRECT_GUARD = 10 ** 5
 A_ARRAY_GUARD = 10 ** 9
 PROFILE_GUARD = 10 ** 5
 DIVISOR_TABLE_CAP = 8 * 10 ** 8
@@ -30,37 +29,22 @@ DIVISOR_TABLE_CAP = 8 * 10 ** 8
 # exact circular correlation of residue histograms
 
 
-def _autocorr_outer(h: np.ndarray, q: int) -> np.ndarray:
-    nz = np.nonzero(h)[0]
-    vals = h[nz].astype(np.float64)
-    cm = (nz[:, None] - nz[None, :]) % q
-    w = vals[:, None] * vals[None, :]
-    out = np.bincount(cm.ravel(), weights=w.ravel(), minlength=q)
-    return np.rint(out).astype(np.int64)
-
-
-def _autocorr_kron(h: np.ndarray, q: int) -> np.ndarray:
-    # Kronecker substitution: pack the histogram in base 2^64 and let big-int
-    # multiplication perform the convolution exactly
-    h64 = np.ascontiguousarray(h.astype("<u8"))
-    big = int.from_bytes(h64.tobytes(), "little")
-    rev = int.from_bytes(h64[::-1].tobytes(), "little")
-    prod = big * rev
-    nco = 2 * q - 1
-    raw = prod.to_bytes(8 * nco + 8, "little")
-    co = np.frombuffer(raw[: 8 * nco], dtype="<u8").astype(np.int64)
-    # coefficient k is lag k - (q - 1): lags 0..q-1, then -(q-1)..-1 folded
-    out = co[q - 1 :].copy()
-    out[1:] += co[: q - 1]
-    return out
+_AUTOCORR_BLOCK = 4_000_000  # outer-product entries per block of rows
 
 
 def _circular_autocorr(h: np.ndarray, q: int) -> np.ndarray:
     """out[c] = sum_r h[r] * h[(r - c) mod q], exactly."""
-    nz = int(np.count_nonzero(h))
-    if nz * nz <= 4_000_000:
-        return _autocorr_outer(h, q)
-    return _autocorr_kron(h, q)
+    # float64 sums are exact: for a square histogram of n values every
+    # partial sum is an integer <= n^2 <= A_ARRAY_GUARD < 2^53
+    nz = np.nonzero(h)[0]
+    vals = h[nz].astype(np.float64)
+    out = np.zeros(q, dtype=np.float64)
+    rows = max(1, _AUTOCORR_BLOCK // len(nz))
+    for start in range(0, len(nz), rows):
+        cm = (nz[start : start + rows, None] - nz[None, :]) % q
+        w = vals[start : start + rows, None] * vals[None, :]
+        out += np.bincount(cm.ravel(), weights=w.ravel(), minlength=q)
+    return np.rint(out).astype(np.int64)
 
 
 def _square_histogram(n: int, q: int) -> np.ndarray:
@@ -79,38 +63,49 @@ def count_A(n: int, q: int, c: Optional[int] = None):
         raise ValueError("need n >= 1 and q >= 1")
     if n * n > A_ARRAY_GUARD:
         raise CostGuardError(f"count_A is capped at n^2 <= {A_ARRAY_GUARD}")
-    h = _square_histogram(n, q)
-    if c is None:
-        return _circular_autocorr(h, q)
-    # roll(h, c)[r] = h[(r - c) mod q]
-    return int(np.dot(h, np.roll(h, c % q)))
+    out = _circular_autocorr(_square_histogram(n, q), q)
+    return out if c is None else int(out[c % q])
 
 
 def count_A0(q: int, c: Optional[int] = None):
-    """Counts over a full period, m, n in [1, q]; c=None returns the array."""
-    if q < 1:
-        raise ValueError("need q >= 1")
-    if q > A0_DIRECT_GUARD:
-        raise CostGuardError(f"direct A0 is capped at q <= {A0_DIRECT_GUARD}")
+    """Counts over a full period, m, n in [1, q], by autocorrelation; c=None
+    returns the array.  The oracle for the closed form ``_a0``."""
     return count_A(q, q, c)
 
 
-def hyperbola_count(q0: int, r: int) -> int:
-    """#{u, v <= q0 : uv = r mod q0} for odd squarefree q0.
+def hyperbola_counts(q: int) -> np.ndarray:
+    """H[c] = #{u, v mod q : uv = c mod q}.
 
-    Coincides with count_A0(q0, r): for odd modulus the substitution
-    (m, n) -> (m+n, m-n) is a bijection on residue pairs.
+    The u with gcd(u, q) = g number phi(q/g), and each has g solutions v
+    when g | c and none otherwise.
     """
-    fac = factorize(q0)
-    if q0 % 2 == 0 or any(e > 1 for e in fac.values()):
-        raise ValueError("hyperbola_count needs an odd squarefree modulus")
-    r %= q0
-    total = 0
-    for u in range(1, q0 + 1):
-        g = math.gcd(u, q0)
-        if r % g == 0:
-            total += g
-    return total
+    divisors = [1]
+    for p, e in factorize(q).items():
+        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    out = np.zeros(q, dtype=np.int64)
+    for g in divisors:
+        out[::g] += g * euler_phi(q // g)
+    return out
+
+
+def _a0(q: int) -> np.ndarray:
+    """A0(q, .) in closed form, from q = 2^e o with o odd and CRT.
+
+    Modulo o, (m, n) -> (m + n, m - n) is a bijection and m^2 - n^2 = uv, so
+    A0(o, c) = H(o, c).  Modulo 2^e it is 2-to-1 onto pairs (u, v) of equal
+    parity: A0(2, .) = (2, 2), and for e >= 2 A0(2^e, c) is 2 H(2^e, c) for
+    odd c, 8 H(2^(e-2), c/4) for 4 | c, and 0 for c = 2 mod 4.
+    """
+    two = q & -q
+    odd = q // two
+    if two <= 2:
+        a2 = np.full(two, two, dtype=np.int64)
+    else:
+        a2 = 2 * hyperbola_counts(two)
+        a2[::2] = 0
+        a2[::4] = 8 * hyperbola_counts(two // 4)
+    c = np.arange(q)
+    return a2[c % two] * hyperbola_counts(odd)[c % odd]
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +126,26 @@ class CongruenceProfile:
     m_max: int
 
 
+def _checked_eta(eta) -> Fraction:
+    eta = Fraction(eta)
+    if not 0 < eta <= Fraction(1, 100):
+        raise ValueError("eta must lie in (0, 1/100]")
+    return eta
+
+
 def delta_star_profile(q: int, eta) -> CongruenceProfile:
     """Incremental sweep of A(M,q,.) for M = 1..floor(q^(2/3)).
 
     Each step M -> M+1 adds the 2M+1 new pairs involving M+1; the per-residue
     maximum of the scaled deviation is updated after every step.
     """
-    eta = Fraction(eta)
-    if not 0 < eta <= Fraction(1, 100):
-        raise ValueError("eta must lie in (0, 1/100]")
+    eta = _checked_eta(eta)
     if q < 2:
         raise ValueError("need q >= 2")
     if q > PROFILE_GUARD:
         raise CostGuardError(f"profile sweep is capped at q <= {PROFILE_GUARD}")
     m_max = floor_power(q, Fraction(2, 3))
-    a0 = count_A0(q, None)
+    a0 = _a0(q)
     vals = np.arange(1, m_max + 1, dtype=np.int64)
     sq = (vals * vals) % q
     a = np.zeros(q, dtype=np.int64)
@@ -243,24 +243,21 @@ def dispersion_report(q: int, n: Optional[int] = None, eta=Fraction(1, 200)) -> 
     used (exponent 4/3 + 4 eta).  The implied constant is taken as 1 and the
     ratio is reported, not asserted.
     """
-    eta = Fraction(eta)
+    eta = _checked_eta(eta)
     q1 = q1_part(q)
     if n is None:
         profile = delta_star_profile(q, eta)
-        total = sum(int(v) ** 2 for v in profile.delta_star_scaled)
-        sum_delta = Fraction(total, q ** 4)
-        bound = float(q) ** float(Fraction(3, 2) + 4 * eta) * q1 ** 3
+        scaled = profile.delta_star_scaled
+        exponent = Fraction(3, 2)
         card = len(_bad_set_of_profile(profile))
     else:
         if not 1 <= n <= floor_power(q, Fraction(2, 3)):
             raise ValueError("n must satisfy 1 <= n <= q^(2/3)")
-        a = count_A(n, q, None)
-        a0 = count_A0(q, None)
-        scaled = a * (q * q) - (n * n) * a0
-        total = sum(int(v) ** 2 for v in scaled)
-        sum_delta = Fraction(total, q ** 4)
-        bound = float(q) ** float(Fraction(4, 3) + 4 * eta) * q1 ** 3
+        scaled = count_A(n, q, None) * (q * q) - (n * n) * _a0(q)
+        exponent = Fraction(4, 3)
         card = None
+    sum_delta = Fraction(sum(int(v) ** 2 for v in scaled), q ** 4)
+    bound = float(q) ** float(exponent + 4 * eta) * q1 ** 3
     return DispersionReport(
         q=q,
         q1=q1,

@@ -240,6 +240,12 @@ def test_badset_and_dispersion(tmp_path):
     assert lines[1].split(",")[3] == fmt_float(Fraction(930, 625))
 
 
+def test_badset_profiles_past_the_count_A_cap(capsys):
+    code, out = run(["badset", "--qlo", "31627", "--qhi", "31627"], capsys)
+    assert code == 0, capsys.readouterr().err
+    assert out.splitlines()[1].startswith("31627,")
+
+
 def test_lattice_rows(tmp_path):
     out = tmp_path / "lat.csv"
     assert main(

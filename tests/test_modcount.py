@@ -11,8 +11,7 @@ from quadpair.exactreal import cmp_power, euler_phi, floor_power
 from quadpair.modcount import (
     PROFILE_GUARD,
     CongruenceProfile,
-    _autocorr_kron,
-    _autocorr_outer,
+    _a0,
     _bad_set_of_profile,
     _bad_threshold,
     _gather_width,
@@ -23,7 +22,7 @@ from quadpair.modcount import (
     dispersion_report,
     divisor_sum_ap,
     hyperbola_ap_count,
-    hyperbola_count,
+    hyperbola_counts,
 )
 
 ETA = Fraction(1, 200)
@@ -97,27 +96,27 @@ def test_count_A0_multiplicative():
         assert count_A0(q1, c % q1) * count_A0(q2, c % q2) == count_A0(q1 * q2, c)
 
 
-def test_autocorr_paths_agree():
-    rng = np.random.default_rng(3)
-    for q in (17, 50, 101):
-        h = rng.integers(0, 30, size=q).astype(np.int64)
-        assert np.array_equal(_autocorr_outer(h, q), _autocorr_kron(h, q))
-
-
 def test_hyperbola_count_matches_A0():
-    assert hyperbola_count(3, 0) == 5
-    assert hyperbola_count(3, 1) == 2
-    assert hyperbola_count(3, 2) == 2
-    assert hyperbola_count(5, 1) == 4
-    for r in range(15):
-        assert hyperbola_count(15, r) == count_A0(15, r)
+    assert list(hyperbola_counts(3)) == [5, 2, 2]
+    assert hyperbola_counts(5)[1] == 4
+    assert np.array_equal(hyperbola_counts(15), count_A0(15, None))
 
 
-def test_hyperbola_count_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        hyperbola_count(4, 1)
-    with pytest.raises(ValueError):
-        hyperbola_count(9, 1)
+def test_hyperbola_counts_against_brute_force():
+    for q in range(1, 41):
+        uv = np.arange(q)[:, None] * np.arange(q)[None, :] % q
+        assert np.array_equal(hyperbola_counts(q), np.bincount(uv.ravel(), minlength=q)), q
+
+
+def test_a0_matches_autocorrelation():
+    for q in list(range(1, 400)) + [2 ** e for e in range(9, 15)] + [2999, 3072, 4001]:
+        assert np.array_equal(_a0(q), count_A0(q, None)), q
+
+
+def test_a0_sums_to_q_squared_past_the_autocorrelation_cap():
+    # count_A0 refuses these moduli (q^2 > A_ARRAY_GUARD)
+    for q in (32768, 65536, 98304, 99991):
+        assert int(_a0(q).sum()) == q * q, q
 
 
 def test_unit_shift_invariance():
@@ -286,6 +285,17 @@ def test_bad_set_and_dispersion_reject_the_same_eta(eta):
         bad_set(5, eta)
     with pytest.raises(ValueError, match="eta must lie"):
         dispersion_report(5, eta=eta)
+    with pytest.raises(ValueError, match="eta must lie"):
+        dispersion_report(5, n=1, eta=eta)
+
+
+def test_profiles_reach_the_profile_guard():
+    # full-period counts past the count_A cap come from the closed form
+    assert bad_set(31627, ETA) == ()
+    assert dispersion_report(40009, n=20).card_bad_set is None
+    with pytest.raises(CostGuardError):
+        delta_star_profile(PROFILE_GUARD + 1, ETA)
+
 
 def test_dispersion_report_power_of_two():
     rep = dispersion_report(64, eta=ETA)
