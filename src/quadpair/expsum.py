@@ -52,23 +52,21 @@ def quad_sum_brute(b, q: int) -> ComplexValue:
     b = _normalize_b(b, q)
     x = np.arange(q, dtype=np.int64)
     sq = (x * x) % q
-    quad = (
-        sq[:, None, None, None]
-        + sq[None, :, None, None]
-        - sq[None, None, :, None]
-        - sq[None, None, None, :]
-    ) % q
-    mask = quad == 0
-    n_terms = int(np.count_nonzero(mask))
+    # one x1 at a time, so a block holds q^3 points, not q^4; the blocks come
+    # in C order, so the terms and their summation order are the same
+    rest = sq[:, None, None] - sq[None, :, None] - sq[None, None, :]
+    lin = b[1] * x[:, None, None] + b[2] * x[None, :, None] + b[3] * x[None, None, :]
+    phases = []
+    for x1 in range(q):
+        mask = (sq[x1] + rest) % q == 0
+        phases.append((b[0] * x1 + lin[mask]) % q)
+    phase = np.concatenate(phases)
+    n_terms = len(phase)
     if not any(b):
         return ComplexValue(float(n_terms), 0.0, 0.0, "brute")
-    phase = (
-        b[0] * x[:, None, None, None]
-        + b[1] * x[None, :, None, None]
-        + b[2] * x[None, None, :, None]
-        + b[3] * x[None, None, None, :]
-    ) % q
-    z = np.exp(2j * np.pi * phase[mask] / q)
+    z = 2j * np.pi * phase
+    z /= q
+    np.exp(z, out=z)
     total = complex(z.sum())
     err = 8 * np.finfo(float).eps * n_terms
     return ComplexValue(total.real, total.imag, err, "brute")
