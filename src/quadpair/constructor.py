@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import BudgetError, CostGuardError, EmptyRefinementError, PrecisionError
-from .exactreal import floor_power, ge_power, interval_of, q1_part
+from .exactreal import floor_power, ge_power, q1_part, scaled
 from .modcount import bad_set
 
 Q_GUARD = 3000
@@ -337,7 +337,8 @@ def verify_avoidance(x, q_start: int, q_max: int, eta) -> list[BadInterval]:
     an empty result certifies avoidance over the sweep."""
     eta = Fraction(eta)
     _check_sweep(q_start, q_max)
-    x_lo, x_hi = interval_of(x)
+    num, den, err = scaled(x)
+    x_lo, x_hi = Fraction(num - err, den), Fraction(num + err, den)
     violated: list[BadInterval] = []
     for q in range(q_start, q_max + 1):
         for cls, radius, centres in _families(q, eta):

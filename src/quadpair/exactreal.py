@@ -200,23 +200,41 @@ class FixedReal:
         return f"FixedReal({float(self):.15g}, bits={self.frac_bits}, err={self.err_ulp})"
 
 
-def interval_of(x) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of x as a pair of rationals."""
+def scaled(x) -> tuple[int, int, int]:
+    """x as (num, den, err) with |x - num/den| <= err/den; err = 0 exactly
+    for a rational.  The one place that tells a FixedReal from a rational."""
     if isinstance(x, FixedReal):
-        return x.lo, x.hi
+        return x.mantissa, 1 << x.frac_bits, x.err_ulp
     v = Fraction(x)
-    return v, v
+    return v.numerator, v.denominator, 0
 
 
-def residue_of(x) -> tuple[int, int, int]:
-    """x mod 1 as an integer residue over a denominator, with the error
-    radius counted in units of 1/den: (a, den, err_ulp), err_ulp = 0 for a
-    rational."""
-    if isinstance(x, FixedReal):
-        den = 1 << x.frac_bits
-        return x.mantissa % den, den, x.err_ulp
-    v = Fraction(x)
-    return v.numerator % v.denominator, v.denominator, 0
+def scaled_floor(fr: Fraction, den: int) -> int:
+    """floor(fr * den); for integer d, d/den <= fr iff d <= this."""
+    return (fr.numerator * den) // fr.denominator
+
+
+def near_integer_count(w: int, step: int, terms: int, den: int, t: int, err: int) -> int:
+    """How many of w, w + step, ... (terms of them, mod den, all in [0, den))
+    lie within t of a multiple of den, each term known to within err.
+
+    A term strictly inside (t + err, den - t - err) is certainly outside;
+    any other term is counted, unless its true value may lie on either side
+    of the threshold: t - err < w <= t + err or den - t - err <= w <
+    den - t + err, where PrecisionError is raised.  With err = 0 that set is
+    empty and the count is exact.
+    """
+    lo, hi = t + err, den - t - err
+    count = 0
+    for _ in range(terms):
+        if not lo < w < hi:
+            if t - err < w <= lo or hi <= w < den - t + err:
+                raise PrecisionError("a term lands within the error radius of the threshold")
+            count += 1
+        w += step
+        if w >= den:
+            w -= den
+    return count
 
 
 def fixed_from_fraction(fr: Fraction, bits: int = DEFAULT_BITS) -> FixedReal:

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuardError, PrecisionError
-from .exactreal import FixedReal, residue_of
+from .exactreal import near_integer_count, scaled, scaled_floor
 
 V_ENUM_GUARD = 10 ** 7
 ILL_CONDITION_SQ = 1e24
@@ -29,29 +29,9 @@ def near_multiple_count(m: int, beta, delta) -> int:
         raise ValueError("delta must be non-negative")
     if 2 * delta >= 1:
         return m
-    a, den, base_err = residue_of(beta)
-    t = (delta.numerator * den) // delta.denominator
-    w_hi = den - t
-    count = 0
-    w = 0
-    if base_err:
-        e = base_err * m
-        for _ in range(m):
-            w += a
-            if w >= den:
-                w -= den
-            if w <= t or w >= w_hi:
-                count += 1
-            if t - e <= w <= t + e or w_hi - e <= w <= w_hi + e:
-                raise PrecisionError("near-multiple threshold inside the error radius")
-    else:
-        for _ in range(m):
-            w += a
-            if w >= den:
-                w -= den
-            if w <= t or w >= w_hi:
-                count += 1
-    return count
+    num, den, err = scaled(beta)
+    a = num % den
+    return near_integer_count(a, a, m, den, scaled_floor(delta, den), err * m)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +134,8 @@ def pair_lattice(m: int, beta, delta) -> LatticeBasis2:
         raise ValueError("delta must lie in (0, 1)")
     if m < 1:
         raise ValueError("need m >= 1")
-    bf = float(beta) if isinstance(beta, FixedReal) else float(Fraction(beta))
+    num, den, _ = scaled(beta)
+    bf = num / den
     df = float(delta)
     su = math.sqrt(df / m)
     sv = math.sqrt(m / df)
@@ -174,42 +155,28 @@ class SquareCountResult:
     lambda1: float
 
 
-def _floor_div(num: int, den: int) -> int:
-    return num // den
-
-
-def _ceil_div(num: int, den: int) -> int:
-    return -((-num) // den)
-
-
-def _z_window(alpha, k: int, delta: Fraction) -> tuple[int, int]:
-    """Certified integer window [ceil(alpha*k - delta), floor(alpha*k + delta)]."""
+def _z_window(alpha: tuple[int, int, int], k: int, delta: Fraction) -> tuple[int, int]:
+    """Certified integer window [ceil(alpha*k - delta), floor(alpha*k + delta)]
+    for alpha given as scaled(alpha)."""
+    num, den, err = alpha
     dn, dd = delta.numerator, delta.denominator
-    if isinstance(alpha, FixedReal):
-        den = 1 << alpha.frac_bits
-        lo_n = alpha.mantissa - alpha.err_ulp
-        hi_n = alpha.mantissa + alpha.err_ulp
-        if k < 0:
-            lo_n, hi_n = hi_n, lo_n
-        big = den * dd
-        hi1 = _floor_div(lo_n * k * dd + dn * den, big)
-        hi2 = _floor_div(hi_n * k * dd + dn * den, big)
-        lo1 = _ceil_div(lo_n * k * dd - dn * den, big)
-        lo2 = _ceil_div(hi_n * k * dd - dn * den, big)
-        if hi1 != hi2 or lo1 != lo2:
+    big = den * dd
+    shift = dn * den
+    p = (num - err) * k * dd
+    lo, hi = -((shift - p) // big), (p + shift) // big
+    if err:
+        # the window at the other end of the enclosure must be the same
+        p = (num + err) * k * dd
+        if -((shift - p) // big) != lo or (p + shift) // big != hi:
             raise PrecisionError("z-window endpoints straddle an integer")
-        return lo1, hi1
-    fr = Fraction(alpha)
-    big = fr.denominator * dd
-    hi = _floor_div(fr.numerator * k * dd + dn * fr.denominator, big)
-    lo = _ceil_div(fr.numerator * k * dd - dn * fr.denominator, big)
     return lo, hi
 
 
 def _square_count_exact(params: PairLatticeParams) -> int:
+    beta = scaled(params.beta)
     count = 0
     for x in range(-params.m, params.m + 1):
-        lo, hi = _z_window(params.beta, x, params.delta)
+        lo, hi = _z_window(beta, x, params.delta)
         if hi >= lo:
             count += hi - lo + 1
     return count
@@ -279,11 +246,12 @@ def v_count(spec: VCountSpec) -> int:
     """Triples (a, b, z) in the box with ab coprime to z and alpha*ab within
     delta of z."""
     delta = Fraction(spec.delta)
+    alpha = scaled(spec.alpha)
     total = 0
     for a in range(1, spec.a_bound + 1):
         for b in range(1, spec.b_bound + 1):
             ab = a * b
-            zlo, zhi = _z_window(spec.alpha, ab, delta)
+            zlo, zhi = _z_window(alpha, ab, delta)
             for z in range(zlo, zhi + 1):
                 if math.gcd(ab, z) == 1:
                     total += 1
@@ -293,10 +261,11 @@ def v_count(spec: VCountSpec) -> int:
 def v_star_count(spec: VCountSpec) -> int:
     """Like v_count but with the coprimality on (x, y) = (second factor, z)."""
     delta = Fraction(spec.delta)
+    alpha = scaled(spec.alpha)
     total = 0
     for u in range(1, spec.a_bound + 1):
         for x in range(1, spec.b_bound + 1):
-            zlo, zhi = _z_window(spec.alpha, u * x, delta)
+            zlo, zhi = _z_window(alpha, u * x, delta)
             for y in range(zlo, zhi + 1):
                 if math.gcd(x, y) == 1:
                     total += 1
@@ -308,6 +277,7 @@ def v1_count(spec: VCountSpec) -> int:
     if spec.p0 is None:
         raise ValueError("v1_count needs the prime window")
     delta = Fraction(spec.delta)
+    alpha = scaled(spec.alpha)
     spf = _spf_table(spec.a_bound * spec.b_bound)
     total = 0
     for a in range(1, spec.a_bound + 1):
@@ -315,7 +285,7 @@ def v1_count(spec: VCountSpec) -> int:
             ab = a * b
             if _smallest_prime_in_range(ab, spf, spec.p0, spec.p1) is not None:
                 continue
-            zlo, zhi = _z_window(spec.alpha, ab, delta)
+            zlo, zhi = _z_window(alpha, ab, delta)
             for z in range(zlo, zhi + 1):
                 if math.gcd(ab, z) == 1:
                     total += 1
@@ -328,6 +298,7 @@ def v2_count(spec: VCountSpec) -> dict[int, int]:
     if spec.p0 is None:
         raise ValueError("v2_count needs the prime window")
     delta = Fraction(spec.delta)
+    alpha = scaled(spec.alpha)
     spf = _spf_table(spec.a_bound * spec.b_bound)
     bins: dict[int, int] = {}
     for a in range(1, spec.a_bound + 1):
@@ -336,7 +307,7 @@ def v2_count(spec: VCountSpec) -> dict[int, int]:
             p = _smallest_prime_in_range(ab, spf, spec.p0, spec.p1)
             if p is None:
                 continue
-            zlo, zhi = _z_window(spec.alpha, ab, delta)
+            zlo, zhi = _z_window(alpha, ab, delta)
             hits = sum(1 for z in range(zlo, zhi + 1) if math.gcd(ab, z) == 1)
             if hits:
                 key = 1 << (p - 1).bit_length() - 1

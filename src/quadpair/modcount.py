@@ -22,7 +22,6 @@ from .exactreal import euler_phi, factorize, floor_power, q1_part
 
 A_ARRAY_GUARD = 10 ** 9
 PROFILE_GUARD = 10 ** 5
-DIVISOR_TABLE_CAP = 8 * 10 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +278,12 @@ _dtable: np.ndarray = np.zeros(1, dtype=np.int32)
 
 def _divisor_table(limit: int) -> np.ndarray:
     global _dtable
-    if limit >= DIVISOR_TABLE_CAP:
-        raise CostGuardError(f"divisor table capped at {DIVISOR_TABLE_CAP} entries")
     if len(_dtable) <= limit:
+        # each divisor pair (i, k/i) with i <= k/i counted once, squares once
         table = np.zeros(limit + 1, dtype=np.int32)
-        for i in range(1, limit + 1):
-            table[i::i] += 1
+        for i in range(1, math.isqrt(limit) + 1):
+            table[i * i :: i] += 2
+            table[i * i] -= 1
         _dtable = table
     return _dtable
 

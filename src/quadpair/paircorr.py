@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuardError, PrecisionError
-from .exactreal import is_prime, residue_of
+from .exactreal import is_prime, near_integer_count, scaled, scaled_floor
 
 NAIVE_GUARD = 5000
 SWEEP_GUARD = 4000
@@ -83,13 +83,14 @@ def quadratic_sequence(alpha, n: int) -> SequenceModOne:
     """Points alpha * k^2 mod 1 for k = 1..n, certified well below 1/(2 n^2)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    a, den, err_ulp = residue_of(alpha)
+    num, den, err_ulp = scaled(alpha)
+    a = num % den
     nums = [(a * k * k) % den for k in range(1, n + 1)]
     err = Fraction(err_ulp * n * n, den)
     # certification guard: 20 bits of slack below the pair threshold scale
     if err * (2 * n * n) * (1 << 20) > 1:
         raise PrecisionError(
-            f"{alpha.frac_bits} bits cannot certify alpha*k^2 up to k={n}"
+            f"{den.bit_length() - 1} bits cannot certify alpha*k^2 up to k={n}"
         )
     return SequenceModOne(nums, den, "quadratic", err)
 
@@ -160,21 +161,11 @@ def _pair_stats(s: list[int], den: int, t: int) -> tuple[int, int]:
     for v in s:
         acc += v
         prefix.append(acc)
+    # gaps f <= half are distances f, gaps f > half are distances den - f
     half = den // 2
-    if t >= half:
-        c_near, s_near = _forward_stats(s, prefix, half)
-        total_pairs = n * (n - 1) // 2
-        total_f = sum(v * (2 * k - n + 1) for k, v in enumerate(s))
-        far = total_pairs - c_near
-        return total_pairs, 2 * s_near + far * den - total_f
-    c1, s1 = _forward_stats(s, prefix, t)
-    c2, s2 = _wrap_stats(s, prefix, den, t)
+    c1, s1 = _forward_stats(s, prefix, min(t, half))
+    c2, s2 = _wrap_stats(s, prefix, den, min(t, den - half - 1))
     return c1 + c2, s1 + s2
-
-
-def _scaled_threshold(tau: Fraction, den: int) -> int:
-    # d/den <= tau  <=>  d <= floor(tau*den) for integer d
-    return (tau.numerator * den) // tau.denominator
 
 
 def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
@@ -190,10 +181,10 @@ def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     n = seq.n
     tau = x / n
     s = seq.sorted_nums()
-    hi = _scaled_threshold(tau + 2 * seq.err, seq.den)
+    hi = scaled_floor(tau + 2 * seq.err, seq.den)
     count, _ = _pair_stats(s, seq.den, hi)
     if seq.err:
-        lo = _scaled_threshold(max(tau - 2 * seq.err, Fraction(0)), seq.den)
+        lo = scaled_floor(max(tau - 2 * seq.err, Fraction(0)), seq.den)
         if lo != hi and _pair_stats(s, seq.den, lo)[0] != count:
             raise PrecisionError(
                 f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold"
@@ -234,7 +225,7 @@ def pair_correlation_naive(seq: SequenceModOne, x) -> PairCorrResult:
     if n > NAIVE_GUARD:
         raise CostGuardError(f"naive counting is capped at N={NAIVE_GUARD}")
     tau = x / n
-    count, _ = _naive_distance_stats(seq, _scaled_threshold(tau, seq.den))
+    count, _ = _naive_distance_stats(seq, scaled_floor(tau, seq.den))
     return PairCorrResult(n, x, Fraction(count, n), method="naive", pair_count=count)
 
 
@@ -250,39 +241,20 @@ def pair_correlation_uv(alpha, n: int, x) -> PairCorrResult:
         raise ValueError("window parameter must be non-negative")
     if n < 1:
         raise ValueError("need n >= 1")
-    a, den, base_err = residue_of(alpha)
-    tau = x / n
-    t = _scaled_threshold(tau, den)
-    count = 0
+    num, den, err = scaled(alpha)
+    a = num % den
+    t = scaled_floor(x / n, den)
     if 2 * t >= den:
         # threshold covers the whole circle
         count = n * (n - 1) // 2
-        return PairCorrResult(n, x, Fraction(count, n), method="uv-decomposition", pair_count=count)
-    w_lo = den - t
-    for u in range(1, n):
-        step = (2 * u * a) % den
-        w = (u * (u + 2) * a) % den
-        if base_err:
-            eu = base_err * u * (2 * n - u)
-            g1a, g1b = t - eu, t + eu
-            g2a, g2b = w_lo - eu, w_lo + eu
-            for _ in range(n - u):
-                if w <= t or w >= w_lo:
-                    count += 1
-                if g1a <= w <= g1b or g2a <= w <= g2b:
-                    raise PrecisionError(
-                        f"|alpha*{u}*v| lands within the error radius of the threshold"
-                    )
-                w += step
-                if w >= den:
-                    w -= den
-        else:
-            for _ in range(n - u):
-                if w <= t or w >= w_lo:
-                    count += 1
-                w += step
-                if w >= den:
-                    w -= den
+    else:
+        # row u steps v = u+2, u+4, ..., 2n-u; alpha*u*v is off by at most
+        # err*u*v <= err*u*(2n-u)
+        count = sum(
+            near_integer_count((u * (u + 2) * a) % den, (2 * u * a) % den, n - u, den, t,
+                               err * u * (2 * n - u))
+            for u in range(1, n)
+        )
     return PairCorrResult(n, x, Fraction(count, n), method="uv-decomposition", pair_count=count)
 
 
@@ -311,7 +283,7 @@ def weighted_pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
         raise ValueError("weighted correlation needs x > 0")
     n = seq.n
     tau = x / n
-    t = _scaled_threshold(tau, seq.den)
+    t = scaled_floor(tau, seq.den)
     count, dist_sum = _pair_stats(seq.sorted_nums(), seq.den, t)
     r0 = 1 + Fraction(2, n) * (count - Fraction(dist_sum, seq.den) / tau)
     return PairCorrResult(n, x, None, r0=r0, method="weighted")
@@ -412,7 +384,7 @@ def verify_integral_identities(seq: SequenceModOne, x) -> IdentityReport:
     # integral of R(N, t) dt over [0, x]: R is a step function jumping at the
     # scaled pair distances, so the integral is a sum over the distance
     # multiset, enumerated here by the naive double loop
-    t_int = _scaled_threshold(x / n, seq.den)
+    t_int = scaled_floor(x / n, seq.den)
     count, dist_sum = _naive_distance_stats(seq, t_int)
     int_r = (count * x - n * Fraction(dist_sum, seq.den)) / n
     r_avg = 1 + 2 * int_r / x

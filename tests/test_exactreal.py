@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from quadpair.exactreal import (
     fixed_from_decimal,
     floor_power,
     iroot,
+    near_integer_count,
     parse_alpha,
     q1_part,
     sqrt_fixed,
@@ -141,3 +143,36 @@ def test_eval_with_retry_escalates():
 
     assert eval_with_retry(parse_alpha("sqrt:2"), compute, bits=128) == 512
     assert calls == [128, 256, 512]
+
+
+def _certainty(lo: int, hi: int, den: int, t: int):
+    # the true value is somewhere in [lo, hi] and counts when its distance to
+    # den*Z is at most tau, for some tau in [t, t + 1): True when every value
+    # in the interval counts, False when none does, None when it depends.
+    # The distance is linear between half-integers, so they suffice.
+    halves = (Fraction(k, 2) for k in range(2 * lo, 2 * hi + 1))
+    dists = [min(v % den, den - v % den) for v in halves]
+    if max(dists) <= t:
+        return True
+    if min(dists) >= t + 1:
+        return False
+    return None
+
+
+def test_near_integer_count_matches_enumeration():
+    rng = random.Random(17)
+    raised = 0
+    for _ in range(3000):
+        den = rng.randrange(1, 40)
+        t = rng.randrange(0, (den + 1) // 2)  # 2t < den, as both callers ensure
+        err = rng.choice((0, 0, 1, 2, 3))
+        w, step, terms = rng.randrange(den), rng.randrange(den), rng.randrange(0, 12)
+        terms_mod = ((w + k * step) % den for k in range(terms))
+        verdicts = [_certainty(v - err, v + err, den, t) for v in terms_mod]
+        if None in verdicts:
+            raised += 1
+            with pytest.raises(PrecisionError):
+                near_integer_count(w, step, terms, den, t, err)
+        else:
+            assert near_integer_count(w, step, terms, den, t, err) == verdicts.count(True)
+    assert raised

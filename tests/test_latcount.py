@@ -50,6 +50,8 @@ def test_near_multiple_brute():
         ((1 << 62) + 1, 0, False),
         ((3 << 62) - 1, 1, True),  # 1 ulp below the wrapped threshold
         ((3 << 62) - 2, 1, False),
+        ((1 << 62) - 1, 1, False),  # exactly t - err: counted for certain
+        ((3 << 62) + 1, 1, False),  # exactly den - t + err: counted for certain
     ],
 )
 def test_near_multiple_raises_inside_its_guard_band(mantissa, err_ulp, raises):
@@ -58,7 +60,8 @@ def test_near_multiple_raises_inside_its_guard_band(mantissa, err_ulp, raises):
         with pytest.raises(PrecisionError):
             near_multiple_count(1, beta, Fraction(1, 4))
     else:
-        assert near_multiple_count(1, beta, Fraction(1, 4)) == 0
+        expected = mantissa < 1 << 62 or mantissa > 3 << 62
+        assert near_multiple_count(1, beta, Fraction(1, 4)) == expected
 
 def test_pair_lattice_formula():
     basis = pair_lattice(4, 0, Fraction(1, 4))

@@ -181,16 +181,22 @@ def test_bad_set_bounded_by_units():
 
 def _bad_set_oracle(profile):
     # the definition, one residue at a time: a is bad when
-    # sum_{r <= q^(1/3 + 2 eta)} delta*(a^-1 r) >= q^(2/3 - 2 eta)
+    # sum_{r <= q^(1/3 + 2 eta)} delta*(a^-1 r) >= q^(2/3 - 2 eta); float logs
+    # decide a total clear of the threshold, cmp_power one within 1e-9 of it
     q, eta = profile.q, profile.eta
+    e = Fraction(2, 3) - 2 * eta
     r_max = floor_power(q, Fraction(1, 3) + 2 * eta)
+    log_threshold = (2 + float(e)) * math.log(q)
     out = []
     for a in range(1, q):
         if math.gcd(a, q) != 1:
             continue
         abar = pow(a, -1, q)
         total = sum(int(profile.delta_star_scaled[(abar * r) % q]) for r in range(1, r_max + 1))
-        if cmp_power(Fraction(total, q * q), q, Fraction(2, 3) - 2 * eta) >= 0:
+        if total == 0:
+            continue
+        gap = math.log(total) - log_threshold
+        if gap > 1e-9 or (gap >= -1e-9 and cmp_power(Fraction(total, q * q), q, e) >= 0):
             out.append(a)
     return tuple(out)
 
@@ -329,6 +335,19 @@ def test_divisor_sum_ap_full_summatory():
     total = sum(divisor_sum_ap(m, 1, 0) for _ in [0])
     brute = sum(len([d for d in range(1, k + 1) if k % d == 0]) for k in range(1, m + 1))
     assert total == brute
+
+
+def test_divisor_table_matches_brute_divisor_counts(monkeypatch):
+    brute = [0] * 3001
+    for d in range(1, 3001):
+        for k in range(d, 3001, d):
+            brute[k] += 1
+    monkeypatch.setattr(modcount, "_dtable", np.zeros(1, dtype=np.int32))
+    small = modcount._divisor_table(1000)
+    assert len(small) == 1001 and small[1:].tolist() == brute[1:1001]
+    large = modcount._divisor_table(3000)
+    assert len(large) == 3001 and large[1:].tolist() == brute[1:]
+    assert modcount._divisor_table(500) is large
 
 
 def test_divisor_sum_ap_partition():

@@ -114,6 +114,18 @@ def test_sorted_vs_naive_property(nums, x):
     assert pair_correlation(seq, x).pair_count == pair_correlation_naive(seq, x).pair_count
 
 
+def test_pair_stats_matches_naive_at_every_threshold():
+    # every t from below 0 to past den, across the half-circle, on even and
+    # odd denominators, with coincident points and both counts and sums
+    rng = random.Random(13)
+    for den in (1, 2, 3, 7, 10, 16, 25, 38, 39):
+        for _ in range(6):
+            seq = SequenceModOne([rng.randrange(den) for _ in range(rng.randrange(1, 9))], den)
+            for t in range(-1, den + 2):
+                got = paircorr._pair_stats(seq.sorted_nums(), den, t)
+                assert got == paircorr._naive_distance_stats(seq, t), (seq.nums, den, t)
+
+
 def test_uv_hand_example_half():
     res = pair_correlation_uv(Fraction(1, 2), 4, Fraction(2, 5))
     assert res.r == Fraction(2, 4)
@@ -378,17 +390,24 @@ def test_certified_quadratic_sequence_matches_its_exact_copy():
         assert pair_correlation(seq, x).pair_count == pair_correlation(_exact_copy(seq), x).pair_count
 
 
-@pytest.mark.parametrize("offset, err_ulp, raises", [(1, 1, True), (2, 1, False), (1, 0, False)])
+_WRAP = 14 << 60  # 3 * (15 * 2^60) = 13 * 2^60 = den - t (mod 2^64)
+
+
+@pytest.mark.parametrize(
+    "offset, err_ulp, raises",
+    [(1, 1, True), (2, 1, False), (1, 0, False), (-1, 1, False), (_WRAP + 1, 1, False)],
+)
 def test_uv_raises_inside_its_guard_band(offset, err_ulp, raises):
     # n = 2 has the single pair u = 1, v = 3: the scaled point 3a lands
-    # 3 * offset above t = 3 * 2^60, and the guard is 3 err_ulp wide
+    # 3 * offset above t = 3 * 2^60, and the guard is 3 err_ulp wide; the
+    # last two land exactly at t - 3 and den - t + 3, counted for certain
     alpha = FixedReal((1 << 60) + offset, 64, err_ulp)
     x = Fraction(3, 8)
     if raises:
         with pytest.raises(PrecisionError):
             pair_correlation_uv(alpha, 2, x)
     else:
-        assert pair_correlation_uv(alpha, 2, x).pair_count == 0
+        assert pair_correlation_uv(alpha, 2, x).pair_count == (offset in (-1, _WRAP + 1))
 
 
 def test_certified_window_counts_twice_exact_window_once(monkeypatch):
