@@ -82,14 +82,18 @@ def ge_power(val: Fraction, base: int, e: Fraction) -> bool:
     return cmp_power(val, base, e) >= 0
 
 
-@lru_cache(maxsize=1)
-def _prime_table() -> np.ndarray:
-    sieve = np.ones(_TRIAL_LIMIT + 1, dtype=bool)
+def primes_upto(limit: int) -> np.ndarray:
+    """The primes p <= limit in ascending order, by the sieve of Eratosthenes."""
+    sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
-    for p in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
     return np.nonzero(sieve)[0]
+
+
+# factorize's trial divisors; callers with other limits sieve uncached
+_trial_primes = lru_cache(maxsize=1)(lambda: primes_upto(_TRIAL_LIMIT))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -128,7 +132,7 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError(f"modulus {n} exceeds the 10**12 factorisation cap")
     out: dict[int, int] = {}
     rem = n
-    for p in _prime_table():
+    for p in _trial_primes():
         p = int(p)
         if p * p > rem:
             break
@@ -376,12 +380,13 @@ def parse_alpha(text: str) -> AlphaSpec:
     raise ValueError(f"unknown alpha form {kind!r}")
 
 
-def eval_with_retry(spec: AlphaSpec, compute, bits: int = DEFAULT_BITS, max_bits: int = MAX_BITS):
-    """Run compute(alpha) with doubling-and-retry on PrecisionError."""
+def eval_with_retry(spec: AlphaSpec, compute, bits: int = DEFAULT_BITS):
+    """Run compute(alpha) with doubling-and-retry on PrecisionError, up to
+    MAX_BITS."""
     while True:
         try:
             return compute(spec.value(bits))
         except PrecisionError:
-            if bits >= max_bits:
+            if bits >= MAX_BITS:
                 raise
-            bits = min(2 * bits, max_bits)
+            bits = min(2 * bits, MAX_BITS)

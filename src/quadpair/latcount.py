@@ -1,6 +1,7 @@
 """Planar lattice counting: near-multiple counts, the rescaled lattice whose
 square section encodes them (counted exactly), Lagrange-Gauss reduction with
-a certified first minimum, and coprime-triple box counts.
+a first minimum certified for the float basis it is given, and coprime-triple
+box counts.
 """
 
 from __future__ import annotations
@@ -8,13 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import CostGuardError, PrecisionError
-from .exactreal import near_integer_count, scaled, scaled_floor
+from .exactreal import near_integer_count, primes_upto, scaled, scaled_floor
 
 V_ENUM_GUARD = 10 ** 7
 ILL_CONDITION_SQ = 1e24
@@ -91,10 +91,13 @@ def _reduce_exact_scaled(u, v):
     return (iu[0] / scale, iu[1] / scale), (iv[0] / scale, iv[1] / scale)
 
 
-def gauss_reduce(u, v, exact=None) -> LatticeBasis2:
-    """Lagrange-Gauss reduction; the first vector of the result realises the
-    first minimum.  Certified by checking every combination with coefficients
-    in [-2, 2]; very skew inputs fall back to exact integer arithmetic."""
+def gauss_reduce(u, v) -> LatticeBasis2:
+    """Lagrange-Gauss reduction of the float basis (u, v); the first vector of
+    the result realises the first minimum of that float lattice, certified by
+    checking every combination with coefficients in [-2, 2].  Bases
+    conditioned worse than ILL_CONDITION_SQ are reduced in integers on a copy
+    scaled to 2**53 and rounded: entries far below the largest one lose their
+    digits there, and the copy can be degenerate."""
     det = u[0] * v[1] - u[1] * v[0]
     if det == 0 or not math.isfinite(det):
         raise ValueError("degenerate basis")
@@ -110,25 +113,14 @@ def gauss_reduce(u, v, exact=None) -> LatticeBasis2:
             w = (a * ru[0] + b * rv[0], a * ru[1] + b * rv[1])
             if math.sqrt(_norm_sq(w)) < lam * (1 - 1e-9):
                 raise ArithmeticError("reduction certificate failed")
-    return LatticeBasis2(ru, rv, det, lam, exact)
-
-
-def make_basis(u, v, exact=None) -> LatticeBasis2:
-    """Basis as given, with the first minimum computed via reduction."""
-    reduced = gauss_reduce(u, v, exact)
-    det = u[0] * v[1] - u[1] * v[0]
-    return LatticeBasis2(
-        (float(u[0]), float(u[1])),
-        (float(v[0]), float(v[1])),
-        det,
-        reduced.lambda1,
-        exact,
-    )
+    return LatticeBasis2(ru, rv, det, lam)
 
 
 def pair_lattice(m: int, beta, delta) -> LatticeBasis2:
     """The determinant-one basis whose integer span meets the square
-    [-sqrt(m*delta), sqrt(m*delta)]^2 exactly at the near-multiple pairs."""
+    [-sqrt(m*delta), sqrt(m*delta)]^2 exactly at the near-multiple pairs,
+    with the first minimum of its float rounding (beta*sv is rounded to a
+    float before the reduction)."""
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -139,7 +131,9 @@ def pair_lattice(m: int, beta, delta) -> LatticeBasis2:
     df = float(delta)
     su = math.sqrt(df / m)
     sv = math.sqrt(m / df)
-    return make_basis((su, bf * sv), (0.0, -sv), PairLatticeParams(m, beta, delta))
+    u, v = (su, bf * sv), (0.0, -sv)
+    lam = gauss_reduce(u, v).lambda1
+    return LatticeBasis2(u, v, -su * sv, lam, PairLatticeParams(m, beta, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +145,6 @@ class SquareCountResult:
     count: int
     main: float
     error_term: float
-    s: float
-    lambda1: float
 
 
 def _z_window(alpha: tuple[int, int, int], k: int, delta: Fraction) -> tuple[int, int]:
@@ -172,27 +164,21 @@ def _z_window(alpha: tuple[int, int, int], k: int, delta: Fraction) -> tuple[int
     return lo, hi
 
 
-def _square_count_exact(params: PairLatticeParams) -> int:
-    beta = scaled(params.beta)
-    count = 0
-    for x in range(-params.m, params.m + 1):
-        lo, hi = _z_window(beta, x, params.delta)
-        if hi >= lo:
-            count += hi - lo + 1
-    return count
-
-
 def lattice_square_count(basis: LatticeBasis2) -> SquareCountResult:
     """Points of a pair lattice in [-s, s]^2 with s = sqrt(m*delta), counted
     exactly: membership reduces to |x| <= m together with an integer window
     around beta*x, decided in exact arithmetic."""
-    if basis.exact is None:
-        raise ValueError("squares are counted only for pair lattices")
     p = basis.exact
-    count = _square_count_exact(p)
-    s_val = math.sqrt(p.m * float(p.delta))
+    if p is None:
+        raise ValueError("squares are counted only for pair lattices")
+    beta = scaled(p.beta)
+    count = 0
+    for x in range(-p.m, p.m + 1):
+        lo, hi = _z_window(beta, x, p.delta)
+        if hi >= lo:
+            count += hi - lo + 1
     main = 4.0 * p.m * float(p.delta)
-    return SquareCountResult(count, main, abs(count - main), s_val, basis.lambda1)
+    return SquareCountResult(count, main, abs(count - main))
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +207,27 @@ class VCountSpec:
             raise CostGuardError("box enumeration too large")
 
 
-@lru_cache(maxsize=8)
-def _spf_table(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    return spf
+def _window_primes(spec: VCountSpec) -> np.ndarray:
+    """w with w[n], for n <= A*B, the smallest prime of n in (p0, p1], or 0
+    when n has none."""
+    if spec.p0 is None:
+        raise ValueError("V1 and V2 need the prime window (p0, p1]")
+    limit = spec.a_bound * spec.b_bound
+    primes = primes_upto(min(spec.p1, limit))
+    # int32 throughout: at V_ENUM_GUARD these arrays are the peak memory
+    primes = primes[np.searchsorted(primes, spec.p0, side="right") :].astype(np.int32)
+    w = np.zeros(limit + 1, dtype=np.int32)
+    # descending, so the smallest prime of each n is written last
+    for p in primes[::-1]:
+        w[p::p] = p
+    return w
 
 
-def _smallest_prime_in_range(n: int, spf: np.ndarray, p0: int, p1: int) -> Optional[int]:
-    while n > 1:
-        p = int(spf[n])
-        if p > p1:
-            return None
-        if p > p0:
-            return p
-        while n % p == 0:
-            n //= p
-    return None
+def _coprime_hits(alpha: tuple[int, int, int], n: int, delta: Fraction, side: int) -> int:
+    """#{z : |alpha*n - z| <= delta, gcd(side, z) = 1}, over the certified
+    z-window; alpha is given as scaled(alpha)."""
+    zlo, zhi = _z_window(alpha, n, delta)
+    return sum(1 for z in range(zlo, zhi + 1) if math.gcd(side, z) == 1)
 
 
 def v_count(spec: VCountSpec) -> int:
@@ -247,68 +235,51 @@ def v_count(spec: VCountSpec) -> int:
     delta of z."""
     delta = Fraction(spec.delta)
     alpha = scaled(spec.alpha)
-    total = 0
-    for a in range(1, spec.a_bound + 1):
-        for b in range(1, spec.b_bound + 1):
-            ab = a * b
-            zlo, zhi = _z_window(alpha, ab, delta)
-            for z in range(zlo, zhi + 1):
-                if math.gcd(ab, z) == 1:
-                    total += 1
-    return total
+    return sum(
+        _coprime_hits(alpha, a * b, delta, a * b)
+        for a in range(1, spec.a_bound + 1)
+        for b in range(1, spec.b_bound + 1)
+    )
 
 
 def v_star_count(spec: VCountSpec) -> int:
     """Like v_count but with the coprimality on (x, y) = (second factor, z)."""
     delta = Fraction(spec.delta)
     alpha = scaled(spec.alpha)
-    total = 0
-    for u in range(1, spec.a_bound + 1):
-        for x in range(1, spec.b_bound + 1):
-            zlo, zhi = _z_window(alpha, u * x, delta)
-            for y in range(zlo, zhi + 1):
-                if math.gcd(x, y) == 1:
-                    total += 1
-    return total
+    return sum(
+        _coprime_hits(alpha, u * x, delta, x)
+        for u in range(1, spec.a_bound + 1)
+        for x in range(1, spec.b_bound + 1)
+    )
 
 
 def v1_count(spec: VCountSpec) -> int:
     """v_count restricted to products ab free of primes in (p0, p1]."""
-    if spec.p0 is None:
-        raise ValueError("v1_count needs the prime window")
+    w = _window_primes(spec)
     delta = Fraction(spec.delta)
     alpha = scaled(spec.alpha)
-    spf = _spf_table(spec.a_bound * spec.b_bound)
-    total = 0
-    for a in range(1, spec.a_bound + 1):
-        for b in range(1, spec.b_bound + 1):
-            ab = a * b
-            if _smallest_prime_in_range(ab, spf, spec.p0, spec.p1) is not None:
-                continue
-            zlo, zhi = _z_window(alpha, ab, delta)
-            for z in range(zlo, zhi + 1):
-                if math.gcd(ab, z) == 1:
-                    total += 1
-    return total
+    return sum(
+        _coprime_hits(alpha, a * b, delta, a * b)
+        for a in range(1, spec.a_bound + 1)
+        for b in range(1, spec.b_bound + 1)
+        if w[a * b] == 0
+    )
 
 
 def v2_count(spec: VCountSpec) -> dict[int, int]:
     """Complementary counts, classified by the smallest prime of ab in
     (p0, p1], binned into dyadic ranges keyed by the power of two below it."""
-    if spec.p0 is None:
-        raise ValueError("v2_count needs the prime window")
+    w = _window_primes(spec)
     delta = Fraction(spec.delta)
     alpha = scaled(spec.alpha)
-    spf = _spf_table(spec.a_bound * spec.b_bound)
     bins: dict[int, int] = {}
     for a in range(1, spec.a_bound + 1):
         for b in range(1, spec.b_bound + 1):
             ab = a * b
-            p = _smallest_prime_in_range(ab, spf, spec.p0, spec.p1)
-            if p is None:
+            p = int(w[ab])
+            if p == 0:
                 continue
-            zlo, zhi = _z_window(alpha, ab, delta)
-            hits = sum(1 for z in range(zlo, zhi + 1) if math.gcd(ab, z) == 1)
+            hits = _coprime_hits(alpha, ab, delta, ab)
             if hits:
                 key = 1 << (p - 1).bit_length() - 1
                 bins[key] = bins.get(key, 0) + hits

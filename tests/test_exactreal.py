@@ -14,8 +14,10 @@ from quadpair.exactreal import (
     fixed_from_decimal,
     floor_power,
     iroot,
+    is_prime,
     near_integer_count,
     parse_alpha,
+    primes_upto,
     q1_part,
     sqrt_fixed,
 )
@@ -99,6 +101,12 @@ def test_q1_part_cofactor_odd_squarefree(q):
     assert q1 * q0 == q
     assert q0 % 2 == 1
     assert all(e == 1 for e in factorize(q0).values()) or q0 == 1
+
+
+def test_primes_upto_matches_is_prime():
+    primes = [p for p in range(2001) if is_prime(p)]
+    for limit in range(2001):
+        assert primes_upto(limit).tolist() == [p for p in primes if p <= limit]
 
 
 def test_parse_alpha_forms():

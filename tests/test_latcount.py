@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from quadpair.errors import PrecisionError
-from quadpair.exactreal import FixedReal, sqrt_fixed
+from quadpair.exactreal import FixedReal, factorize, sqrt_fixed
 from quadpair.latcount import (
     VCountSpec,
+    _window_primes,
     gauss_reduce,
     lattice_square_count,
-    make_basis,
     near_multiple_count,
     pair_lattice,
     v1_count,
@@ -166,7 +166,7 @@ def test_square_count_identity_fixedreal_beta():
 
 
 def test_square_count_requires_exact_params_without_s():
-    basis = make_basis((1.0, 0.0), (0.0, 1.0))
+    basis = gauss_reduce((1.0, 0.0), (0.0, 1.0))
     with pytest.raises(ValueError):
         lattice_square_count(basis)
 
@@ -228,16 +228,34 @@ def test_v_star_differs_by_coprimality_side():
 
 def test_v_partition_identity():
     rng = random.Random(22)
-    for _ in range(12):
+    for i in range(12):
         a_bound = rng.randrange(2, 14)
         b_bound = rng.randrange(2, 14)
         p0 = rng.randrange(1, 6)
         p1 = rng.randrange(p0, 20)
-        alpha = Fraction(rng.randrange(0, 256), 256)
+        dyadic = Fraction(rng.randrange(0, 256), 256)
         delta = Fraction(rng.randrange(0, 20), 8)
-        spec = VCountSpec(a_bound, b_bound, delta, alpha, p0, p1)
-        bins = v2_count(spec)
-        assert v_count(spec) == v1_count(spec) + sum(bins.values())
+        for alpha in (dyadic, sqrt_fixed((2, 3, 5, 7, 11, 13)[i % 6], 192)):
+            spec = VCountSpec(a_bound, b_bound, delta, alpha, p0, p1)
+            bins = v2_count(spec)
+            assert v_count(spec) == v1_count(spec) + sum(bins.values())
+
+
+@pytest.mark.parametrize(
+    "a_bound, b_bound, p0, p1",
+    [(12, 17, 3, 3), (12, 17, 1, 7), (12, 17, 2, 200), (9, 11, 5, 10 ** 9), (1, 1, 1, 5)],
+)
+def test_window_primes_matches_factorize(a_bound, b_bound, p0, p1):
+    w = _window_primes(VCountSpec(a_bound, b_bound, Fraction(1, 2), Fraction(1, 3), p0, p1))
+    assert len(w) == a_bound * b_bound + 1
+    for n in range(1, a_bound * b_bound + 1):
+        assert w[n] == min((p for p in factorize(n) if p0 < p <= p1), default=0)
+
+
+@pytest.mark.parametrize("count", [v1_count, v2_count])
+def test_v1_v2_need_the_prime_window(count):
+    with pytest.raises(ValueError):
+        count(VCountSpec(3, 4, Fraction(1, 3), Fraction(2, 7)))
 
 
 def test_v2_bins_are_dyadic():
