@@ -16,6 +16,7 @@ from quadpair import (
     quadratic_sequence,
     weighted_pair_correlation,
 )
+from quadpair.exactreal import DEFAULT_BITS
 
 ALPHAS = ["sqrt:2", "sqrt:3", "ratio:(1+sqrt:5)/2", "dec:0.33333432934530144"]
 WINDOWS = [Fraction(1, 4), Fraction(1, 2), 1, 2, 4, 8, 16]
@@ -24,7 +25,7 @@ WINDOWS = [Fraction(1, 4), Fraction(1, 2), 1, 2, 4, 8, 16]
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--N", type=int, default=20000)
-    ap.add_argument("--bits", type=int, default=192)
+    ap.add_argument("--bits", type=int, default=DEFAULT_BITS)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyRefinementError, QuadpairError
-from .exactreal import factorize, parse_alpha, sqrt_fixed
+from .exactreal import eval_with_retry, factorize, parse_alpha, sqrt_fixed
 from . import latcount, modcount, paircorr
 from .constructor import construct_alpha, enumerate_bad_intervals, interval, subtract, verify_avoidance
 
@@ -314,12 +314,15 @@ def criterion_a7(level="desk") -> CriterionResult:
     inputs, plus the constructed-value clause at its stated parameters."""
     t0 = time.time()
     n = 100_000 if level == "desk" else 5000
+
+    def rows_at(alpha):
+        # the whole label is redone at more bits on a PrecisionError
+        seq = paircorr.quadratic_sequence(alpha, n)
+        return [(x, float(paircorr.pair_correlation(seq, x).r)) for x in _A7_X]
+
     lines = []
     for label in ("sqrt:2", "ratio:(1+sqrt:5)/2"):
-        alpha = parse_alpha(label).value(192)
-        seq = paircorr.quadratic_sequence(alpha, n)
-        for x in _A7_X:
-            r = float(paircorr.pair_correlation(seq, x).r)
+        for x, r in eval_with_retry(parse_alpha(label), rows_at):
             lines.append(f"{label} X={x}: R={r:.4f}")
             if abs(r - float(x)) > max(0.2, 2 * float(x) ** (7 / 8)):
                 return _finish("A7", t0, False, f"|R-X| too large: {label}, X={x}, R={r:.4f}")

@@ -23,6 +23,7 @@ from .exactreal import is_prime, near_integer_count, scaled, scaled_floor
 
 NAIVE_GUARD = 5000
 SWEEP_GUARD = 4000
+_PAIR_BLOCK = 1 << 16  # pair distances per block of rows in the brute force
 
 
 @dataclass
@@ -52,17 +53,13 @@ class SequenceModOne:
     def n(self) -> int:
         return len(self.nums)
 
-    @property
-    def points(self) -> list[Fraction]:
-        return [Fraction(v, self.den) for v in self.nums]
-
     def sorted_nums(self) -> list[int]:
         if self._sorted is None:
             self._sorted = sorted(self.nums)
         return self._sorted
 
 
-def sequence_from_points(points, provenance: str = "explicit") -> SequenceModOne:
+def sequence_from_points(points) -> SequenceModOne:
     """Build a sequence from rationals/floats, reduced mod 1."""
     fracs = [Fraction(p) for p in points]
     fracs = [p - math.floor(p) for p in fracs]
@@ -70,7 +67,7 @@ def sequence_from_points(points, provenance: str = "explicit") -> SequenceModOne
     for p in fracs:
         den = den * p.denominator // math.gcd(den, p.denominator)
     nums = [int(p * den) for p in fracs]
-    return SequenceModOne(nums, den, provenance)
+    return SequenceModOne(nums, den)
 
 
 def equally_spaced(n: int) -> SequenceModOne:
@@ -193,26 +190,23 @@ def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
 
 
 def _naive_distance_stats(seq: SequenceModOne, t: int) -> tuple[int, int]:
-    """Count and scaled sum of pair distances <= t by brute enumeration."""
+    """Count and scaled sum of pair distances <= t by brute enumeration, a
+    block of rows at a time; past 2^40 the rows hold Python ints."""
     n = seq.n
     den = seq.den
     t = min(t, den)
-    if den <= 1 << 40:
-        a = np.array(seq.nums, dtype=np.int64)
-        diff = np.abs(a[:, None] - a[None, :])
-        np.minimum(diff, den - diff, out=diff)
-        mask = np.triu(diff <= t, k=1)
-        return int(np.count_nonzero(mask)), int(diff[mask].sum())
+    a = np.array(seq.nums, dtype=np.int64 if den <= 1 << 40 else object)
     count = dist_sum = 0
-    nums = seq.nums
-    for i in range(n):
-        vi = nums[i]
-        for j in range(i + 1, n):
-            d = abs(nums[j] - vi)
-            d = min(d, den - d)
-            if d <= t:
-                count += 1
-                dist_sum += d
+    start = 0
+    while start < n - 1:
+        rows = max(1, _PAIR_BLOCK // (n - start - 1))
+        # row i against columns start+1.., kept where the column is past i
+        d = np.abs(a[start:start + rows, None] - a[None, start + 1:])
+        d = np.minimum(d, den - d)
+        near = np.triu(d <= t)
+        count += int(np.count_nonzero(near))
+        dist_sum += int(d[near].sum())
+        start += rows
     return count, dist_sum
 
 
@@ -325,6 +319,14 @@ def verify_integral_identities(seq: SequenceModOne, x) -> IdentityReport:
     integral of the raw correlation from the full pair-distance list; all
     three routes are independent.
 
+    The sweep runs on integers.  Scaled by den * k with k = 2N * x.denominator,
+    the arc about v/den runs from v*k - h to v*k + h (mod den * k), where
+    h = x.numerator * den; it adds +1 at its start and -1 at its end.  Arcs
+    whose start is not below their end (those wrapping past 0, and the
+    whole-circle arcs at x = N) cover the start of the sweep.  Coverage and
+    its square times segment length, summed and divided by den * k, give the
+    two integrals.
+
     Validity ranges at finite N: the coverage integral equals x for
     0 < x <= N (an arc must not wrap past itself); the squared-coverage
     identity additionally needs x <= N/2, because two arcs wider than a
@@ -339,51 +341,30 @@ def verify_integral_identities(seq: SequenceModOne, x) -> IdentityReport:
     if n > SWEEP_GUARD:
         raise CostGuardError(f"identity sweep is capped at N={SWEEP_GUARD}")
 
-    h = x / (2 * n)
-    baseline = 0
-    events: dict[Fraction, int] = {}
-
-    def add(pos: Fraction, delta: int):
-        events[pos] = events.get(pos, 0) + delta
-
-    for p in seq.points:
-        if 2 * h == 1:
-            baseline += 1
-            continue
-        s = p - h
-        e = p + h
-        s -= math.floor(s)
-        e -= math.floor(e)
-        if s < e:
-            add(s, 1)
-            add(e, -1)
-        else:
-            add(s, 1)
-            add(Fraction(1), -1)
-            add(Fraction(0), 1)
-            add(e, -1)
-
-    int_l = Fraction(0)
-    int_l2 = Fraction(0)
-    cur = baseline
-    prev = Fraction(0)
-    for pos in sorted(events):
-        seg = pos - prev
-        if seg > 0:
-            int_l += cur * seg
-            int_l2 += cur * cur * seg
-        cur += events[pos]
+    k = 2 * n * x.denominator
+    scale = seq.den * k
+    h = x.numerator * seq.den
+    events = []
+    cur = 0
+    for v in seq.nums:
+        s = (v * k - h) % scale
+        e = (v * k + h) % scale
+        events += [(s, 1), (e, -1)]
+        cur += s >= e
+    int_l = int_l2 = prev = 0
+    for pos, step in sorted(events) + [(scale, 0)]:
+        int_l += cur * (pos - prev)
+        int_l2 += cur * cur * (pos - prev)
+        cur += step
         prev = pos
-    seg = 1 - prev
-    if seg > 0:
-        int_l += cur * seg
-        int_l2 += cur * cur * seg
+    int_l = Fraction(int_l, scale)
+    int_l2 = Fraction(int_l2, scale)
 
     r0 = weighted_pair_correlation(seq, x).r0
 
     # integral of R(N, t) dt over [0, x]: R is a step function jumping at the
     # scaled pair distances, so the integral is a sum over the distance
-    # multiset, enumerated here by the naive double loop
+    # multiset, enumerated here by brute force
     t_int = scaled_floor(x / n, seq.den)
     count, dist_sum = _naive_distance_stats(seq, t_int)
     int_r = (count * x - n * Fraction(dist_sum, seq.den)) / n

@@ -33,24 +33,24 @@ def _rand_seq(rng, n, den=1 << 30):
 
 def test_quadratic_sequence_exact_half():
     seq = quadratic_sequence(Fraction(1, 2), 4)
-    assert seq.points == [Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0)]
+    assert (seq.nums, seq.den) == ([1, 0, 1, 0], 2)
 
 
 def test_quadratic_sequence_exact_third():
     seq = quadratic_sequence(Fraction(1, 3), 3)
-    assert seq.points == [Fraction(1, 3), Fraction(1, 3), Fraction(0)]
+    assert (seq.nums, seq.den) == ([1, 1, 0], 3)
 
 
 def test_quadratic_sequence_matches_higher_precision():
     lo = quadratic_sequence(sqrt_fixed(2, 192), 2000)
     hi = quadratic_sequence(sqrt_fixed(2, 512), 2000)
-    for a, b in zip(lo.points, hi.points):
-        assert float(a) == float(b)
+    for a, b in zip(lo.nums, hi.nums):
+        assert a / lo.den == b / hi.den
 
 
 def test_sequence_from_points_reduces_mod_one():
     seq = sequence_from_points([0.25, 0.5, 0.75, 1.0])
-    assert seq.points == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(0)]
+    assert (seq.nums, seq.den) == ([1, 2, 3, 0], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +124,22 @@ def test_pair_stats_matches_naive_at_every_threshold():
             for t in range(-1, den + 2):
                 got = paircorr._pair_stats(seq.sorted_nums(), den, t)
                 assert got == paircorr._naive_distance_stats(seq, t), (seq.nums, den, t)
+
+
+@pytest.mark.parametrize("block", [1, 7, paircorr._PAIR_BLOCK])
+def test_blocked_naive_matches_double_loop(monkeypatch, block):
+    # one-row and ragged last blocks, on both sides of the 2^40 int64 limit
+    monkeypatch.setattr(paircorr, "_PAIR_BLOCK", block)
+    rng = random.Random(block)
+    for den in (1 << 40, (1 << 40) + 1, 1 << 192):
+        for n in (1, 2, 3, 50):
+            nums = [rng.randrange(den) for _ in range(n)]
+            nums[-1] = nums[0]
+            seq = SequenceModOne(nums, den)
+            dists = [min(abs(a - b), den - abs(a - b)) for i, a in enumerate(nums) for b in nums[i + 1:]]
+            for t in (0, rng.randrange(den), den // 2, den, den + 1):
+                near = [d for d in dists if d <= t]
+                assert paircorr._naive_distance_stats(seq, t) == (len(near), sum(near))
 
 
 def test_uv_hand_example_half():
@@ -291,6 +307,24 @@ def test_identities_random_sequences():
         if x > n:
             x = Fraction(n)
         assert verify_integral_identities(seq, x).all_ok
+
+
+def test_identities_coverage_integrals_match_arc_overlaps():
+    # int L is the total arc length and int L^2 the sum over ordered pairs of
+    # arc overlaps, also for N/2 < x <= N where no identity pins int L^2;
+    # points at 0, duplicates and arcs wrapping past 0 included
+    rng = random.Random(31)
+    for _ in range(40):
+        den = rng.choice([1, 2, 5, 12, 97])
+        nums = [0, 0] + [rng.randrange(den) for _ in range(rng.randrange(1, 12))]
+        seq = SequenceModOne(nums, den)
+        n = seq.n
+        dists = [Fraction(min(abs(a - b), den - abs(a - b)), den) for a in nums for b in nums]
+        for x in (Fraction(rng.randrange(1, 4 * n + 1), 4), Fraction(n, 2) + Fraction(1, 3), Fraction(n)):
+            w = x / n
+            rep = verify_integral_identities(seq, x)
+            assert rep.int_l == n * w
+            assert rep.int_l2 == sum(max(0, w - d) + max(0, w - (1 - d)) for d in dists)
 
 
 def test_identities_reject_oversized_window():
