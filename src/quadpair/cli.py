@@ -296,6 +296,8 @@ def _cmd_vcounts(args) -> int:
 def _cmd_conjecture2(args) -> int:
     n = int(args.N)
     q = int(args.q)
+    if q < 2:
+        raise ValueError("--q must be >= 2")
     rng = random.Random(int(args.seed))
     rows = []
     for _ in range(int(args.samples)):

@@ -273,33 +273,32 @@ def dispersion_report(q: int, n: Optional[int] = None, eta=Fraction(1, 200)) -> 
 # divisor sums and hyperbola boxes
 
 
-_dtable: np.ndarray = np.zeros(1, dtype=np.int32)
-
-
-def _divisor_table(limit: int) -> np.ndarray:
-    global _dtable
-    if len(_dtable) <= limit:
-        # each divisor pair (i, k/i) with i <= k/i counted once, squares once
-        table = np.zeros(limit + 1, dtype=np.int32)
-        for i in range(1, math.isqrt(limit) + 1):
-            table[i * i :: i] += 2
-            table[i * i] -= 1
-        _dtable = table
-    return _dtable
+def _cofactor_count(a: int, bound: int, q: int, s: int) -> int:
+    """#{1 <= b <= bound : a*b = s mod q} for 0 <= s < q and bound >= 0."""
+    g = math.gcd(a, q)
+    if s % g:
+        return 0
+    # b runs over one class mod q/g; its least positive member is first
+    step = q // g
+    first = s // g * pow(a // g, -1, step) % step or step
+    return (bound - first) // step + 1
 
 
 def divisor_sum_ap(m: int, q: int, s: int) -> int:
-    """Sum of the divisor function over k <= m with k = s mod q."""
+    """Sum of the divisor function over k <= m with k = s mod q, i.e. the
+    pairs (a, b) with ab <= m and ab = s mod q, by Dirichlet's hyperbola
+    method: the pairs with a <= r = isqrt(m), doubled for b <= r, less those
+    with both a, b <= r.  O(sqrt(m)) steps, no table; capped at m <= 10^12."""
     if m < 1 or q < 1:
         raise ValueError("need m >= 1 and q >= 1")
-    if m > 10 ** 8:
-        raise CostGuardError("divisor_sum_ap is capped at m <= 10^8")
-    table = _divisor_table(m)
+    if m > 10 ** 12:
+        raise CostGuardError("divisor_sum_ap is capped at m <= 10^12")
     s %= q
-    first = s if s >= 1 else q
-    if first > m:
-        return 0
-    return int(table[first : m + 1 : q].sum(dtype=np.int64))
+    r = math.isqrt(m)
+    return sum(
+        2 * _cofactor_count(a, m // a, q, s) - _cofactor_count(a, r, q, s)
+        for a in range(1, r + 1)
+    )
 
 
 @dataclass
@@ -312,18 +311,16 @@ class HyperbolaBoxCount:
 def hyperbola_ap_count(n: int, q: int, c: int) -> HyperbolaBoxCount:
     """#{u, v <= n : uv = c mod q} for a unit residue c, via per-residue
     modular inverses, O(n + q)."""
+    if n < 1 or q < 1:
+        raise ValueError("need n >= 1 and q >= 1")
     if math.gcd(c, q) != 1:
         raise ValueError("hyperbola_ap_count needs gcd(c, q) = 1")
-    inv = np.zeros(q, dtype=np.int64)
-    for u in range(1, q):
-        if math.gcd(u, q) == 1:
-            inv[u] = pow(u, -1, q)
+    inv = np.array([pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)], dtype=np.int64)
     u_mod = np.arange(1, n + 1, dtype=np.int64) % q
-    unit = inv[u_mod] > 0
+    unit = np.gcd(u_mod, q) == 1
     w = (c * inv[u_mod]) % q
     w[w == 0] = q
     counts = (n - w) // q + 1
-    counts[counts < 0] = 0
     total = int(counts[unit].sum())
     expected = Fraction(euler_phi(q) * n * n, q * q)
     return HyperbolaBoxCount(total, expected, total / float(expected))

@@ -225,6 +225,18 @@ def test_divisor_ap_json(tmp_path):
     assert payload["sum"] == 10 == divisor_sum_ap(20, 4, 1)
 
 
+def test_divisor_ap_range_and_cap(capsys):
+    assert main(["divisor-ap", "--M", "10000000000", "--q", "7", "--s", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["sum"] == divisor_sum_ap(10 ** 10, 7, 3)
+    assert main(["divisor-ap", "--M", "1000000000001", "--q", "7", "--s", "3"]) == 2
+    assert "divisor_sum_ap is capped at m <= 10^12" in capsys.readouterr().err
+
+
+def test_conjecture2_needs_a_modulus_of_two_or_more(capsys):
+    assert main(["conjecture2", "--N", "10", "--q", "1"]) == 2
+    assert capsys.readouterr().err == "error: --q must be >= 2\n"
+
+
 def test_badset_and_dispersion(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["badset", "--qlo", "4", "--qhi", "8", "--out", str(out)]) == 0

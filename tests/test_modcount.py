@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -332,22 +333,52 @@ def test_divisor_sum_ap_hand_values():
 
 def test_divisor_sum_ap_full_summatory():
     m = 200
-    total = sum(divisor_sum_ap(m, 1, 0) for _ in [0])
     brute = sum(len([d for d in range(1, k + 1) if k % d == 0]) for k in range(1, m + 1))
-    assert total == brute
+    assert divisor_sum_ap(m, 1, 0) == brute
 
 
-def test_divisor_table_matches_brute_divisor_counts(monkeypatch):
-    brute = [0] * 3001
-    for d in range(1, 3001):
-        for k in range(d, 3001, d):
-            brute[k] += 1
-    monkeypatch.setattr(modcount, "_dtable", np.zeros(1, dtype=np.int32))
-    small = modcount._divisor_table(1000)
-    assert len(small) == 1001 and small[1:].tolist() == brute[1:1001]
-    large = modcount._divisor_table(3000)
-    assert len(large) == 3001 and large[1:].tolist() == brute[1:]
-    assert modcount._divisor_table(500) is large
+def test_divisor_sum_ap_matches_brute_divisor_counts():
+    top = 3000
+    tau = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for k in range(d, top + 1, d):
+            tau[k] += 1
+    rng = random.Random(17)
+    ms = {1, top}
+    for r in (2, 5, 17, 31, 54):
+        ms |= {r * r - 1, r * r, r * r + r}
+    while len(ms) < 49:
+        ms.add(rng.randrange(2, top))
+    for q in range(1, 31):
+        # prefix[k] = sum of tau(j) over j <= k with j = k mod q
+        prefix = tau[:]
+        for k in range(q + 1, top + 1):
+            prefix[k] += prefix[k - q]
+        for s in range(-1, q + 1):
+            for m in ms:
+                last = m - (m - s) % q
+                assert divisor_sum_ap(m, q, s) == (prefix[last] if last >= 1 else 0)
+
+
+def test_divisor_sum_ap_past_the_old_table_cap():
+    m = 10 ** 10
+    r = math.isqrt(m)
+    hyperbola = 2 * sum(m // a for a in range(1, r + 1)) - r * r
+    assert hyperbola == 231802823220
+    assert divisor_sum_ap(m, 1, 0) == hyperbola
+    assert sum(divisor_sum_ap(m, 3, s) for s in range(3)) == hyperbola
+    with pytest.raises(CostGuardError):
+        divisor_sum_ap(10 ** 12 + 1, 7, 3)
+
+
+def test_divisor_sum_ap_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        divisor_sum_ap(10 ** 7, 7, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_divisor_sum_ap_partition():
@@ -360,12 +391,15 @@ def test_hyperbola_ap_count_hand_example():
     assert res.count == 13
     assert res.expected == Fraction(600, 49)
     assert res.ratio == pytest.approx(13 / (600 / 49))
+    # at q = 1 every pair is on the hyperbola
+    res = hyperbola_ap_count(10, 1, 0)
+    assert (res.count, res.expected, res.ratio) == (100, 100, 1.0)
 
 
 def test_hyperbola_ap_count_brute():
     rng = random.Random(11)
     for _ in range(20):
-        q = rng.randrange(2, 60)
+        q = rng.randrange(1, 60)
         n = rng.randrange(1, 80)
         c = rng.randrange(1, q) if q > 1 else 1
         if math.gcd(c, q) != 1:
@@ -382,6 +416,9 @@ def test_hyperbola_ap_count_brute():
 def test_hyperbola_ap_count_rejects_nonunit():
     with pytest.raises(ValueError):
         hyperbola_ap_count(10, 6, 2)
+    for n, q in ((0, 7), (10, 0)):
+        with pytest.raises(ValueError, match="need n >= 1 and q >= 1"):
+            hyperbola_ap_count(n, q, 1)
 
 
 def test_sum_A0_squared_growth():
