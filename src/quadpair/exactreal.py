@@ -29,6 +29,7 @@ MAX_BITS = 1024
 
 _TRIAL_LIMIT = 10 ** 6
 _FACTOR_CAP = 10 ** 12
+_TERM_BLOCK = 1 << 16  # progression terms per numpy block
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +227,20 @@ def near_integer_count(w: int, step: int, terms: int, den: int, t: int, err: int
     any other term is counted, unless its true value may lie on either side
     of the threshold: t - err < w <= t + err or den - t - err <= w <
     den - t + err, where PrecisionError is raised.  With err = 0 that set is
-    empty and the count is exact.
+    empty and the count is exact; if den and every unreduced term w + k*step
+    then fit in int64, the terms are stepped in numpy blocks.
     """
+    if not err and den < 1 << 63 and w + (terms - 1) * step < 1 << 63:
+        # a term is counted unless t < term < den - t; bounds clipped to [-1, den]
+        lo, hi = max(min(t, den), -1), max(den - t, 0)
+        outside = 0
+        for k in range(0, terms, _TERM_BLOCK):
+            v = np.arange(k, min(k + _TERM_BLOCK, terms), dtype=np.int64)
+            v *= step
+            v += w
+            v %= den
+            outside += int(np.count_nonzero((v > lo) & (v < hi)))
+        return terms - outside
     lo, hi = t + err, den - t - err
     count = 0
     for _ in range(terms):

@@ -6,11 +6,19 @@ out as exact rationals.  Three independent algorithms compute the pair
 correlation of a quadratic sequence: a sorted circular window in O(N log N),
 a naive O(N^2) oracle, and a difference/sum substitution that never builds
 the sequence at all.
+
+The sorted window finds every window end with numpy ``searchsorted`` on
+int64 keys, the top 62 bits of each sorted numerator (the numerators
+themselves for den <= 2^62).  A key bracket that cannot decide an end is
+resolved by bisecting the exact numerators, so the index ranges, and the
+count and distance sum built from them, are exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +32,8 @@ from .exactreal import is_prime, near_integer_count, scaled, scaled_floor
 NAIVE_GUARD = 5000
 SWEEP_GUARD = 4000
 _PAIR_BLOCK = 1 << 16  # pair distances per block of rows in the brute force
+_DOT_BLOCK = 4096  # numerators per slice of the exact distance-sum dot product
+_KEY_BITS = 62  # int64 keys keep this many top bits of each numerator
 
 
 @dataclass
@@ -40,6 +50,7 @@ class SequenceModOne:
     provenance: str = "explicit"
     err: Fraction = Fraction(0)
     _sorted: Optional[list[int]] = field(default=None, repr=False, compare=False)
+    _keys: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.nums:
@@ -57,6 +68,20 @@ class SequenceModOne:
         if self._sorted is None:
             self._sorted = sorted(self.nums)
         return self._sorted
+
+    @property
+    def key_shift(self) -> int:
+        """Low bits dropped from a numerator to make its int64 key; 0 (keys
+        equal to the numerators) for den <= 2^62."""
+        return max(0, (self.den - 1).bit_length() - _KEY_BITS)
+
+    def sorted_keys(self) -> np.ndarray:
+        """int64 keys v >> key_shift of the sorted numerators, same order."""
+        if self._keys is None:
+            shift = self.key_shift
+            s = self.sorted_nums()
+            self._keys = np.fromiter(s if not shift else (v >> shift for v in s), np.int64, len(s))
+        return self._keys
 
 
 def sequence_from_points(points) -> SequenceModOne:
@@ -112,57 +137,67 @@ class PairCorrResult:
 # exact circular window counting
 
 
-def _forward_stats(s: list[int], prefix: list[int], t: int) -> tuple[int, int]:
-    # pairs i<j with s[j]-s[i] <= t, plus the sum of those differences
-    n = len(s)
-    count = total = 0
-    j = 0
-    for i in range(n):
-        if j < i:
-            j = i
-        si = s[i]
-        lim = si + t
-        while j + 1 < n and s[j + 1] <= lim:
-            j += 1
-        c = j - i
-        if c > 0:
-            count += c
-            total += (prefix[j + 1] - prefix[i + 1]) - c * si
-    return count, total
+def _upto_counts(seq: SequenceModOne, offset: int) -> np.ndarray:
+    """#{j : s_j <= s_i + offset} for every i, exactly, over the sorted
+    numerators s.
+
+    With key shift h, s_i + offset has key key_i + (offset >> h) or one
+    more, so every key up to key_i + (offset >> h) - 1 is certainly in and
+    every key past key_i + (offset >> h) + 1 certainly out.  The count of
+    keys up to the upper bound is exact unless a key it takes in sits in
+    the two-key band; those indices are bisected on the exact integers.
+    """
+    keys = seq.sorted_keys()
+    bound = keys + (offset >> seq.key_shift)
+    if not seq.key_shift:
+        return np.searchsorted(keys, bound, "right")
+    counts = np.searchsorted(keys, bound + 1, "right")
+    # keys[-1] where counts is 0 is masked out
+    band = np.flatnonzero((keys[counts - 1] >= bound) & (counts > 0))
+    if band.size:
+        s = seq.sorted_nums()
+        los = np.searchsorted(keys, bound[band] - 1, "right").tolist()
+        for i, lo in zip(band.tolist(), los):
+            counts[i] = bisect.bisect_right(s, s[i] + offset, lo, int(counts[i]))
+    return counts
 
 
-def _wrap_stats(s: list[int], prefix: list[int], den: int, t: int) -> tuple[int, int]:
-    # pairs i<j with den - (s[j]-s[i]) <= t, plus the sum of those distances
-    n = len(s)
-    w = den - t
-    count = total = 0
-    k = 0
-    for j in range(n):
-        lim = s[j] - w
-        while k < n and s[k] <= lim:
-            k += 1
-        if k > 0:
-            count += k
-            total += k * (den - s[j]) + prefix[k]
-    return count, total
+def _pair_stats(seq: SequenceModOne, t: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Pairs at circular distance <= t/den as index ranges over the sorted
+    numerators s: (count, F, K), where i < j < F[i] are the pairs with gap
+    s_j - s_i <= min(t, den // 2) and k < K[j] those whose gap past half the
+    circle wraps to a distance den - (s_j - s_k) <= t."""
+    n = seq.n
+    if t < 0:
+        return 0, np.arange(1, n + 1), np.zeros(n, dtype=np.int64)
+    half = seq.den // 2
+    forward = _upto_counts(seq, min(t, half))
+    wrap = _upto_counts(seq, min(t, seq.den - half - 1) - seq.den)
+    count = int(forward.sum()) - n * (n + 1) // 2 + int(wrap.sum())
+    return count, forward, wrap
 
 
-def _pair_stats(s: list[int], den: int, t: int) -> tuple[int, int]:
-    """(count, scaled distance sum) over unordered pairs at circular distance
-    <= t/den; distances are min(f, den-f) for sorted gaps f."""
-    n = len(s)
-    if n < 2 or t < 0:
-        return 0, 0
-    prefix = [0]
-    acc = 0
-    for v in s:
-        acc += v
-        prefix.append(acc)
-    # gaps f <= half are distances f, gaps f > half are distances den - f
-    half = den // 2
-    c1, s1 = _forward_stats(s, prefix, min(t, half))
-    c2, s2 = _wrap_stats(s, prefix, den, min(t, den - half - 1))
-    return c1 + c2, s1 + s2
+def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) -> int:
+    """Scaled sum of the pair distances that ``_pair_stats`` counted.
+
+    Each forward pair adds s_j - s_i and each wrapped pair den - s_j + s_k,
+    so the sum is den * sum(K) + sum_k s_k * w_k with the integer weight
+    w_k = #{i < k : F[i] > k} - (F[k] - k - 1) - K[k] + #{j : K[j] > k},
+    taken one slice of k at a time.
+    """
+    n = seq.n
+    s = seq.sorted_nums()
+    total = seq.den * int(wrap.sum())
+    for a in range(0, n, _DOT_BLOCK):
+        b = min(a + _DOT_BLOCK, n)
+        k = np.arange(a, b)
+        weight = 2 * k + (n + 1)
+        weight -= forward[a:b]
+        weight -= wrap[a:b]
+        weight -= np.searchsorted(forward, k, "right")
+        weight -= np.searchsorted(wrap, k, "right")
+        total += sum(map(operator.mul, s[a:b], weight.tolist()))
+    return total
 
 
 def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
@@ -177,12 +212,11 @@ def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
         raise ValueError("window parameter must be non-negative")
     n = seq.n
     tau = x / n
-    s = seq.sorted_nums()
     hi = scaled_floor(tau + 2 * seq.err, seq.den)
-    count, _ = _pair_stats(s, seq.den, hi)
+    count = _pair_stats(seq, hi)[0]
     if seq.err:
         lo = scaled_floor(max(tau - 2 * seq.err, Fraction(0)), seq.den)
-        if lo != hi and _pair_stats(s, seq.den, lo)[0] != count:
+        if lo != hi and _pair_stats(seq, lo)[0] != count:
             raise PrecisionError(
                 f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold"
             )
@@ -278,7 +312,8 @@ def weighted_pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     n = seq.n
     tau = x / n
     t = scaled_floor(tau, seq.den)
-    count, dist_sum = _pair_stats(seq.sorted_nums(), seq.den, t)
+    count, forward, wrap = _pair_stats(seq, t)
+    dist_sum = _distance_sum(seq, forward, wrap)
     r0 = 1 + Fraction(2, n) * (count - Fraction(dist_sum, seq.den) / tau)
     return PairCorrResult(n, x, None, r0=r0, method="weighted")
 

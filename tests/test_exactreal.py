@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quadpair import exactreal
 from quadpair.errors import PrecisionError
 from quadpair.exactreal import (
     cmp_power,
@@ -184,3 +185,19 @@ def test_near_integer_count_matches_enumeration():
         else:
             assert near_integer_count(w, step, terms, den, t, err) == verdicts.count(True)
     assert raised
+
+
+@pytest.mark.parametrize("block", [1, 7, exactreal._TERM_BLOCK])
+def test_exact_near_integer_count_matches_a_direct_count(monkeypatch, block):
+    # err = 0: numpy blocks while den and w + (terms-1)*step fit in int64,
+    # the Python loop past that; ragged blocks, t at and past den // 2
+    monkeypatch.setattr(exactreal, "_TERM_BLOCK", block)
+    rng = random.Random(block)
+    for den in (1, 2, 97, 1 << 31, (1 << 62) + 3, (1 << 63) - 1, 1 << 63, 1 << 192):
+        for _ in range(20):
+            w, step, terms = rng.randrange(den), rng.randrange(den), rng.randrange(0, 40)
+            for t in (0, rng.randrange(den), den // 2, den):
+                terms_mod = [(w + k * step) % den for k in range(terms)]
+                want = sum(min(v, den - v) <= t for v in terms_mod)
+                assert near_integer_count(w, step, terms, den, t, 0) == want
+    assert near_integer_count(0, 0, 5, 1 << 192, 0, 0) == 5

@@ -114,6 +114,11 @@ def test_sorted_vs_naive_property(nums, x):
     assert pair_correlation(seq, x).pair_count == pair_correlation_naive(seq, x).pair_count
 
 
+def _window_stats(seq, t):
+    count, forward, wrap = paircorr._pair_stats(seq, t)
+    return count, paircorr._distance_sum(seq, forward, wrap)
+
+
 def test_pair_stats_matches_naive_at_every_threshold():
     # every t from below 0 to past den, across the half-circle, on even and
     # odd denominators, with coincident points and both counts and sums
@@ -122,8 +127,50 @@ def test_pair_stats_matches_naive_at_every_threshold():
         for _ in range(6):
             seq = SequenceModOne([rng.randrange(den) for _ in range(rng.randrange(1, 9))], den)
             for t in range(-1, den + 2):
-                got = paircorr._pair_stats(seq.sorted_nums(), den, t)
-                assert got == paircorr._naive_distance_stats(seq, t), (seq.nums, den, t)
+                assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t), (seq.nums, den, t)
+
+
+# past 2^62 the int64 keys drop low bits: dyadic, non-dyadic and just-past
+_KEYED_DENS = (1 << 192, 3 * (1 << 70) + 1, (1 << 62) + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_stats_matches_naive_inside_the_key_band(data):
+    # points that differ only below the key bits, duplicates, points half a
+    # circle apart; thresholds at every gap (exact ties), one either side,
+    # and at and past den // 2
+    den = data.draw(st.sampled_from(_KEYED_DENS))
+    low = 1 << SequenceModOne([0], den).key_shift
+    base = data.draw(st.integers(0, den - 1))
+    moves = st.sampled_from([0, 1, low - 1, low, low + 1, den // 2, den // 2 + 1, den - 1])
+    nums = [(base + data.draw(moves)) % den for _ in range(data.draw(st.integers(1, 8)))]
+    seq = SequenceModOne(nums, den)
+    assert seq.key_shift > 0
+    gaps = {abs(a - b) for a in nums for b in nums}
+    ts = {den // 2 - 1, den // 2, den // 2 + 1, den - 1, den, den + 1}
+    ts |= {g + e for g in gaps for e in (-1, 0, 1)} | {den - g + e for g in gaps for e in (-1, 0, 1)}
+    for t in ts:
+        assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t), (nums, den, t)
+
+
+def test_key_band_is_resolved_on_the_exact_integers(monkeypatch):
+    # three points under one key and a fourth one key up: every threshold
+    # below one key's width needs the exact integers; N = 1, 2, 4
+    resolved = []
+    monkeypatch.setattr(paircorr.bisect, "bisect_right",
+                        lambda *a, _f=paircorr.bisect.bisect_right: resolved.append(a) or _f(*a))
+    den = 1 << 192
+    shift = SequenceModOne([0], den).key_shift
+    p = 12345 << shift
+    nums = [p + 5, p, p + 2, p + (1 << shift)]
+    counts = {1: (0, 0, 0, 0, 0), 2: (0, 0, 0, 1, 1), 4: (0, 0, 1, 3, 5)}
+    for n, want in counts.items():
+        seq = SequenceModOne(nums[:n], den)
+        for t, count in zip((0, 1, 2, 5, (1 << shift) - 1), want):
+            assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t)
+            assert _window_stats(seq, t)[0] == count
+    assert resolved
 
 
 @pytest.mark.parametrize("block", [1, 7, paircorr._PAIR_BLOCK])
@@ -448,9 +495,9 @@ def test_certified_window_counts_twice_exact_window_once(monkeypatch):
     calls = []
     original = paircorr._pair_stats
 
-    def counting(s, den, t):
+    def counting(seq, t):
         calls.append(t)
-        return original(s, den, t)
+        return original(seq, t)
 
     monkeypatch.setattr(paircorr, "_pair_stats", counting)
     seq = quadratic_sequence(sqrt_fixed(2, 192), 500)
