@@ -230,9 +230,8 @@ def near_integer_count(w: int, step: int, terms: int, den: int, t: int, err: int
     empty and the count is exact; if den and every unreduced term w + k*step
     then fit in int64, the terms are stepped in numpy blocks.
     """
+    lo, hi = t + err, den - t - err
     if not err and den < 1 << 63 and w + (terms - 1) * step < 1 << 63:
-        # a term is counted unless t < term < den - t; bounds clipped to [-1, den]
-        lo, hi = max(min(t, den), -1), max(den - t, 0)
         outside = 0
         for k in range(0, terms, _TERM_BLOCK):
             v = np.arange(k, min(k + _TERM_BLOCK, terms), dtype=np.int64)
@@ -241,7 +240,6 @@ def near_integer_count(w: int, step: int, terms: int, den: int, t: int, err: int
             v %= den
             outside += int(np.count_nonzero((v > lo) & (v < hi)))
         return terms - outside
-    lo, hi = t + err, den - t - err
     count = 0
     for _ in range(terms):
         if not lo < w < hi:
