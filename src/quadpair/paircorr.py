@@ -191,6 +191,7 @@ def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) ->
     for a in range(0, n, _DOT_BLOCK):
         b = min(a + _DOT_BLOCK, n)
         k = np.arange(a, b)
+        # k - #{F <= k}, plus k + 1 - F[k], minus K[k], plus n - #{K <= k}
         weight = 2 * k + (n + 1)
         weight -= forward[a:b]
         weight -= wrap[a:b]
