@@ -11,14 +11,17 @@ The sorted window finds every window end with numpy ``searchsorted`` on
 int64 keys, the top 62 bits of each sorted numerator (the numerators
 themselves for den <= 2^62).  A key bracket that cannot decide an end is
 resolved by bisecting the exact numerators, so the index ranges, and the
-count and distance sum built from them, are exact.
+count built from them, are exact.  The distance sum is an int64 dot product
+of integer weights with the 32-bit limbs of the numerators, one bounded
+slice at a time, so it is exact too.  ``pair_correlation`` leaves its window
+ends on the sequence, and ``weighted_pair_correlation`` at the same
+threshold reads them instead of counting again.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,8 +35,10 @@ from .exactreal import is_prime, near_integer_count, scaled, scaled_floor
 NAIVE_GUARD = 5000
 SWEEP_GUARD = 4000
 _PAIR_BLOCK = 1 << 16  # pair distances per block of rows in the brute force
-_DOT_BLOCK = 4096  # numerators per slice of the exact distance-sum dot product
+_DOT_BLOCK = 4096  # numerators per slice of the limb matrix and of the distance-sum dot product
 _KEY_BITS = 62  # int64 keys keep this many top bits of each numerator
+_LOW31 = (1 << 31) - 1
+_DOT_RANGE = 1 << 31  # slice length times max |weight|: keeps every 32-bit limb dot below 2^63
 
 
 @dataclass
@@ -51,13 +56,17 @@ class SequenceModOne:
     err: Fraction = Fraction(0)
     _sorted: Optional[list[int]] = field(default=None, repr=False, compare=False)
     _keys: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _limbs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # (t, (count, F, K)) that pair_correlation leaves for
+    # weighted_pair_correlation; dropped when read
+    _window: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.nums:
             raise ValueError("sequence must have length >= 1")
         if self.den < 1:
             raise ValueError("denominator must be positive")
-        if any(not 0 <= v < self.den for v in self.nums):
+        if min(self.nums) < 0 or max(self.nums) >= self.den:
             raise ValueError("numerators must lie in [0, den)")
 
     @property
@@ -76,12 +85,46 @@ class SequenceModOne:
         return max(0, (self.den - 1).bit_length() - _KEY_BITS)
 
     def sorted_keys(self) -> np.ndarray:
-        """int64 keys v >> key_shift of the sorted numerators, same order."""
+        """int64 keys v >> key_shift of the sorted numerators, same order;
+        past 2^62 they are read from the limb matrix."""
         if self._keys is None:
-            shift = self.key_shift
-            s = self.sorted_nums()
-            self._keys = np.fromiter(s if not shift else (v >> shift for v in s), np.int64, len(s))
+            if self.key_shift:
+                self._keys = _limb_shift(self.sorted_limbs(), self.key_shift)
+            else:
+                self._keys = np.fromiter(self.sorted_nums(), np.int64, self.n)
         return self._keys
+
+    def sorted_limbs(self) -> np.ndarray:
+        """The sorted numerators as rows of little-endian uint32 limbs.
+
+        For den <= 2^62 this is a view of the int64 keys, two limbs a row;
+        past it the matrix is built once, a slice at a time through
+        ``int.to_bytes``, and kept.
+        """
+        if not self.key_shift:
+            return self.sorted_keys().astype("<i8", copy=False).view("<u4").reshape(self.n, 2)
+        if self._limbs is None:
+            size = -(-(self.den - 1).bit_length() // 32)
+            s = self.sorted_nums()
+            limbs = np.empty((self.n, size), np.uint32)
+            for a in range(0, self.n, _DOT_BLOCK):
+                raw = b"".join([v.to_bytes(4 * size, "little") for v in s[a:a + _DOT_BLOCK]])
+                limbs[a:a + _DOT_BLOCK] = np.frombuffer(raw, "<u4").reshape(-1, size)
+            self._limbs = limbs
+        return self._limbs
+
+
+def _limb_shift(limbs: np.ndarray, shift: int) -> np.ndarray:
+    """v >> shift as int64 for each row v of uint32 limbs, given that every
+    result is below 2^62: two limbs from shift // 32 up, and the bits the
+    next limb adds when shift is not a multiple of 32."""
+    q, r = divmod(shift, 32)
+    word = limbs[:, q + 1].astype(np.uint64) << np.uint64(32)
+    word |= limbs[:, q]
+    word >>= np.uint64(r)
+    if r and q + 2 < limbs.shape[1]:
+        word |= limbs[:, q + 2].astype(np.uint64) << np.uint64(64 - r)
+    return word.view(np.int64)
 
 
 def sequence_from_points(points) -> SequenceModOne:
@@ -145,19 +188,28 @@ def _upto_counts(seq: SequenceModOne, offset: int) -> np.ndarray:
     more, so every key up to key_i + (offset >> h) - 1 is certainly in and
     every key past key_i + (offset >> h) + 1 certainly out.  The count of
     keys up to the upper bound is exact unless a key it takes in sits in
-    the two-key band; those indices are bisected on the exact integers.
+    the two-key band; those indices are bisected on the exact integers.  At
+    an offset >= 0 every j <= i is in, so an index that took no key past
+    its own is exact, and a bisection starts past i.
     """
     keys = seq.sorted_keys()
-    bound = keys + (offset >> seq.key_shift)
+    step = offset >> seq.key_shift
     if not seq.key_shift:
-        return np.searchsorted(keys, bound, "right")
-    counts = np.searchsorted(keys, bound + 1, "right")
-    # keys[-1] where counts is 0 is masked out
-    band = np.flatnonzero((keys[counts - 1] >= bound) & (counts > 0))
+        return np.searchsorted(keys, keys + step, "right")
+    counts = np.searchsorted(keys, keys + (step + 1), "right")
+    counts -= 1  # the last key taken; keys[-1] where none is, masked out
+    gap = keys[counts]
+    gap -= keys
+    band = np.flatnonzero((gap >= step) & (counts >= 0))
+    if offset >= 0:
+        band = band[counts[band] > band]
+    counts += 1
     if band.size:
         s = seq.sorted_nums()
-        los = np.searchsorted(keys, bound[band] - 1, "right").tolist()
-        for i, lo in zip(band.tolist(), los):
+        los = np.searchsorted(keys, keys[band] + (step - 1), "right")
+        if offset >= 0:
+            np.maximum(los, band + 1, out=los)
+        for i, lo in zip(band.tolist(), los.tolist()):
             counts[i] = bisect.bisect_right(s, s[i] + offset, lo, int(counts[i]))
     return counts
 
@@ -182,22 +234,29 @@ def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) ->
 
     Each forward pair adds s_j - s_i and each wrapped pair den - s_j + s_k,
     so the sum is den * sum(K) + sum_k s_k * w_k with the integer weight
-    w_k = #{i < k : F[i] > k} - (F[k] - k - 1) - K[k] + #{j : K[j] > k},
-    taken one slice of k at a time.
+    w_k = #{i < k : F[i] > k} - (F[k] - k - 1) - K[k] + #{j : K[j] > k}.
+    F and K are non-decreasing and F[i] > i, so #{i : F[i] <= k} and
+    #{j : K[j] <= k} are running sums of their histograms.  The dot product
+    is taken limb by limb over slices short enough that no int64 sum of
+    limb * weight can overflow (|w_k| < n).
     """
     n = seq.n
-    s = seq.sorted_nums()
     total = seq.den * int(wrap.sum())
-    for a in range(0, n, _DOT_BLOCK):
-        b = min(a + _DOT_BLOCK, n)
-        k = np.arange(a, b)
-        # k - #{F <= k}, plus k + 1 - F[k], minus K[k], plus n - #{K <= k}
-        weight = 2 * k + (n + 1)
-        weight -= forward[a:b]
-        weight -= wrap[a:b]
-        weight -= np.searchsorted(forward, k, "right")
-        weight -= np.searchsorted(wrap, k, "right")
-        total += sum(map(operator.mul, s[a:b], weight.tolist()))
+    # w_k = (n - 1) - F[k] - K[k] - c_k with c_k = #{F <= k} + #{K <= k}
+    # - 2(k + 1); -c_k is the running sum of 2 less the two histograms
+    weight = np.full(n + 1, 2, dtype=np.int64)
+    np.subtract.at(weight, forward, 1)
+    np.subtract.at(weight, wrap, 1)
+    weight = np.cumsum(weight, out=weight)[:n]
+    weight += n - 1
+    weight -= forward
+    weight -= wrap
+    largest = max(int(weight.max()), -int(weight.min()), 1)
+    limbs = seq.sorted_limbs()
+    block = min(_DOT_BLOCK, _DOT_RANGE // largest)
+    for a in range(0, n, block):
+        parts = (weight[a:a + block] @ limbs[a:a + block]).tolist()
+        total += sum(p << 32 * i for i, p in enumerate(parts))
     return total
 
 
@@ -207,30 +266,41 @@ def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     With error radius err > 0 the count is taken at lo = max(tau - 2 err, 0)
     and hi = tau + 2 err, tau = x/N: it is monotone in the threshold, so equal
     counts certify the count at tau, and unequal ones raise PrecisionError.
+
+    The window ends at hi are left on the sequence for
+    ``weighted_pair_correlation`` at t = floor(tau * den).  Equal counts at
+    lo and hi mean the pairs at t are the pairs at hi, and whether a pair is
+    forward or wrapped depends only on its gap, so they are the ends at t.
     """
     x = Fraction(x)
     if x < 0:
         raise ValueError("window parameter must be non-negative")
     n = seq.n
     tau = x / n
+    seq._window = None
+    lo = scaled_floor(max(tau - 2 * seq.err, Fraction(0)), seq.den)
     hi = scaled_floor(tau + 2 * seq.err, seq.den)
-    count = _pair_stats(seq, hi)[0]
-    if seq.err:
-        lo = scaled_floor(max(tau - 2 * seq.err, Fraction(0)), seq.den)
-        if lo != hi and _pair_stats(seq, lo)[0] != count:
-            raise PrecisionError(
-                f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold"
-            )
+    # lo first, so that only the ends at hi are alive once counted
+    low = _pair_stats(seq, lo)[0] if lo != hi else None
+    stats = _pair_stats(seq, hi)
+    count = stats[0]
+    if low is not None and low != count:
+        raise PrecisionError(
+            f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold"
+        )
+    seq._window = (scaled_floor(tau, seq.den), stats)
     return PairCorrResult(n, x, Fraction(count, n), method="sorted-window", pair_count=count)
 
 
 def _naive_distance_stats(seq: SequenceModOne, t: int) -> tuple[int, int]:
     """Count and scaled sum of pair distances <= t by brute enumeration, a
-    block of rows at a time; past 2^40 the rows hold Python ints."""
+    block of rows at a time; past 2^62 the rows hold Python ints.  Each
+    block's distances are summed as their high and low 31 bits, so an int64
+    sum of at most 2^32 distances below 2^61 is exact."""
     n = seq.n
     den = seq.den
     t = min(t, den)
-    a = np.array(seq.nums, dtype=np.int64 if den <= 1 << 40 else object)
+    a = np.array(seq.nums, dtype=np.int64 if den <= 1 << 62 else object)
     count = dist_sum = 0
     start = 0
     while start < n - 1:
@@ -240,7 +310,8 @@ def _naive_distance_stats(seq: SequenceModOne, t: int) -> tuple[int, int]:
         d = np.minimum(d, den - d)
         near = np.triu(d <= t)
         count += int(np.count_nonzero(near))
-        dist_sum += int(d[near].sum())
+        d = d[near]
+        dist_sum += (int((d >> 31).sum()) << 31) + int((d & _LOW31).sum())
         start += rows
     return count, dist_sum
 
@@ -313,7 +384,9 @@ def weighted_pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     n = seq.n
     tau = x / n
     t = scaled_floor(tau, seq.den)
-    count, forward, wrap = _pair_stats(seq, t)
+    # the window ends pair_correlation left, if they are at t; read once
+    window, seq._window = seq._window, None
+    count, forward, wrap = window[1] if window and window[0] == t else _pair_stats(seq, t)
     dist_sum = _distance_sum(seq, forward, wrap)
     r0 = 1 + Fraction(2, n) * (count - Fraction(dist_sum, seq.den) / tau)
     return PairCorrResult(n, x, None, r0=r0, method="weighted")

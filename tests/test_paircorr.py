@@ -173,12 +173,50 @@ def test_key_band_is_resolved_on_the_exact_integers(monkeypatch):
     assert resolved
 
 
+# limb widths: one limb short, two full limbs (the int64 keys' view), the
+# first den with a limb matrix, three limbs, four limbs with a partly used top
+# limb, six limbs
+_LIMB_DENS = (1 << 32, 1 << 62, (1 << 62) + 1, 1 << 64, (1 << 96) + 1, 1 << 192)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_window_stats_match_naive_across_limb_widths(monkeypatch, block):
+    # ragged last slices of the limb matrix and of the dot product; points at
+    # 0 and den - 1 (every limb full) and duplicates; thresholds at 0, a
+    # random gap, both sides of den // 2 and past den
+    monkeypatch.setattr(paircorr, "_DOT_BLOCK", block)
+    rng = random.Random(block)
+    for den in _LIMB_DENS:
+        for n in (1, 3, 10, 50):
+            nums = [rng.randrange(den) for _ in range(n)]
+            nums[0], nums[-1] = den - 1, 0
+            nums += nums[: n // 3]
+            seq = SequenceModOne(nums, den)
+            assert seq.sorted_keys().tolist() == [v >> seq.key_shift for v in sorted(nums)]
+            gap = abs(nums[1 % len(nums)] - nums[2 % len(nums)])
+            for t in (0, gap, den // 2 - 1, den // 2, den // 2 + 1, den - gap, den):
+                assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t), (den, n, t)
+
+
+def test_distance_sum_stays_exact_at_the_largest_weights():
+    # every pair forward, so the sorted weights are 2k - n + 1, up to n - 1;
+    # with n past 2^19 + 2^13 and the upper half's low limbs 2^32 - 1, the top
+    # 4096-long slice of limb * weight would pass 2^63 (the lower half's low
+    # limbs are 0, so no negative slice can wrap it back), so slices must
+    # shorten with the weights
+    n = (1 << 19) + (1 << 14)
+    nums = [(k << 32) | (0xFFFFFFFF if 2 * k >= n else 0) for k in range(n)]
+    seq = SequenceModOne(nums, 1 << 62)
+    want = sum(v * (2 * k - n + 1) for k, v in enumerate(nums))
+    assert _window_stats(seq, seq.den) == (n * (n - 1) // 2, want)
+
+
 @pytest.mark.parametrize("block", [1, 7, paircorr._PAIR_BLOCK])
 def test_blocked_naive_matches_double_loop(monkeypatch, block):
-    # one-row and ragged last blocks, on both sides of the 2^40 int64 limit
+    # one-row and ragged last blocks, on both sides of the 2^62 int64 limit
     monkeypatch.setattr(paircorr, "_PAIR_BLOCK", block)
     rng = random.Random(block)
-    for den in (1 << 40, (1 << 40) + 1, 1 << 192):
+    for den in (1 << 40, (1 << 40) + 1, 1 << 62, (1 << 62) + 1, 1 << 192):
         for n in (1, 2, 3, 50):
             nums = [rng.randrange(den) for _ in range(n)]
             nums[-1] = nums[0]
@@ -187,6 +225,21 @@ def test_blocked_naive_matches_double_loop(monkeypatch, block):
             for t in (0, rng.randrange(den), den // 2, den, den + 1):
                 near = [d for d in dists if d <= t]
                 assert paircorr._naive_distance_stats(seq, t) == (len(near), sum(near))
+
+
+def test_zero_window_bisects_almost_no_index(monkeypatch):
+    # at X = 0 the certified threshold is far below one key's width; every
+    # j <= i is in the window, so an index whose own key is the last one it
+    # took needs no bisection
+    calls = []
+    monkeypatch.setattr(paircorr.bisect, "bisect_right",
+                        lambda *a, _f=paircorr.bisect.bisect_right: calls.append(a) or _f(*a))
+    n = 20_000
+    seq = quadratic_sequence(sqrt_fixed(2, 192), n)
+    assert seq.err > 0
+    count = pair_correlation(seq, 0).pair_count
+    assert count == pair_correlation(_exact_copy(seq), 0).pair_count
+    assert len(calls) < n // 100
 
 
 def test_uv_hand_example_half():
@@ -491,19 +544,44 @@ def test_uv_raises_inside_its_guard_band(offset, err_ulp, raises):
         assert pair_correlation_uv(alpha, 2, x).pair_count == (offset in (-1, _WRAP + 1))
 
 
-def test_certified_window_counts_twice_exact_window_once(monkeypatch):
+def _spy_pair_stats(monkeypatch):
     calls = []
     original = paircorr._pair_stats
+    monkeypatch.setattr(paircorr, "_pair_stats", lambda seq, t: calls.append(t) or original(seq, t))
+    return calls
 
-    def counting(seq, t):
-        calls.append(t)
-        return original(seq, t)
 
-    monkeypatch.setattr(paircorr, "_pair_stats", counting)
+def test_certified_window_counts_twice_exact_window_once(monkeypatch):
+    # the weighted correlation at the same X reads the ends pair_correlation
+    # left: lo and hi are the only counts on a certified window, one on an
+    # exact one
+    calls = _spy_pair_stats(monkeypatch)
     seq = quadratic_sequence(sqrt_fixed(2, 192), 500)
-    assert _band(seq, 1)[0] < _band(seq, 1)[1]
+    lo, hi = _band(seq, 1)
+    assert lo < hi
     certified = pair_correlation(seq, 1).pair_count
-    assert len(calls) == 2
+    weighted_pair_correlation(seq, 1)
+    assert calls == [lo, hi]
     calls.clear()
-    assert pair_correlation(_exact_copy(seq), 1).pair_count == certified
+    exact = _exact_copy(seq)
+    assert pair_correlation(exact, 1).pair_count == certified
+    weighted_pair_correlation(exact, 1)
     assert len(calls) == 1
+
+
+def test_weighted_after_pair_correlation_matches_a_fresh_copy(monkeypatch):
+    # the read window, a window at another X (a miss), a second read of the
+    # same X (already dropped) and an X = 0 count before a weighted one
+    calls = _spy_pair_stats(monkeypatch)
+    for seq in (quadratic_sequence(sqrt_fixed(2, 192), 700), quadratic_sequence(Fraction(5, 997), 700)):
+        def fresh(x):
+            return weighted_pair_correlation(_exact_copy(seq), x).r0
+        pair_correlation(seq, 2)
+        calls.clear()
+        assert weighted_pair_correlation(seq, 2).r0 == fresh(2)
+        assert len(calls) == 1  # the fresh copy's
+        pair_correlation(seq, 2)
+        assert weighted_pair_correlation(seq, Fraction(1, 3)).r0 == fresh(Fraction(1, 3))
+        assert weighted_pair_correlation(seq, 2).r0 == fresh(2)
+        pair_correlation(seq, 0)
+        assert weighted_pair_correlation(seq, 5).r0 == fresh(5)
