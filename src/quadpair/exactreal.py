@@ -29,7 +29,6 @@ MAX_BITS = 1024
 
 _TRIAL_LIMIT = 10 ** 6
 _FACTOR_CAP = 10 ** 12
-_TERM_BLOCK = 1 << 16  # progression terms per numpy block
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +218,26 @@ def scaled_floor(fr: Fraction, den: int) -> int:
     return (fr.numerator * den) // fr.denominator
 
 
+def floor_sum(n: int, a: int, b: int, m: int) -> int:
+    """sum(floor((a*i + b) / m) for i in range(n)), for any integers a and b
+    and m >= 1, in O(log m) big-integer steps: reduce a and b mod m, then
+    count the lattice points under the line with the axes swapped
+    (Graham-Knuth-Patashnik, Concrete Mathematics, section 3.5)."""
+    if n < 0 or m < 1:
+        raise ValueError("need n >= 0 and m >= 1")
+    total = 0
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
 def near_integer_count(w: int, step: int, terms: int, den: int, t: int, err: int) -> int:
     """How many of w, w + step, ... (terms of them, mod den, all in [0, den))
     lie within t of a multiple of den, each term known to within err.
@@ -227,29 +246,19 @@ def near_integer_count(w: int, step: int, terms: int, den: int, t: int, err: int
     any other term is counted, unless its true value may lie on either side
     of the threshold: t - err < w <= t + err or den - t - err <= w <
     den - t + err, where PrecisionError is raised.  With err = 0 that set is
-    empty and the count is exact; if den and every unreduced term w + k*step
-    then fit in int64, the terms are stepped in numpy blocks.
+    empty and the count is exact.  Each range of residues is counted by two
+    floor sums, so the cost is O(log den) whatever the number of terms.
     """
-    lo, hi = t + err, den - t - err
-    if not err and den < 1 << 63 and w + (terms - 1) * step < 1 << 63:
-        outside = 0
-        for k in range(0, terms, _TERM_BLOCK):
-            v = np.arange(k, min(k + _TERM_BLOCK, terms), dtype=np.int64)
-            v *= step
-            v += w
-            v %= den
-            outside += int(np.count_nonzero((v > lo) & (v < hi)))
-        return terms - outside
-    count = 0
-    for _ in range(terms):
-        if not lo < w < hi:
-            if t - err < w <= lo or hi <= w < den - t + err:
-                raise PrecisionError("a term lands within the error radius of the threshold")
-            count += 1
-        w += step
-        if w >= den:
-            w -= den
-    return count
+
+    def above(c: int) -> int:
+        # floor((x - c)/den) - floor(x/den) is -1 exactly when x mod den < c
+        # (0 <= c <= den), so above(a) - above(b) counts the terms in [a, b)
+        return floor_sum(terms, step, w - min(max(c, 0), den), den)
+
+    start, stop = above(t + err + 1), above(den - t - err)
+    if err and (above(t - err + 1) != start or above(den - t + err) != stop):
+        raise PrecisionError("a term lands within the error radius of the threshold")
+    return terms - max(start - stop, 0)
 
 
 def fixed_from_fraction(fr: Fraction, bits: int = DEFAULT_BITS) -> FixedReal:

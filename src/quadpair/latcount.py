@@ -1,7 +1,7 @@
 """Planar lattice counting: near-multiple counts, the rescaled lattice whose
-square section encodes them (counted exactly), Lagrange-Gauss reduction with
-a first minimum certified for the float basis it is given, and coprime-triple
-box counts.
+square section encodes them (both counted exactly by floor sums, in
+O(log den) steps), Lagrange-Gauss reduction with a first minimum certified
+for the float basis it is given, and coprime-triple box counts.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuardError, PrecisionError
-from .exactreal import near_integer_count, primes_upto, scaled, scaled_floor
+from .exactreal import floor_sum, near_integer_count, primes_upto, scaled, scaled_floor
 
 V_ENUM_GUARD = 10 ** 7
 ILL_CONDITION_SQ = 1e24
@@ -166,17 +166,29 @@ def _z_window(alpha: tuple[int, int, int], k: int, delta: Fraction) -> tuple[int
 
 def lattice_square_count(basis: LatticeBasis2) -> SquareCountResult:
     """Points of a pair lattice in [-s, s]^2 with s = sqrt(m*delta), counted
-    exactly: membership reduces to |x| <= m together with an integer window
-    around beta*x, decided in exact arithmetic."""
+    exactly: membership reduces to |x| <= m together with the integer window
+    [ceil(beta*x - delta), floor(beta*x + delta)].  The window at -x is the
+    mirror image of the one at x, and each window end summed over x = 1..m
+    is one floor sum, so the cost is O(log den) whatever m is.  On an
+    irrational beta the sums are taken at both ends of its enclosure; no
+    window end falls as beta grows (x >= 1), so equal sums certify every
+    window."""
     p = basis.exact
     if p is None:
         raise ValueError("squares are counted only for pair lattices")
-    beta = scaled(p.beta)
-    count = 0
-    for x in range(-p.m, p.m + 1):
-        lo, hi = _z_window(beta, x, p.delta)
-        if hi >= lo:
-            count += hi - lo + 1
+    num, den, err = scaled(p.beta)
+    dn, dd = p.delta.numerator, p.delta.denominator
+    big, shift = den * dd, dn * den
+
+    def window_sums(numer: int) -> tuple[int, int]:
+        # at x = i + 1: floor((a*x + shift)/big) and -floor((shift - a*x)/big)
+        a = numer * dd
+        return floor_sum(p.m, a, a + shift, big), -floor_sum(p.m, -a, shift - a, big)
+
+    his, los = window_sums(num - err)
+    if err and window_sums(num + err) != (his, los):
+        raise PrecisionError("z-window endpoints straddle an integer")
+    count = 2 * (dn // dd) + 1 + 2 * (his - los + p.m)
     main = 4.0 * p.m * float(p.delta)
     return SquareCountResult(count, main, abs(count - main))
 

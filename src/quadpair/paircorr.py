@@ -333,8 +333,9 @@ def pair_correlation_uv(alpha, n: int, x) -> PairCorrResult:
     """Pair correlation of alpha*k^2 via the substitution u = n-m, v = n+m.
 
     Counts v = u+2, u+4, ..., 2n-u with the fractional part of alpha*u*v
-    within x/n of an integer, stepping the scaled product incrementally so no
-    sequence is ever materialised.
+    within x/n of an integer; each row u is an arithmetic progression of
+    scaled products, counted by floor sums in O(log den) steps, so no
+    sequence is ever materialised and the cost is O(n log den).
     """
     x = Fraction(x)
     if x < 0:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadpair import exactreal
 from quadpair.errors import PrecisionError
 from quadpair.exactreal import (
     cmp_power,
@@ -14,6 +13,7 @@ from quadpair.exactreal import (
     factorize,
     fixed_from_decimal,
     floor_power,
+    floor_sum,
     iroot,
     is_prime,
     near_integer_count,
@@ -158,9 +158,11 @@ def _certainty(lo: int, hi: int, den: int, t: int):
     # the true value is somewhere in [lo, hi] and counts when its distance to
     # den*Z is at most tau, for some tau in [t, t + 1): True when every value
     # in the interval counts, False when none does, None when it depends.
-    # The distance is linear between half-integers, so they suffice.
-    halves = (Fraction(k, 2) for k in range(2 * lo, 2 * hi + 1))
-    dists = [min(v % den, den - v % den) for v in halves]
+    # The distance is linear between multiples of den/2, so the ends and the
+    # first two multiples inside (one of each parity) suffice.
+    first = -(-2 * lo // den)
+    inner = (Fraction(k * den, 2) for k in (first, first + 1) if k * den <= 2 * hi)
+    dists = [min(v % den, den - v % den) for v in (Fraction(lo), Fraction(hi), *inner)]
     if max(dists) <= t:
         return True
     if min(dists) >= t + 1:
@@ -169,30 +171,29 @@ def _certainty(lo: int, hi: int, den: int, t: int):
 
 
 def test_near_integer_count_matches_enumeration():
+    # dens below 40 with err up to 3, then dens up to 2^192 with err up to den/50
     rng = random.Random(17)
-    raised = 0
-    for _ in range(3000):
-        den = rng.randrange(1, 40)
+    raised = [0, 0]
+    for case in range(5000):
+        big = case >= 3000
+        den = rng.randrange(1, 1 << rng.choice((63, 64, 192))) if big else rng.randrange(1, 40)
         t = rng.randrange(0, (den + 1) // 2)  # 2t < den, as both callers ensure
-        err = rng.choice((0, 0, 1, 2, 3))
+        err = rng.choice((0, 1, rng.randrange(den // 50 + 1))) if big else rng.choice((0, 0, 1, 2, 3))
         w, step, terms = rng.randrange(den), rng.randrange(den), rng.randrange(0, 12)
         terms_mod = ((w + k * step) % den for k in range(terms))
         verdicts = [_certainty(v - err, v + err, den, t) for v in terms_mod]
         if None in verdicts:
-            raised += 1
+            raised[big] += 1
             with pytest.raises(PrecisionError):
                 near_integer_count(w, step, terms, den, t, err)
         else:
             assert near_integer_count(w, step, terms, den, t, err) == verdicts.count(True)
-    assert raised
+    assert all(raised)
 
 
-@pytest.mark.parametrize("block", [1, 7, exactreal._TERM_BLOCK])
-def test_exact_near_integer_count_matches_a_direct_count(monkeypatch, block):
-    # err = 0: numpy blocks while den and w + (terms-1)*step fit in int64,
-    # the Python loop past that; ragged blocks, t at and past den // 2
-    monkeypatch.setattr(exactreal, "_TERM_BLOCK", block)
-    rng = random.Random(block)
+def test_exact_near_integer_count_matches_a_direct_count():
+    # err = 0 at dens on both sides of int64 and at 2^192; t at and past den // 2
+    rng = random.Random(7)
     for den in (1, 2, 97, 1 << 31, (1 << 62) + 3, (1 << 63) - 1, 1 << 63, 1 << 192):
         for _ in range(20):
             w, step, terms = rng.randrange(den), rng.randrange(den), rng.randrange(0, 40)
@@ -201,3 +202,33 @@ def test_exact_near_integer_count_matches_a_direct_count(monkeypatch, block):
                 want = sum(min(v, den - v) <= t for v in terms_mod)
                 assert near_integer_count(w, step, terms, den, t, 0) == want
     assert near_integer_count(0, 0, 5, 1 << 192, 0, 0) == 5
+
+
+def _signed(rng: random.Random) -> int:
+    size = rng.choice((0, 1, 1 << 200, rng.randrange(1 << rng.randrange(1, 201))))
+    return rng.choice((1, -1)) * size
+
+
+@pytest.mark.parametrize("m", [1, 2, 97, (1 << 62) + 3, 1 << 192])
+def test_floor_sum_matches_the_direct_sum(m):
+    rng = random.Random(m)
+    for n in range(61):
+        for _ in range(8):
+            a, b = _signed(rng), _signed(rng)
+            assert floor_sum(n, a, b, m) == sum((a * i + b) // m for i in range(n))
+    with pytest.raises(ValueError):
+        floor_sum(-1, 1, 0, m)
+    with pytest.raises(ValueError):
+        floor_sum(3, 1, 0, 1 - m)
+
+
+@given(
+    st.integers(0, 10 ** 12),
+    st.integers(0, 10 ** 12),
+    st.integers(-(1 << 200), 1 << 200),
+    st.integers(-(1 << 200), 1 << 200),
+    st.integers(1, 1 << 192),
+)
+def test_floor_sum_splits_at_any_index(n, k, a, b, m):
+    # the first n + k terms are the first n and then k more starting at a*n + b
+    assert floor_sum(n + k, a, b, m) == floor_sum(n, a, b, m) + floor_sum(k, a, a * n + b, m)

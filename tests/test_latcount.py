@@ -1,14 +1,16 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from quadpair.errors import PrecisionError
-from quadpair.exactreal import FixedReal, factorize, sqrt_fixed
+from quadpair.exactreal import FixedReal, factorize, scaled, sqrt_fixed
 from quadpair.latcount import (
     VCountSpec,
     _window_primes,
+    _z_window,
     gauss_reduce,
     lattice_square_count,
     near_multiple_count,
@@ -147,6 +149,24 @@ def test_gauss_reduce_rejects_degenerate():
         gauss_reduce((1.0, 2.0), (2.0, 4.0))
 
 
+def _square_count_by_windows(m: int, beta, delta: Fraction) -> int:
+    # the per-x loop: one certified z-window for each x in -m..m
+    alpha = scaled(beta)
+    count = 0
+    for x in range(-m, m + 1):
+        lo, hi = _z_window(alpha, x, delta)
+        if hi >= lo:
+            count += hi - lo + 1
+    return count
+
+
+def _value_or_none(count, *args):
+    try:
+        return count(*args)
+    except PrecisionError:
+        return None
+
+
 def test_square_count_matches_near_multiple_identity():
     rng = random.Random(16)
     for _ in range(40):
@@ -163,6 +183,37 @@ def test_square_count_identity_fixedreal_beta():
     basis = pair_lattice(100, alpha, Fraction(3, 10))
     res = lattice_square_count(basis)
     assert res.count == 1 + 2 * near_multiple_count(100, alpha, Fraction(3, 10))
+
+
+@pytest.mark.parametrize("kind", ["rational", "wide-delta", "fixed64"])
+def test_square_count_matches_the_per_x_windows(kind):
+    # rational beta of either sign; delta in [1/2, 1), where a window can
+    # hold two integers; 64-bit FixedReals whose error radius is wide enough
+    # that many windows straddle, which must raise exactly where a window does
+    rng = random.Random(kind)
+    raised = 0
+    for _ in range(150):
+        m = rng.randrange(1, 120)
+        if kind == "fixed64":
+            beta = FixedReal(rng.randrange(-(3 << 64), 3 << 64), 64, rng.randrange(1 << rng.randrange(1, 58)))
+        else:
+            beta = Fraction(rng.randrange(-(1 << 30), 1 << 30), rng.randrange(1, 1 << rng.randrange(1, 31)))
+        lo, hi = (500, 1000) if kind == "wide-delta" else (1, 1000)
+        delta = Fraction(rng.randrange(lo, hi), 1000)
+        basis = pair_lattice(m, beta, delta)
+        want = _value_or_none(_square_count_by_windows, m, beta, delta)
+        got = _value_or_none(lambda b: lattice_square_count(b).count, basis)
+        assert got == want
+        raised += want is None
+    assert (raised > 0) == (kind == "fixed64")
+
+
+def test_square_count_reaches_a_billion():
+    alpha, delta = sqrt_fixed(2, 192), Fraction(3, 10)
+    start = time.perf_counter()
+    res = lattice_square_count(pair_lattice(10 ** 9, alpha, delta))
+    assert time.perf_counter() - start < 5  # the per-x loop would take hours
+    assert res.count == 1 + 2 * near_multiple_count(10 ** 9, alpha, delta)
 
 
 def test_square_count_requires_exact_params_without_s():
