@@ -164,7 +164,7 @@ _A4_MODULI = [
 
 
 def criterion_a4(level="desk") -> CriterionResult:
-    """Incremental dispersion profile against direct recomputation, and the
+    """Event-sweep dispersion profile against direct recomputation, and the
     no-growth check of the scaled deviation ratios across the modulus sweep."""
     t0 = time.time()
     for q in range(2, (100 if level == "desk" else 40) + 1):

@@ -132,11 +132,22 @@ def _checked_eta(eta) -> Fraction:
     return eta
 
 
-def delta_star_profile(q: int, eta) -> CongruenceProfile:
-    """Incremental sweep of A(M,q,.) for M = 1..floor(q^(2/3)).
+_EVENT_BLOCK = 1 << 13  # pair entries per block of steps
 
-    Each step M -> M+1 adds the 2M+1 new pairs involving M+1; the per-residue
-    maximum of the scaled deviation is updated after every step.
+
+def delta_star_profile(q: int, eta) -> CongruenceProfile:
+    """Running maximum of |A(M,q,c) q^2 - M^2 A0(q,c)| over M = 1..floor(q^(2/3)),
+    evaluated only where A(., q, c) steps.
+
+    While A(., q, c) is constant the scaled deviation falls as M grows, so
+    its absolute value peaks at the ends of each constant run: at M - 1 and
+    M for every step M that adds a pair to c (an event), and at M = m_max.
+    The unordered pairs n <= m come in ascending m, in blocks of whole steps
+    of at most ``_EVENT_BLOCK`` pairs.  Since A(M, c) = A(M, -c), each pair
+    is keyed by r = min(d, q - d), d = m^2 - n^2 mod q, and counts twice
+    where r = -r off the diagonal; a stable sort by r keeps each residue's
+    events in step order, and A(., r) carries from block to block.  Counts
+    and maxima are mirrored to q - r for the final evaluation at m_max.
     """
     eta = _checked_eta(eta)
     if q < 2:
@@ -145,17 +156,50 @@ def delta_star_profile(q: int, eta) -> CongruenceProfile:
         raise CostGuardError(f"profile sweep is capped at q <= {PROFILE_GUARD}")
     m_max = floor_power(q, Fraction(2, 3))
     a0 = _a0(q)
-    vals = np.arange(1, m_max + 1, dtype=np.int64)
-    sq = (vals * vals) % q
-    a = np.zeros(q, dtype=np.int64)
-    best = np.zeros(q, dtype=np.int64)
+    vals = np.arange(m_max + 1, dtype=np.int32)
+    sq = (vals * vals) % q  # m_max^2 < 2^31
+    half = q // 2
+    a = np.zeros(half + 1, dtype=np.int64)
+    best = np.zeros(half + 1, dtype=np.int64)
     qsq = q * q
-    for m in range(1, m_max + 1):
-        new = sq[m - 1]
-        a += np.bincount((new - sq[:m]) % q, minlength=q).astype(np.int64)
-        if m > 1:
-            a += np.bincount((sq[: m - 1] - new) % q, minlength=q).astype(np.int64)
-        np.maximum(best, np.abs(a * qsq - (m * m) * a0), out=best)
+    lo = 1
+    while lo <= m_max:
+        hi, size = lo, lo
+        while hi < m_max and size + hi + 1 <= _EVENT_BLOCK:
+            hi += 1
+            size += hi
+        steps = np.arange(lo, hi + 1, dtype=np.int32)
+        m = np.repeat(steps, steps)
+        n = np.arange(1, size + 1, dtype=np.int32) - np.repeat(np.cumsum(steps) - steps, steps)
+        # |sq[m] - sq[n]| is d or q - d, d = m^2 - n^2 mod q; r <= q/2 < 2^16
+        d = np.abs(sq[m] - sq[n])
+        r = np.minimum(d, q - d).astype(np.uint16)
+        order = np.argsort(r, kind="stable")
+        r, m = r[order], m[order]
+        # one group per event (r, M), in step order within each residue
+        last = np.flatnonzero(np.append((r[1:] != r[:-1]) | (m[1:] != m[:-1]), True))
+        gr, gm = r[last], m[last]
+        added = np.diff(last, prepend=-1)
+        # r = 0 and r = q/2 count twice, except the diagonal pair (M, M); it
+        # gives every step an r = 0 group, so those are the first hi - lo + 1
+        added[: hi - lo + 1] = 2 * added[: hi - lo + 1] - 1
+        if 2 * half == q:
+            added[np.searchsorted(gr, half) :] *= 2
+        head = np.flatnonzero(np.concatenate(([True], gr[1:] != gr[:-1])))
+        rh = gr[head]
+        after = np.cumsum(added)
+        after -= np.repeat(after[head] - added[head] - a[rh], np.diff(head, append=len(gr)))
+        g0 = a0[gr]
+        dev = np.maximum(
+            np.abs((after - added) * qsq - (gm - 1) ** 2 * g0),
+            np.abs(after * qsq - gm * gm * g0),
+        )
+        best[rh] = np.maximum(best[rh], np.maximum.reduceat(dev, head))
+        a[rh] = after[np.append(head[1:], len(gr)) - 1]
+        lo = hi + 1
+    a = np.concatenate([a, a[q - half - 1 : 0 : -1]])
+    best = np.concatenate([best, best[q - half - 1 : 0 : -1]])
+    np.maximum(best, np.abs(a * qsq - (m_max * m_max) * a0), out=best)
     return CongruenceProfile(q, eta, best, m_max)
 
 
@@ -255,7 +299,7 @@ def dispersion_report(q: int, n: Optional[int] = None, eta=Fraction(1, 200)) -> 
         scaled = count_A(n, q, None) * (q * q) - (n * n) * _a0(q)
         exponent = Fraction(4, 3)
         card = None
-    sum_delta = Fraction(sum(int(v) ** 2 for v in scaled), q ** 4)
+    sum_delta = Fraction(sum(v * v for v in scaled.tolist()), q ** 4)
     bound = float(q) ** float(exponent + 4 * eta) * q1 ** 3
     return DispersionReport(
         q=q,

@@ -12,7 +12,7 @@ from quadpair.cli import fmt_float, load_config, main
 from quadpair.constructor import tail_budget
 from quadpair.errors import PrecisionError
 from quadpair.expsum import quad_sum
-from quadpair.modcount import divisor_sum_ap
+from quadpair.modcount import dispersion_report, divisor_sum_ap
 from quadpair.paircorr import demo_counterexample
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -250,6 +250,19 @@ def test_badset_and_dispersion(tmp_path):
     assert lines[0] == "q,q1,eta,sum_delta_star_sq,bound,ratio,card_bad_set"
     assert lines[1].split(",")[0] == "5"
     assert lines[1].split(",")[3] == fmt_float(Fraction(930, 625))
+
+
+def test_dispersion_range_rows_match_the_library(tmp_path):
+    out = tmp_path / "disp.csv"
+    assert main(["dispersion", "--qlo", "50", "--qhi", "60", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 12
+    for q, line in zip(range(50, 61), lines[1:]):
+        rep = dispersion_report(q, eta=Fraction(1, 200))
+        assert line == (
+            f"{q},{rep.q1},1/200,{fmt_float(rep.sum_delta_sq)},{fmt_float(rep.bound_value)},"
+            f"{fmt_float(rep.ratio)},{rep.card_bad_set}"
+        )
 
 
 def test_badset_profiles_past_the_count_A_cap(capsys):

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -153,6 +154,48 @@ def test_delta_star_incremental_vs_direct():
         assert np.array_equal(prof.delta_star_scaled, best)
 
 
+@lru_cache(maxsize=None)
+def _profile_by_steps(q):
+    # the m_max-step loop: A(M, q, .) after every step M, eight length-q passes each
+    m_max = floor_power(q, Fraction(2, 3))
+    a0 = _a0(q)
+    vals = np.arange(1, m_max + 1, dtype=np.int64)
+    sq = (vals * vals) % q
+    a = np.zeros(q, dtype=np.int64)
+    best = np.zeros(q, dtype=np.int64)
+    qsq = q * q
+    for m in range(1, m_max + 1):
+        new = sq[m - 1]
+        a += np.bincount((new - sq[:m]) % q, minlength=q).astype(np.int64)
+        if m > 1:
+            a += np.bincount((sq[: m - 1] - new) % q, minlength=q).astype(np.int64)
+        np.maximum(best, np.abs(a * qsq - (m * m) * a0), out=best)
+    return best
+
+
+@pytest.mark.parametrize("block", [1, 7, modcount._EVENT_BLOCK])
+def test_event_sweep_matches_the_step_loop(monkeypatch, block):
+    # blocks of 1 and 7 pairs hold one step each past M = 3, so every count
+    # is carried across a block edge; 2^16 and 2^16 + 1 are the moduli where
+    # keys d = m^2 - n^2 mod q would outgrow uint16 (r = min(d, q - d) does
+    # not), and 99991 is the largest prime below PROFILE_GUARD
+    monkeypatch.setattr(modcount, "_EVENT_BLOCK", block)
+    for q in list(range(2, 401)) + [2048, 2187, 2401, 1 << 16, (1 << 16) + 1, 99991]:
+        prof = delta_star_profile(q, ETA)
+        assert prof.delta_star_scaled.dtype == np.int64
+        assert np.array_equal(prof.delta_star_scaled, _profile_by_steps(q)), q
+
+
+def test_event_sweep_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        delta_star_profile(99991, ETA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_delta_star_lower_bound_m1():
     for q in (7, 12, 30):
         prof = delta_star_profile(q, ETA)
@@ -302,6 +345,8 @@ def test_profiles_reach_the_profile_guard():
     assert dispersion_report(40009, n=20).card_bad_set is None
     with pytest.raises(CostGuardError):
         delta_star_profile(PROFILE_GUARD + 1, ETA)
+    # the event sweep sorts the residues min(d, q - d) <= q/2 as uint16
+    assert PROFILE_GUARD // 2 < 1 << 16
 
 
 def test_dispersion_report_power_of_two():
