@@ -175,7 +175,7 @@ def criterion_a4(level="desk") -> CriterionResult:
             a = modcount.count_A(m, q, None)
             np.maximum(best, np.abs(a * q * q - m * m * a0), out=best)
         if not np.array_equal(best, prof.delta_star_scaled):
-            return _finish("A4", t0, False, f"incremental profile mismatch at q={q}")
+            return _finish("A4", t0, False, f"event-sweep profile mismatch at q={q}")
     moduli = _A4_MODULI if level == "desk" else _A4_MODULI[:8]
     rows = []
     for q in moduli:

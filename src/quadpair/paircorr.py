@@ -9,13 +9,18 @@ the sequence at all.
 
 The sorted window finds every window end with numpy ``searchsorted`` on
 int64 keys, the top 62 bits of each sorted numerator (the numerators
-themselves for den <= 2^62).  A key bracket that cannot decide an end is
-resolved by bisecting the exact numerators, so the index ranges, and the
-count built from them, are exact.  The distance sum is an int64 dot product
-of integer weights with the 32-bit limbs of the numerators, one bounded
-slice at a time, so it is exact too.  ``pair_correlation`` leaves its window
-ends on the sequence, and ``weighted_pair_correlation`` at the same
-threshold reads them instead of counting again.
+themselves for den <= 2^62).  A certified window needs its count at both
+ends of an error band, and one search at the band's upper key bound serves
+both: an index whose last taken key is certainly inside the lower end has
+the same exact count at both, and only the few others are bisected on the
+exact numerators, once at each end, so the index ranges, the count built
+from them and the number of pairs inside the band are exact.  Wrapped pairs
+need a search only over the tail of indices whose points reach the first
+one across the wrap.  The distance sum is an int64 dot product of integer
+weights with the 32-bit limbs of the numerators, one bounded slice at a
+time, so it is exact too.  ``pair_correlation`` leaves its window ends on
+the sequence, and ``weighted_pair_correlation`` at the same threshold reads
+them instead of counting again.
 """
 
 from __future__ import annotations
@@ -180,53 +185,73 @@ class PairCorrResult:
 # exact circular window counting
 
 
-def _upto_counts(seq: SequenceModOne, offset: int) -> np.ndarray:
-    """#{j : s_j <= s_i + offset} for every i, exactly, over the sorted
-    numerators s.
+def _upto_counts(seq: SequenceModOne, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """#{j : s_j <= s_i + hi} for every i, exactly, over the sorted
+    numerators s, and the number of pairs (i, j) with s_i + lo < s_j <=
+    s_i + hi; lo <= hi, and lo >= 0 or hi < 0.
 
-    With key shift h, s_i + offset has key key_i + (offset >> h) or one
-    more, so every key up to key_i + (offset >> h) - 1 is certainly in and
-    every key past key_i + (offset >> h) + 1 certainly out.  The count of
-    keys up to the upper bound is exact unless a key it takes in sits in
-    the two-key band; those indices are bisected on the exact integers.  At
-    an offset >= 0 every j <= i is in, so an index that took no key past
-    its own is exact, and a bisection starts past i.
+    With key shift h > 0, s_i + o has key key_i + (o >> h) or one more, so
+    every key up to key_i + (lo >> h) - 1 is certainly in at lo and every
+    key past key_i + (hi >> h) + 1 certainly out at hi (with h = 0 the keys
+    are the numerators, and neither bound needs the extra key).  One search
+    counts the keys up to the upper bound.  An index whose last taken key is
+    certainly in at lo has the same exact count at both ends; the others
+    are bisected on the exact integers at hi and at lo, inside the bracket
+    the two bounds leave.  At lo >= 0 every j <= i is in, so an index that
+    took no key past its own is exact, and a bisection starts past i.  At
+    hi < 0 only the indices from the first one whose key reaches keys[0]
+    take any key, so only that tail is searched (at hi >= 0 it is all).
     """
     keys = seq.sorted_keys()
-    step = offset >> seq.key_shift
-    if not seq.key_shift:
-        return np.searchsorted(keys, keys + step, "right")
-    counts = np.searchsorted(keys, keys + (step + 1), "right")
-    counts -= 1  # the last key taken; keys[-1] where none is, masked out
-    gap = keys[counts]
-    gap -= keys
-    band = np.flatnonzero((gap >= step) & (counts >= 0))
-    if offset >= 0:
-        band = band[counts[band] > band]
-    counts += 1
-    if band.size:
-        s = seq.sorted_nums()
-        los = np.searchsorted(keys, keys[band] + (step - 1), "right")
-        if offset >= 0:
-            np.maximum(los, band + 1, out=los)
-        for i, lo in zip(band.tolist(), los.tolist()):
-            counts[i] = bisect.bisect_right(s, s[i] + offset, lo, int(counts[i]))
-    return counts
+    h = seq.key_shift
+    slack = 1 if h else 0
+    up = (hi >> h) + slack
+    sure = (lo >> h) - slack
+    first = int(np.searchsorted(keys, keys[0] - up))
+    own = keys[first:]
+    full = np.zeros(seq.n, np.intp) if first else None  # the indices before first take no key
+    counts = np.searchsorted(keys, own + up, "right")
+    band = 0
+    if sure < up:  # not h = 0 and lo = hi, where the search is exact
+        counts -= 1  # the last key taken: every index from first on takes keys[0]
+        gap = keys[counts]
+        gap -= own
+        ends = np.flatnonzero(gap > sure)
+        if lo >= 0:
+            ends = ends[counts[ends] > ends]
+        counts += 1
+        if ends.size:
+            s = seq.sorted_nums()
+            starts = np.searchsorted(keys, own[ends] + sure, "right")
+            if lo >= 0:
+                np.maximum(starts, ends + 1, out=starts)
+            for e, start in zip(ends.tolist(), starts.tolist()):
+                v = s[e + first]
+                end = bisect.bisect_right(s, v + hi, start, int(counts[e]))
+                counts[e] = end
+                if lo != hi:
+                    band += end - bisect.bisect_right(s, v + lo, start, end)
+    if full is None:
+        return counts, band
+    full[first:] = counts
+    return full, band
 
 
-def _pair_stats(seq: SequenceModOne, t: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Pairs at circular distance <= t/den as index ranges over the sorted
-    numerators s: (count, F, K), where i < j < F[i] are the pairs with gap
-    s_j - s_i <= min(t, den // 2) and k < K[j] those whose gap past half the
-    circle wraps to a distance den - (s_j - s_k) <= t."""
+def _pair_stats(seq: SequenceModOne, lo: int, hi: int) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """Pairs at circular distance <= hi/den as index ranges over the sorted
+    numerators s, and how many more there are than at lo/den (0 <= lo <= hi):
+    (count, F, K, band), where i < j < F[i] are the pairs with gap
+    s_j - s_i <= min(hi, den // 2) and k < K[j] those whose gap past half the
+    circle wraps to a distance den - (s_j - s_k) <= hi."""
     n = seq.n
-    if t < 0:
-        return 0, np.arange(1, n + 1), np.zeros(n, dtype=np.int64)
+    if hi < 0:
+        return 0, np.arange(1, n + 1), np.zeros(n, dtype=np.int64), 0
     half = seq.den // 2
-    forward = _upto_counts(seq, min(t, half))
-    wrap = _upto_counts(seq, min(t, seq.den - half - 1) - seq.den)
+    wide = seq.den - half - 1  # the largest distance whose gap wraps
+    forward, band = _upto_counts(seq, min(lo, half), min(hi, half))
+    wrap, wrap_band = _upto_counts(seq, min(lo, wide) - seq.den, min(hi, wide) - seq.den)
     count = int(forward.sum()) - n * (n + 1) // 2 + int(wrap.sum())
-    return count, forward, wrap
+    return count, forward, wrap, band + wrap_band
 
 
 def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) -> int:
@@ -263,14 +288,16 @@ def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) ->
 def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     """Fraction of point pairs within x/N on the circle, threshold inclusive.
 
-    With error radius err > 0 the count is taken at lo = max(tau - 2 err, 0)
-    and hi = tau + 2 err, tau = x/N: it is monotone in the threshold, so equal
-    counts certify the count at tau, and unequal ones raise PrecisionError.
+    With error radius err > 0 the count is certified over the band from
+    lo = max(tau - 2 err, 0) to hi = tau + 2 err, tau = x/N: the count is
+    monotone in the threshold, so it is the count at tau when no pair
+    distance lies in (lo, hi], and PrecisionError is raised when one does.
+    One window pass counts the pairs at hi and those in (lo, hi] together.
 
     The window ends at hi are left on the sequence for
-    ``weighted_pair_correlation`` at t = floor(tau * den).  Equal counts at
-    lo and hi mean the pairs at t are the pairs at hi, and whether a pair is
-    forward or wrapped depends only on its gap, so they are the ends at t.
+    ``weighted_pair_correlation`` at t = floor(tau * den).  An empty band
+    means the pairs at t are the pairs at hi, and whether a pair is forward
+    or wrapped depends only on its gap, so they are the ends at t.
     """
     x = Fraction(x)
     if x < 0:
@@ -280,15 +307,12 @@ def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     seq._window = None
     lo = scaled_floor(max(tau - 2 * seq.err, Fraction(0)), seq.den)
     hi = scaled_floor(tau + 2 * seq.err, seq.den)
-    # lo first, so that only the ends at hi are alive once counted
-    low = _pair_stats(seq, lo)[0] if lo != hi else None
-    stats = _pair_stats(seq, hi)
-    count = stats[0]
-    if low is not None and low != count:
+    count, forward, wrap, band = _pair_stats(seq, lo, hi)
+    if band:
         raise PrecisionError(
             f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold"
         )
-    seq._window = (scaled_floor(tau, seq.den), stats)
+    seq._window = (scaled_floor(tau, seq.den), (count, forward, wrap))
     return PairCorrResult(n, x, Fraction(count, n), method="sorted-window", pair_count=count)
 
 
@@ -304,11 +328,14 @@ def _naive_distance_stats(seq: SequenceModOne, t: int) -> tuple[int, int]:
     count = dist_sum = 0
     start = 0
     while start < n - 1:
-        rows = max(1, _PAIR_BLOCK // (n - start - 1))
-        # row i against columns start+1.., kept where the column is past i
-        d = np.abs(a[start:start + rows, None] - a[None, start + 1:])
-        d = np.minimum(d, den - d)
-        near = np.triu(d <= t)
+        rows = min(max(1, _PAIR_BLOCK // (n - start - 1)), n - 1 - start)
+        # row i against columns start+1.., kept where the column is past i:
+        # only the first `rows` columns hold some that are not
+        d = a[start:start + rows, None] - a[None, start + 1:]
+        np.abs(d, out=d)
+        np.minimum(d, den - d, out=d)
+        near = d <= t
+        near[:, :rows] &= ~np.tri(rows, k=-1, dtype=bool)
         count += int(np.count_nonzero(near))
         d = d[near]
         dist_sum += (int((d >> 31).sum()) << 31) + int((d & _LOW31).sum())
@@ -387,7 +414,7 @@ def weighted_pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     t = scaled_floor(tau, seq.den)
     # the window ends pair_correlation left, if they are at t; read once
     window, seq._window = seq._window, None
-    count, forward, wrap = window[1] if window and window[0] == t else _pair_stats(seq, t)
+    count, forward, wrap = window[1] if window and window[0] == t else _pair_stats(seq, t, t)[:3]
     dist_sum = _distance_sum(seq, forward, wrap)
     r0 = 1 + Fraction(2, n) * (count - Fraction(dist_sum, seq.den) / tau)
     return PairCorrResult(n, x, None, r0=r0, method="weighted")

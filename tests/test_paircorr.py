@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,7 +116,7 @@ def test_sorted_vs_naive_property(nums, x):
 
 
 def _window_stats(seq, t):
-    count, forward, wrap = paircorr._pair_stats(seq, t)
+    count, forward, wrap, _ = paircorr._pair_stats(seq, t, t)
     return count, paircorr._distance_sum(seq, forward, wrap)
 
 
@@ -171,6 +172,34 @@ def test_key_band_is_resolved_on_the_exact_integers(monkeypatch):
             assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t)
             assert _window_stats(seq, t)[0] == count
     assert resolved
+
+
+def _brute_ends(nums, den, t):
+    # F[i] = #{j : s_j <= s_i + min(t, den // 2)}, K[i] = #{j : s_j <= s_i +
+    # min(t, den - den // 2 - 1) - den}, straight from their definitions
+    s = sorted(nums)
+    fwd, wide = min(t, den // 2), min(t, den - den // 2 - 1)
+    return ([sum(v <= u + fwd for v in s) for u in s],
+            [sum(v <= u + wide - den for v in s) for u in s])
+
+
+def test_wrapped_counts_are_searched_only_over_the_tail():
+    # points near both ends of the circle, so wrapped pairs exist; K is zero
+    # below the first index whose point reaches s_0 across the wrap, and the
+    # indices past it are the only ones searched
+    rng = random.Random(31)
+    for den in (1000, 1001, 1 << 62, *_KEYED_DENS):
+        for t in (den // 50, den // 2 - 1, den // 2, den // 2 + 1):
+            for n in (1, 2, 3, 50):
+                near = min(t, den // 2)
+                nums = [rng.randrange(near) if rng.random() < 0.5 else den - 1 - rng.randrange(near)
+                        for _ in range(n)]
+                seq = SequenceModOne(nums, den)
+                count, forward, wrap, band = paircorr._pair_stats(seq, t, t)
+                assert band == 0
+                where = (den, t, nums)
+                assert (forward.tolist(), wrap.tolist()) == _brute_ends(nums, den, t), where
+                assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t), where
 
 
 # limb widths: one limb short, two full limbs (the int64 keys' view), the
@@ -524,6 +553,61 @@ def test_certified_quadratic_sequence_matches_its_exact_copy():
         assert pair_correlation(seq, x).pair_count == pair_correlation(_exact_copy(seq), x).pair_count
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_certified_window_on_keyed_dens_matches_its_exact_copy(data):
+    # err from one ulp to several key widths; distances at lo, lo + 1, hi and
+    # hi + 1, their wrapped mirrors, and a key width either side, from a base
+    # point on either side of a key edge; the band is (lo, hi]
+    den = data.draw(st.sampled_from(_KEYED_DENS))
+    width = 1 << SequenceModOne([0], den).key_shift
+    e = data.draw(st.sampled_from([1, 2, width // 3, width - 1, width, width + 1, 3 * width + 5]))
+    tau = data.draw(st.sampled_from([0, 1, 2 * e, width - 1, 5 * width,
+                                     den // 4, den // 2 - 1, den // 2]))
+    tau += data.draw(st.integers(0, 2 * width))
+    lo, hi = max(tau - 2 * e, 0), tau + 2 * e
+    edge = data.draw(st.integers(1, den // width - 1)) * width
+    base = edge + data.draw(st.sampled_from([-1, 0, 1]))
+    dists = [d + k for d in (lo, hi) for k in (0, 1)]
+    dists += [d + k * width for d in dists[:] for k in (-1, 1)]
+    dists += [den - d for d in dists]
+    moves = st.sampled_from([0, *dists])
+    nums = [(base + data.draw(moves)) % den for _ in range(data.draw(st.integers(2, 7)))]
+    seq = SequenceModOne(nums, den, err=Fraction(e, den))
+    x = Fraction(tau * seq.n, den)
+    assert _band(seq, x) == (lo, hi)
+    exact = _exact_copy(seq)
+    at_lo, at_hi = (paircorr._naive_distance_stats(exact, t)[0] for t in (lo, hi))
+    assert paircorr._pair_stats(seq, lo, hi)[::3] == (at_hi, at_hi - at_lo)
+    if at_lo != at_hi:
+        with pytest.raises(PrecisionError):
+            pair_correlation(seq, x)
+    else:
+        assert pair_correlation(seq, x).pair_count == pair_correlation_naive(exact, x).pair_count
+
+
+def test_certified_window_runs_one_full_length_search(monkeypatch):
+    # the forward ends take the only length-N search; the wrapped ends search
+    # a tail of about X indices, the band a handful
+    n = 20_000
+    seq = quadratic_sequence(sqrt_fixed(2, 192), n)
+    assert seq.err > 0
+    seq.sorted_keys()
+    sizes = []
+    search = np.searchsorted
+
+    def spy(keys, values, *args, **kwargs):
+        sizes.append(np.size(values))
+        return search(keys, values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    certified = pair_correlation(seq, 2).pair_count
+    assert sizes.count(n) == 1
+    assert sum(sizes) < n + n // 100
+    monkeypatch.undo()
+    assert certified == pair_correlation(_exact_copy(seq), 2).pair_count
+
+
 _WRAP = 14 << 60  # 3 * (15 * 2^60) = 13 * 2^60 = den - t (mod 2^64)
 
 
@@ -547,26 +631,28 @@ def test_uv_raises_inside_its_guard_band(offset, err_ulp, raises):
 def _spy_pair_stats(monkeypatch):
     calls = []
     original = paircorr._pair_stats
-    monkeypatch.setattr(paircorr, "_pair_stats", lambda seq, t: calls.append(t) or original(seq, t))
+    monkeypatch.setattr(paircorr, "_pair_stats",
+                        lambda seq, lo, hi: calls.append((lo, hi)) or original(seq, lo, hi))
     return calls
 
 
-def test_certified_window_counts_twice_exact_window_once(monkeypatch):
-    # the weighted correlation at the same X reads the ends pair_correlation
-    # left: lo and hi are the only counts on a certified window, one on an
-    # exact one
+def test_certified_window_counts_once_exact_window_once(monkeypatch):
+    # one window pass counts both ends of the certified band, and the
+    # weighted correlation at the same X reads the ends pair_correlation
+    # left, on a certified window and on an exact one
     calls = _spy_pair_stats(monkeypatch)
     seq = quadratic_sequence(sqrt_fixed(2, 192), 500)
     lo, hi = _band(seq, 1)
     assert lo < hi
     certified = pair_correlation(seq, 1).pair_count
+    assert calls == [(lo, hi)]
     weighted_pair_correlation(seq, 1)
-    assert calls == [lo, hi]
+    assert calls == [(lo, hi)]
     calls.clear()
     exact = _exact_copy(seq)
     assert pair_correlation(exact, 1).pair_count == certified
     weighted_pair_correlation(exact, 1)
-    assert len(calls) == 1
+    assert calls == [_band(exact, 1)]
 
 
 def test_weighted_after_pair_correlation_matches_a_fresh_copy(monkeypatch):
@@ -579,7 +665,7 @@ def test_weighted_after_pair_correlation_matches_a_fresh_copy(monkeypatch):
         pair_correlation(seq, 2)
         calls.clear()
         assert weighted_pair_correlation(seq, 2).r0 == fresh(2)
-        assert len(calls) == 1  # the fresh copy's
+        assert calls == [_band(_exact_copy(seq), 2)]  # the fresh copy's, at t alone
         pair_correlation(seq, 2)
         assert weighted_pair_correlation(seq, Fraction(1, 3)).r0 == fresh(Fraction(1, 3))
         assert weighted_pair_correlation(seq, 2).r0 == fresh(2)
