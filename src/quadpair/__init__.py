@@ -26,7 +26,6 @@ from .paircorr import (
     pair_correlation_naive,
     pair_correlation_uv,
     quadratic_sequence,
-    sequence_from_points,
     verify_integral_identities,
     weighted_pair_correlation,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "parse_alpha",
     "q1_part",
     "quadratic_sequence",
-    "sequence_from_points",
     "sqrt_fixed",
     "verify_integral_identities",
     "weighted_pair_correlation",

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import BudgetError, CostGuardError, EmptyRefinementError, PrecisionError
-from .exactreal import floor_power, ge_power, q1_part, scaled
+from .exactreal import cmp_power, floor_power, q1_part, scaled
 from .modcount import bad_set
 
 Q_GUARD = 3000
@@ -142,7 +142,7 @@ def _wide_radius_den(q: int, eta: Fraction) -> int:
 
 @lru_cache(maxsize=None)
 def _class2_flag(q: int, eta: Fraction) -> bool:
-    return ge_power(Fraction(q1_part(q)), q, 2 * eta)
+    return cmp_power(Fraction(q1_part(q)), q, 2 * eta) >= 0
 
 
 def _check_sweep(q_lo: int, q_hi: int) -> None:

@@ -36,7 +36,12 @@ _FACTOR_CAP = 10 ** 12
 
 
 def iroot(n: int, k: int) -> int:
-    """Largest r >= 0 with r**k <= n."""
+    """Largest r >= 0 with r**k <= n: the package's one exact k-th root.
+
+    A root below 2**50 starts from the float estimate exp(log(n)/k), a few
+    units off at most, and is settled by exact comparisons; a larger one
+    runs Newton's iteration down from a power of two above it, with no
+    float in the way."""
     if n < 0 or k < 1:
         raise ValueError("iroot needs n >= 0 and k >= 1")
     if n == 0:
@@ -45,12 +50,15 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    r = 1 << -(-n.bit_length() // k)  # r**k >= n
-    while True:
-        nr = ((k - 1) * r + n // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
+    if n.bit_length() <= 50 * k:
+        r = int(math.exp(math.log(n) / k))
+    else:
+        r = 1 << -(-n.bit_length() // k)  # r**k >= n
+        while True:
+            nr = ((k - 1) * r + n // r ** (k - 1)) // k
+            if nr >= r:
+                break
+            r = nr
     while r ** k > n:
         r -= 1
     while (r + 1) ** k <= n:
@@ -76,10 +84,6 @@ def cmp_power(val: Fraction, base: int, e: Fraction) -> int:
     lhs = val.numerator ** e.denominator
     rhs = base ** e.numerator * val.denominator ** e.denominator
     return (lhs > rhs) - (lhs < rhs)
-
-
-def ge_power(val: Fraction, base: int, e: Fraction) -> bool:
-    return cmp_power(val, base, e) >= 0
 
 
 def primes_upto(limit: int) -> np.ndarray:

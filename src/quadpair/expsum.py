@@ -32,9 +32,6 @@ class ComplexValue:
             raise ValueError("value is not certifiably integral")
         return int(r)
 
-    def __abs__(self) -> float:
-        return math.hypot(self.re, self.im)
-
 
 def _normalize_b(b, q: int) -> tuple[int, int, int, int]:
     b = tuple(int(v) % q for v in b)

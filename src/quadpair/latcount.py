@@ -72,39 +72,21 @@ def _reduce_float(u, v):
     raise ArithmeticError("lattice reduction did not converge")
 
 
-def _reduce_exact_scaled(u, v):
-    # integer Gauss reduction on a scaled copy; used for very skew bases
-    scale = 2.0 ** 53 / max(abs(u[0]), abs(u[1]), abs(v[0]), abs(v[1]), 1e-300)
-    iu = [round(u[0] * scale), round(u[1] * scale)]
-    iv = [round(v[0] * scale), round(v[1] * scale)]
-    for _ in range(100_000):
-        if iu[0] * iu[0] + iu[1] * iu[1] > iv[0] * iv[0] + iv[1] * iv[1]:
-            iu, iv = iv, iu
-        nu = iu[0] * iu[0] + iu[1] * iu[1]
-        if nu == 0:
-            raise ArithmeticError("degenerate basis in exact reduction")
-        dot = iu[0] * iv[0] + iu[1] * iv[1]
-        r = (2 * dot + nu) // (2 * nu) if dot >= 0 else -((-2 * dot + nu) // (2 * nu))
-        if r == 0:
-            break
-        iv = [iv[0] - r * iu[0], iv[1] - r * iu[1]]
-    return (iu[0] / scale, iu[1] / scale), (iv[0] / scale, iv[1] / scale)
-
-
 def gauss_reduce(u, v) -> LatticeBasis2:
     """Lagrange-Gauss reduction of the float basis (u, v); the first vector of
     the result realises the first minimum of that float lattice, certified by
     checking every combination with coefficients in [-2, 2].  Bases
-    conditioned worse than ILL_CONDITION_SQ are reduced in integers on a copy
-    scaled to 2**53 and rounded: entries far below the largest one lose their
-    digits there, and the copy can be degenerate."""
+    conditioned worse than ILL_CONDITION_SQ are refused with ArithmeticError:
+    their float reduction loses the digits that decide the minimum."""
     det = u[0] * v[1] - u[1] * v[0]
     if det == 0 or not math.isfinite(det):
         raise ValueError("degenerate basis")
     if _norm_sq(u) * _norm_sq(v) / (det * det) > ILL_CONDITION_SQ:
-        ru, rv = _reduce_exact_scaled(u, v)
-    else:
-        ru, rv = _reduce_float(u, v)
+        raise ArithmeticError(
+            f"ill-conditioned basis (condition squared above {ILL_CONDITION_SQ:g}): "
+            "its first minimum is not certified"
+        )
+    ru, rv = _reduce_float(u, v)
     lam = math.sqrt(_norm_sq(ru))
     for a in range(-2, 3):
         for b in range(-2, 3):

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuardError
-from .exactreal import euler_phi, factorize, floor_power, q1_part
+from .exactreal import euler_phi, factorize, floor_power, iroot, q1_part
 
 A_ARRAY_GUARD = 10 ** 9
 PROFILE_GUARD = 10 ** 5
@@ -224,17 +224,10 @@ def _bad_threshold(q: int, eta: Fraction) -> int:
     """Least integer T with T^d >= q^n, where n/d = 8/3 - 2 eta.
 
     For an integer sum s of scaled deviations, s/q^2 >= q^(2/3 - 2 eta)
-    exactly when s >= T.  A float estimate is settled by exact comparisons
-    at T - 1 and T.
+    exactly when s >= T.
     """
     e = Fraction(8, 3) - 2 * eta
-    target = q ** e.numerator
-    t = math.ceil(float(q) ** float(e))
-    while (t - 1) ** e.denominator >= target:
-        t -= 1
-    while t ** e.denominator < target:
-        t += 1
-    return t
+    return iroot(q ** e.numerator - 1, e.denominator) + 1
 
 
 def _bad_set_of_profile(profile: CongruenceProfile) -> tuple[int, ...]:

@@ -132,17 +132,6 @@ def _limb_shift(limbs: np.ndarray, shift: int) -> np.ndarray:
     return word.view(np.int64)
 
 
-def sequence_from_points(points) -> SequenceModOne:
-    """Build a sequence from rationals/floats, reduced mod 1."""
-    fracs = [Fraction(p) for p in points]
-    fracs = [p - math.floor(p) for p in fracs]
-    den = 1
-    for p in fracs:
-        den = den * p.denominator // math.gcd(den, p.denominator)
-    nums = [int(p * den) for p in fracs]
-    return SequenceModOne(nums, den)
-
-
 def equally_spaced(n: int) -> SequenceModOne:
     if n < 1:
         raise ValueError("need n >= 1")

@@ -1,0 +1,40 @@
+"""The names the benchmark reaches into the library by.
+
+``perfbench/tracer.py`` wraps the functions in its ``TRACED`` table and
+silently skips one that is missing, so a rename would drop a per-layer
+metric without failing anything; ``perfbench/worker.py`` rebuilds sequences
+with the positional constructor.  The table is read as text, so nothing under
+``perfbench/`` is imported or written.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from quadpair.paircorr import SequenceModOne
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced_table() -> tuple:
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py has no TRACED table")
+
+
+@pytest.mark.parametrize("module, path", [(m, p) for m, p, _ in _traced_table()])
+def test_traced_name_resolves(module, path):
+    owner = importlib.import_module(f"quadpair.{module}")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_sequence_rebuilds_positionally():
+    seq = SequenceModOne([5, 1, 3], 7, "copy")
+    assert seq.provenance == "copy"
+    assert seq.sorted_nums() == [1, 3, 5]

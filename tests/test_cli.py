@@ -60,6 +60,21 @@ def test_arithmetic_errors_are_usage_errors(capsys, argv):
     assert capsys.readouterr().err == "error: Fraction(1, 0)\n"
 
 
+@pytest.mark.parametrize(
+    "beta, delta",
+    [("sqrt:2", "1/100000000000"), ("sqrt:7", "1/100000000000"), ("sqrt:2", "1/10000000")],
+)
+def test_lattice_refuses_ill_conditioned_bases(capsys, beta, delta):
+    # the float reduction cannot certify lambda1 for these skew pair lattices
+    assert main(["lattice", "--M", "100000", "--beta", beta, "--delta", delta]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: ill-conditioned basis (condition squared above 1e+24): "
+        "its first minimum is not certified\n"
+    )
+
+
 def _command_line_section(name: str) -> str:
     text = (ROOT / name).read_text(encoding="utf-8")
     return re.search(r"^## Command line\n.*?(?=^#)", text, re.M | re.S).group(0)

@@ -77,6 +77,30 @@ def test_iroot_defining_property(n, k):
     assert (r + 1) ** k > n
 
 
+@given(st.integers(min_value=0, max_value=1 << 4000), st.integers(min_value=1, max_value=400))
+def test_iroot_defining_property_large(n, k):
+    r = iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+@pytest.mark.parametrize(
+    "root, k",
+    [
+        (root, k)
+        for root in (2, 3, 1000, (1 << 50) - 1, 1 << 50, (1 << 50) + 1, 3 ** 40)
+        for k in (3, 5, 7, 12, 41, 100, 400)
+    ]
+    # roots whose float overflows
+    + [(10 ** 400, 3), (7 ** 500, 2), (3 ** 1000 + 1, 5), (2 ** 1100 - 1, 4)],
+)
+def test_iroot_at_perfect_powers(root, k):
+    # roots on both sides of 2^50, where the float estimate stops being used
+    n = root ** k
+    assert iroot(n - 1, k) == root - 1
+    assert iroot(n, k) == root
+    assert iroot(n + 1, k) == root
+
+
 @given(st.integers(min_value=1, max_value=10 ** 6))
 def test_floor_power_matches_float_estimate(q):
     e = Fraction(2, 3)

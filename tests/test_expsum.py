@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -73,7 +74,8 @@ def test_quad_sum_trivial_bound_and_positivity():
         assert v0.im == 0 and v0.re > 0
         for _ in range(4):
             b = tuple(rng.randrange(q) for _ in range(4))
-            assert abs(quad_sum(b, q)) <= q ** 4 + 1e-6
+            v = quad_sum(b, q)
+            assert math.hypot(v.re, v.im) <= q ** 4 + 1e-6
 
 
 def test_brute_guard():

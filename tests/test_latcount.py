@@ -8,6 +8,7 @@ import pytest
 from quadpair.errors import PrecisionError
 from quadpair.exactreal import FixedReal, factorize, scaled, sqrt_fixed
 from quadpair.latcount import (
+    ILL_CONDITION_SQ,
     VCountSpec,
     _window_primes,
     _z_window,
@@ -147,6 +148,32 @@ def test_hermite_bound():
 def test_gauss_reduce_rejects_degenerate():
     with pytest.raises(ValueError):
         gauss_reduce((1.0, 2.0), (2.0, 4.0))
+
+
+def test_gauss_reduce_refuses_ill_conditioned_bases():
+    # (1, 0), (1, s) has |u|^2 |v|^2 / det^2 = (1 + s^2) / s^2
+    assert (1 + 1e-22) / 1e-22 < ILL_CONDITION_SQ < (1 + 1e-26) / 1e-26
+    assert gauss_reduce((1.0, 0.0), (1.0, 1e-11)).lambda1 == pytest.approx(1e-11, rel=1e-9)
+    with pytest.raises(ArithmeticError, match="ill-conditioned basis"):
+        gauss_reduce((1.0, 0.0), (1.0, 1e-13))
+
+
+@pytest.mark.parametrize(
+    "n, delta, expected",
+    [
+        (2, Fraction(1, 100), ("0.85045492342191198", "0.95779746427224288", "0.88686878916790579")),
+        (3, Fraction(7, 100), ("0.77402581244543411", "0.76046343508145542", "0.78838646554700131")),
+        (131, Fraction(19, 100), ("0.71515477562723784", "0.663306598100464", "0.95548167846868215")),
+        (199, Fraction(1, 100), ("0.64495411732769148", "0.98984406732873775", "0.76077938704728354")),
+    ],
+)
+def test_pair_lattice_lambda1_bytes_are_pinned(n, delta, expected):
+    # the 17-digit lambda1 of the float pair lattice at M = 10^3, 10^4, 10^5,
+    # which the benchmark's lattice rows digest; a change to the reduction
+    # that moves a byte must show here first
+    beta = sqrt_fixed(n, 192)
+    got = tuple(f"{pair_lattice(m, beta, delta).lambda1:.17g}" for m in (1000, 10_000, 100_000))
+    assert got == expected
 
 
 def _square_count_by_windows(m: int, beta, delta: Fraction) -> int:

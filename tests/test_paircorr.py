@@ -18,7 +18,6 @@ from quadpair.paircorr import (
     pair_correlation_naive,
     pair_correlation_uv,
     quadratic_sequence,
-    sequence_from_points,
     verify_integral_identities,
     weighted_pair_correlation,
 )
@@ -49,27 +48,22 @@ def test_quadratic_sequence_matches_higher_precision():
         assert a / lo.den == b / hi.den
 
 
-def test_sequence_from_points_reduces_mod_one():
-    seq = sequence_from_points([0.25, 0.5, 0.75, 1.0])
-    assert (seq.nums, seq.den) == ([1, 2, 3, 0], 4)
-
-
 # ---------------------------------------------------------------------------
 # pair correlation, three ways
 
 
 def test_pair_correlation_coincident_pair():
-    seq = sequence_from_points([Fraction(1, 2), Fraction(1, 2)])
+    seq = SequenceModOne([1, 1], 2)
     assert pair_correlation(seq, 1).r == Fraction(1, 2)
 
 
 def test_pair_correlation_hand_example():
-    seq = sequence_from_points([Fraction(1, 10), Fraction(2, 10), Fraction(5, 10)])
+    seq = SequenceModOne([1, 2, 5], 10)
     assert pair_correlation(seq, Fraction(6, 10)).r == Fraction(1, 3)
 
 
 def test_pair_correlation_zero_window_distinct_points():
-    seq = sequence_from_points([Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)])
+    seq = SequenceModOne([1, 2, 4], 7)
     assert pair_correlation(seq, 0).r == 0
 
 
@@ -85,7 +79,7 @@ def test_naive_equally_spaced_ring():
 
 
 def test_naive_zero_window_coincident():
-    seq = sequence_from_points([Fraction(1, 2), Fraction(1, 2)])
+    seq = SequenceModOne([1, 1], 2)
     assert pair_correlation_naive(seq, 0).r == Fraction(1, 2)
 
 
@@ -329,7 +323,7 @@ def test_weighted_equally_spaced_fractional_window():
 
 
 def test_weighted_single_point():
-    seq = sequence_from_points([Fraction(1, 3)])
+    seq = SequenceModOne([1], 3)
     assert weighted_pair_correlation(seq, 5).r0 == 1
 
 
@@ -406,7 +400,7 @@ def test_monotone_in_window():
 
 
 def test_identities_single_point():
-    seq = sequence_from_points([Fraction(1, 3)])
+    seq = SequenceModOne([1], 3)
     rep = verify_integral_identities(seq, Fraction(1, 2))
     assert rep.int_l == Fraction(1, 2)
     assert rep.int_l2 == Fraction(1, 2)
@@ -421,7 +415,7 @@ def test_identities_equally_spaced():
 
 
 def test_identities_full_window():
-    seq = sequence_from_points([Fraction(1, 9), Fraction(5, 9), Fraction(7, 9)])
+    seq = SequenceModOne([1, 5, 7], 9)
     rep = verify_integral_identities(seq, 3)
     assert rep.int_l == 3
     assert rep.all_ok
