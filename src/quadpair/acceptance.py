@@ -221,9 +221,9 @@ def criterion_a5(level="desk") -> CriterionResult:
 
 
 def criterion_a6(level="desk") -> CriterionResult:
-    """Lattice suite: point-count identity, first minimum vs brute force, the
-    square-count error envelope, the triple-count partition, and the three
-    calibrated box bounds."""
+    """Lattice suite: point-count identity and window sum, first minimum vs
+    brute force, the square-count error envelope, the triple-count partition,
+    and the three calibrated box bounds."""
     t0 = time.time()
     rng = random.Random(606)
     n_id = 100 if level == "desk" else 20
@@ -235,6 +235,14 @@ def criterion_a6(level="desk") -> CriterionResult:
         res = latcount.lattice_square_count(basis)
         if res.count != 1 + 2 * latcount.near_multiple_count(m, beta, delta):
             return _finish("A6", t0, False, f"count identity failed at m={m}")
+        # the same count without floor sums: the window widths over x = -m..m,
+        # floor(beta*x + delta) - ceil(beta*x - delta) + 1 where positive, by
+        # int64 floor division (every operand is below 2^45)
+        bx = beta.numerator * delta.denominator * np.arange(-m, m + 1, dtype=np.int64)
+        big, shift = beta.denominator * delta.denominator, delta.numerator * beta.denominator
+        widths = (bx + shift) // big + (shift - bx) // big + 1
+        if res.count != int(widths[widths > 0].sum()):
+            return _finish("A6", t0, False, f"square count differs from its windows at m={m}")
         s = math.sqrt(m * float(delta))
         if res.error_term > 32 * (s / basis.lambda1 + 1):
             return _finish("A6", t0, False, f"square-count envelope exceeded at m={m}")

@@ -1,7 +1,8 @@
 """Planar lattice counting: near-multiple counts, the rescaled lattice whose
 square section encodes them (both counted exactly by floor sums, in
 O(log den) steps), Lagrange-Gauss reduction with a first minimum certified
-for the float basis it is given, and coprime-triple box counts.
+for the float basis it is given, and coprime-triple box counts (V, V1 and V2
+once per distinct product ab, weighted by its cell count; V* once per cell).
 """
 
 from __future__ import annotations
@@ -224,16 +225,30 @@ def _coprime_hits(alpha: tuple[int, int, int], n: int, delta: Fraction, side: in
     return sum(1 for z in range(zlo, zhi + 1) if math.gcd(side, z) == 1)
 
 
+def _product_hits(spec: VCountSpec, w: Optional[np.ndarray] = None, classified=False):
+    """(n, r(n) * #{z : |alpha*n - z| <= delta, gcd(n, z) = 1}) for each distinct
+    product n with r(n) = #{(a, b) in the box : ab = n} > 0, sqrt(A*B) entries at
+    a time; given the prime-window table w, only the n with (w[n] != 0) == classified."""
+    delta, alpha = Fraction(spec.delta), scaled(spec.alpha)
+    limit = spec.a_bound * spec.b_bound
+    # int16: r(n) is at most the divisor count of n, 448 below V_ENUM_GUARD
+    r = np.zeros(limit + 1, dtype=np.int16)
+    for a in range(1, spec.a_bound + 1):
+        r[a : a * spec.b_bound + 1 : a] += 1
+    step = math.isqrt(limit) + 1
+    for lo in range(0, limit + 1, step):
+        piece = r[lo : lo + step]
+        if w is not None:
+            piece = piece * ((w[lo : lo + step] != 0) == classified)
+        idx = np.flatnonzero(piece)
+        for n, cells in zip((idx + lo).tolist(), piece[idx].tolist()):
+            yield n, cells * _coprime_hits(alpha, n, delta, n)
+
+
 def v_count(spec: VCountSpec) -> int:
     """Triples (a, b, z) in the box with ab coprime to z and alpha*ab within
     delta of z."""
-    delta = Fraction(spec.delta)
-    alpha = scaled(spec.alpha)
-    return sum(
-        _coprime_hits(alpha, a * b, delta, a * b)
-        for a in range(1, spec.a_bound + 1)
-        for b in range(1, spec.b_bound + 1)
-    )
+    return sum(hits for _, hits in _product_hits(spec))
 
 
 def v_star_count(spec: VCountSpec) -> int:
@@ -249,32 +264,16 @@ def v_star_count(spec: VCountSpec) -> int:
 
 def v1_count(spec: VCountSpec) -> int:
     """v_count restricted to products ab free of primes in (p0, p1]."""
-    w = _window_primes(spec)
-    delta = Fraction(spec.delta)
-    alpha = scaled(spec.alpha)
-    return sum(
-        _coprime_hits(alpha, a * b, delta, a * b)
-        for a in range(1, spec.a_bound + 1)
-        for b in range(1, spec.b_bound + 1)
-        if w[a * b] == 0
-    )
+    return sum(hits for _, hits in _product_hits(spec, _window_primes(spec)))
 
 
 def v2_count(spec: VCountSpec) -> dict[int, int]:
     """Complementary counts, classified by the smallest prime of ab in
     (p0, p1], binned into dyadic ranges keyed by the power of two below it."""
     w = _window_primes(spec)
-    delta = Fraction(spec.delta)
-    alpha = scaled(spec.alpha)
     bins: dict[int, int] = {}
-    for a in range(1, spec.a_bound + 1):
-        for b in range(1, spec.b_bound + 1):
-            ab = a * b
-            p = int(w[ab])
-            if p == 0:
-                continue
-            hits = _coprime_hits(alpha, ab, delta, ab)
-            if hits:
-                key = 1 << (p - 1).bit_length() - 1
-                bins[key] = bins.get(key, 0) + hits
+    for n, hits in _product_hits(spec, w, classified=True):
+        if hits:
+            key = 1 << (int(w[n]) - 1).bit_length() - 1
+            bins[key] = bins.get(key, 0) + hits
     return bins

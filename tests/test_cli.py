@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -96,13 +97,73 @@ def test_paper_command_line_section_matches_readme():
     assert _command_line_section("PAPER.md") == _command_line_section("README.md")
 
 
+# sha256 of each README example's stdout and of each file it writes
+README_DIGESTS = {
+    "quadpair paircorr --alpha sqrt:2 --N 100000 --X 0.5,1,2": (
+        "794b62a2201375283c03c4eb0f9af4f4413b51b0552f1d91b9c1c1b2d283b9d4",
+        {},
+    ),
+    "quadpair r0 --alpha rat:3/7 --N 40 --X 1.5": (
+        "ef1d15a902498a4cdd690057b4f07a75e9a95e6f07796ce7b7b6b0e5806181a9",
+        {},
+    ),
+    "quadpair badset --qlo 2 --qhi 50": (
+        "6bafc381e22bec92a97523b75efa1773a531a49672ca0f1bfd094d2d9ea3448e",
+        {},
+    ),
+    "quadpair dispersion --q 101,1009 --N 20": (
+        "6417b380a5e621fe38dbc7a7987dc30598263ca7ffd685e41b99a034521b2931",
+        {},
+    ),
+    "quadpair dispersion --q 101,1009": (
+        "4346b9bce4660792fa6fff758fcd1b4014eb814c7d76b1414fd8be525eaaf8c4",
+        {},
+    ),
+    "quadpair construct --interval 1/3:2/5 --qstart 1000 --qmax 1005 --out cert.json": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        {"cert.json": "e022d7ae17d0c5cde8a60ed6660e500e6ba61a0aff318f4a0486fcd6ef9f1d42"},
+    ),
+    "quadpair verify-avoidance --x 7/20 --qstart 10 --qmax 40": (
+        "09694522d0abe549d3e19461e2496f67f5d7e215385aed02a64026e24822827b",
+        {},
+    ),
+    "quadpair expsum --b 1,0,0,0 --q 21": (
+        "aa74dfa7aa931a5e900555160734dfcf57c154bf104c43d1328731354d15a091",
+        {},
+    ),
+    "quadpair lattice --M 100,200 --beta sqrt:2 --delta 3/10": (
+        "ba716534e1b820935d4e5aadbd5d0323a3ed7cca72a8f0b388904064cdc08e0e",
+        {},
+    ),
+    "quadpair vcounts --A 6 --B 9 --delta 1/2 --alpha rat:2/7 --P0 2 --P1 11": (
+        "b608712f37a1c32360169339b4aafaba4748941313974501a38ae1a2b18e5b63",
+        {},
+    ),
+    "quadpair conjecture2 --N 3000 --q 1009 --samples 50": (
+        "905b2c82fe67f80c88e4b0e8625721de2e5be0541e557317ca3eaad8201fe5e0",
+        {},
+    ),
+    "quadpair divisor-ap --M 20 --q 4 --s 1": (
+        "690ce5869519bad588bd18199e76b222bd57da088b3ba8b29e7e85e1d4d49ee2",
+        {},
+    ),
+}
+
+
 @pytest.mark.parametrize("line", _readme_examples())
 def test_readme_examples_run(tmp_path, monkeypatch, capsys, line):
     monkeypatch.chdir(tmp_path)
     prog, *argv = line.split()
     assert prog == "quadpair"
     code = main(argv)
-    assert code == 0, capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    written = {f.name: _sha256(f.read_bytes()) for f in tmp_path.iterdir()}
+    assert (_sha256(out.encode()), written) == README_DIGESTS[line]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_expsum_json_matches_library(tmp_path):
@@ -310,6 +371,19 @@ def test_vcounts_partition(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["partition_ok"] is True
     assert payload["V"] == payload["V1"] + sum(payload["V2"].values())
+
+
+@pytest.mark.parametrize("box", [("--A", "10000001", "--B", "1"), ("--A", "1", "--B", "10000001")])
+def test_vcounts_box_guard_exits_before_any_table(monkeypatch, capsys, box):
+    assert int(box[1]) * int(box[3]) == latcount.V_ENUM_GUARD + 1
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was allocated")
+
+    monkeypatch.setattr(latcount.np, "zeros", no_table)
+    argv = ["vcounts", *box, "--delta", "1/2", "--alpha", "rat:2/7", "--P0", "2", "--P1", "11"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: box enumeration too large\n")
 
 
 def test_r0_identities(tmp_path):

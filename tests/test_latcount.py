@@ -3,13 +3,17 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from quadpair.errors import PrecisionError
+from quadpair import latcount
+from quadpair.errors import CostGuardError, PrecisionError
 from quadpair.exactreal import FixedReal, factorize, scaled, sqrt_fixed
 from quadpair.latcount import (
     ILL_CONDITION_SQ,
+    V_ENUM_GUARD,
     VCountSpec,
+    _product_hits,
     _window_primes,
     _z_window,
     gauss_reduce,
@@ -317,6 +321,92 @@ def test_v_partition_identity():
             spec = VCountSpec(a_bound, b_bound, delta, alpha, p0, p1)
             bins = v2_count(spec)
             assert v_count(spec) == v1_count(spec) + sum(bins.values())
+
+
+def _cell_v1_v2(spec):
+    """V1 and V2 by their per-cell definitions: every (a, b) of the box, z
+    enumerated, and the window prime of ab taken from factorize.  A cell
+    straddles when some z is within delta of alpha*ab for some but not every
+    alpha in its enclosure; V1 and V2 are each returned as their value, or as
+    PrecisionError if one of their cells straddles."""
+    if isinstance(spec.alpha, FixedReal):
+        lo, hi = spec.alpha.lo, spec.alpha.hi
+    else:
+        lo = hi = Fraction(spec.alpha)
+    delta = Fraction(spec.delta)
+    v1, v2, straddled = 0, {}, [False, False]
+    for a in range(1, spec.a_bound + 1):
+        for b in range(1, spec.b_bound + 1):
+            n = a * b
+            p = min((p for p in factorize(n) if spec.p0 < p <= spec.p1), default=0)
+            zs = range(math.floor(lo * n - delta), math.ceil(hi * n + delta) + 1)
+            some = [z for z in zs if lo * n - delta <= z <= hi * n + delta]
+            every = [z for z in some if abs(lo * n - z) <= delta and abs(hi * n - z) <= delta]
+            if some != every:
+                straddled[p != 0] = True
+                continue
+            hits = sum(1 for z in every if math.gcd(n, z) == 1)
+            if p == 0:
+                v1 += hits
+            elif hits:
+                key = 1 << (p - 1).bit_length() - 1
+                v2[key] = v2.get(key, 0) + hits
+    return (PrecisionError if straddled[0] else v1), (PrecisionError if straddled[1] else v2)
+
+
+def test_v1_v2_match_their_cell_definitions():
+    rng = random.Random(23)
+    outcomes = set()
+    for i in range(80):
+        a_bound = rng.randrange(1, 12)
+        b_bound = rng.randrange(1, 16)
+        p0 = rng.randrange(1, 6)
+        p1 = rng.randrange(p0, 30)
+        d = rng.randrange(1, 7)
+        delta = Fraction(rng.randrange(0, 2 * d), d)
+        if i % 2:
+            alpha = Fraction(rng.randrange(0, 256), 256)
+        else:
+            # 64 bits near c/d, so that alpha*ab +- delta can sit on an integer
+            c = rng.randrange(0, d + 1)
+            mantissa = max(0, (c << 64) // d + rng.randrange(-2, 3))
+            alpha = FixedReal(mantissa, 64, rng.randrange(0, 3))
+        spec = VCountSpec(a_bound, b_bound, delta, alpha, p0, p1)
+        wants = _cell_v1_v2(spec)
+        for count, want in zip((v1_count, v2_count), wants):
+            if want is PrecisionError:
+                with pytest.raises(PrecisionError):
+                    count(spec)
+            else:
+                assert count(spec) == want
+        outcomes.add(tuple(want is PrecisionError for want in wants))
+    # straddles were met in V1 alone, in V2 alone and in neither
+    assert {(True, False), (False, True), (False, False)} <= outcomes
+
+
+@pytest.mark.parametrize("a_bound, b_bound", [(1, 1), (1, 13), (13, 1), (12, 17), (30, 100)])
+def test_product_weights_count_the_box_cells(monkeypatch, a_bound, b_bound):
+    # with every window counting one hit, each product yields its weight r(n)
+    monkeypatch.setattr(latcount, "_coprime_hits", lambda *args: 1)
+    spec = VCountSpec(a_bound, b_bound, Fraction(1, 2), Fraction(1, 3), 2, 7)
+    r = np.bincount(np.outer(np.arange(1, a_bound + 1), np.arange(1, b_bound + 1)).ravel())
+    assert dict(_product_hits(spec)) == {n: int(c) for n, c in enumerate(r) if c}
+    w = _window_primes(spec)
+    for classified in (False, True):
+        assert dict(_product_hits(spec, w, classified)) == {
+            n: int(c) for n, c in enumerate(r) if c and (w[n] != 0) == classified
+        }
+
+
+def test_v_enum_guard_refuses_before_any_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was allocated")
+
+    monkeypatch.setattr(np, "zeros", no_table)
+    VCountSpec(V_ENUM_GUARD, 1, Fraction(1, 2), Fraction(1, 3), 2, 3)
+    for a_bound, b_bound in ((V_ENUM_GUARD + 1, 1), (1, V_ENUM_GUARD + 1)):
+        with pytest.raises(CostGuardError, match="box enumeration too large"):
+            VCountSpec(a_bound, b_bound, Fraction(1, 2), Fraction(1, 3), 2, 3)
 
 
 @pytest.mark.parametrize(
