@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyRefinementError, QuadpairError
-from .exactreal import eval_with_retry, factorize, parse_alpha, sqrt_fixed
+from .exactreal import eval_with_retry, factorize, is_prime, parse_alpha, sqrt_fixed
 from . import latcount, modcount, paircorr
 from .constructor import construct_alpha, enumerate_bad_intervals, interval, subtract, verify_avoidance
 
@@ -40,8 +40,9 @@ def _random_sequence(rng, n, den=1 << 30):
 
 
 def criterion_a1(level="desk") -> CriterionResult:
-    """Sorted-window vs naive counting, and the difference/sum route vs the
-    direct one, exact equality throughout."""
+    """Sorted-window vs naive counting (on the sorted search and on the
+    residue histogram), and the difference/sum route vs the direct one,
+    exact equality throughout."""
     t0 = time.time()
     rng = random.Random(101)
     n_seqs = 200 if level == "desk" else 30
@@ -67,6 +68,35 @@ def criterion_a1(level="desk") -> CriterionResult:
         if uv.pair_count != direct.pair_count:
             return _finish("A1", t0, False, f"uv/direct mismatch at N={n}, X={x}")
         checked += 1
+    # a/q with q <= N: the residue histogram counts every window up to X = 3,
+    # and at X = N/2 (t = q // 2, which reaches the d = q/2 tie) those with
+    # q^2 / 2 below about 64 N; q prime, q even (a odd, so it stays even),
+    # and a sharing a factor with q (kept over q, not reduced)
+    fam = random.Random(107)
+    for i in range(30 if level == "desk" else 6):
+        n = fam.randrange(10, 601)
+        if i % 3 == 0:
+            q = fam.randrange(2, n + 1)
+            while not is_prime(q):
+                q -= 1
+            a = fam.randrange(1, q)
+        elif i % 3 == 1:
+            q = 2 * fam.randrange(1, n // 2 + 1)
+            a = 2 * fam.randrange(q // 2) + 1
+        else:
+            g = fam.choice((2, 3, 5))
+            m = fam.randrange(2, n // g + 1)
+            q, a = g * m, g * fam.randrange(1, m)
+        if i % 3 == 2:
+            seq = paircorr.SequenceModOne([a * k * k % q for k in range(1, n + 1)], q)
+        else:
+            seq = paircorr.quadratic_sequence(Fraction(a, q), n)
+        for x in (0, Fraction(1, 2), 1, 3, Fraction(n, 2)):
+            fast = paircorr.pair_correlation(seq, x)
+            slow = paircorr.pair_correlation_naive(seq, x)
+            if fast.pair_count != slow.pair_count:
+                return _finish("A1", t0, False, f"histogram/naive mismatch at {a}/{q}, N={n}, X={x}")
+            checked += 1
     return _finish("A1", t0, True, f"{checked} exact equalities")
 
 

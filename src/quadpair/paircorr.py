@@ -5,7 +5,8 @@ window counts, triangular-kernel sums and the integral identities all come
 out as exact rationals.  Three independent algorithms compute the pair
 correlation of a quadratic sequence: a sorted circular window in O(N log N),
 a naive O(N^2) oracle, and a difference/sum substitution that never builds
-the sequence at all.
+the sequence at all.  The sorted window has a second kernel for exact
+sequences with a small denominator, the residue histogram below.
 
 The sorted window finds every window end with numpy ``searchsorted`` on
 int64 keys, the top 62 bits of each sorted numerator (the numerators
@@ -21,6 +22,16 @@ weights with the 32-bit limbs of the numerators, one bounded slice at a
 time, so it is exact too.  ``pair_correlation`` leaves its window ends on
 the sequence, and ``weighted_pair_correlation`` at the same threshold reads
 them instead of counting again.
+
+An exact sequence (err == 0) over a small denominator q is counted from its
+residue histogram h[r] = #{k : nums[k] = r} instead, with no sort.  Two
+points lie within t/q exactly when their residues differ by some |d| <= t
+mod q, so the unordered pairs at distance <= t are (h.h - N)/2 plus
+C[d] = sum_r h[r] h[(r + d) mod q] over 1 <= d <= min(t, (q - 1)/2), plus
+C[q/2]/2 when q is even and t >= q/2; the distance sum takes the same terms
+weighted by d.  Each C[d] is two int64 slice dot products, so the cost is
+about q (min(t, (q - 1)/2) + 1), and the histogram serves whenever that is
+at most ``HIST_COST`` * N; the sorted window stays its oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from .errors import CostGuardError, PrecisionError
 from .exactreal import is_prime, near_integer_count, scaled, scaled_floor
 
 NAIVE_GUARD = 5000
+HIST_COST = 64  # the residue histogram counts exact windows of cost den * (terms + 1) <= HIST_COST * N
 SWEEP_GUARD = 4000
 _PAIR_BLOCK = 1 << 16  # pair distances per block of rows in the brute force
 _DOT_BLOCK = 4096  # numerators per slice of the limb matrix and of the distance-sum dot product
@@ -62,6 +74,7 @@ class SequenceModOne:
     _sorted: Optional[list[int]] = field(default=None, repr=False, compare=False)
     _keys: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _limbs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _hist: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     # (t, (count, F, K)) that pair_correlation leaves for
     # weighted_pair_correlation; dropped when read
     _window: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -118,6 +131,12 @@ class SequenceModOne:
             self._limbs = limbs
         return self._limbs
 
+    def residue_histogram(self) -> np.ndarray:
+        """int64 counts h[r] = #{k : nums[k] = r} for r < den, built once."""
+        if self._hist is None:
+            self._hist = np.bincount(np.fromiter(self.nums, np.int64, self.n), minlength=self.den)
+        return self._hist
+
 
 def _limb_shift(limbs: np.ndarray, shift: int) -> np.ndarray:
     """v >> shift as int64 for each row v of uint32 limbs, given that every
@@ -144,14 +163,31 @@ def quadratic_sequence(alpha, n: int) -> SequenceModOne:
         raise ValueError("need n >= 1")
     num, den, err_ulp = scaled(alpha)
     a = num % den
-    nums = [(a * k * k) % den for k in range(1, n + 1)]
     err = Fraction(err_ulp * n * n, den)
     # certification guard: 20 bits of slack below the pair threshold scale
     if err * (2 * n * n) * (1 << 20) > 1:
         raise PrecisionError(
             f"{den.bit_length() - 1} bits cannot certify alpha*k^2 up to k={n}"
         )
-    return SequenceModOne(nums, den, "quadratic", err)
+    hist = None
+    if den < 1 << 31:
+        # every factor is below 2^31, so every product is below 2^62
+        k = np.arange(1, n + 1, dtype=np.int64)
+        k %= den
+        k *= k
+        k %= den
+        k *= a
+        k %= den
+        nums = k.tolist()
+        # cache the histogram while it is no larger than this array; past
+        # that, up to HIST_COST * n, it is built only if a window takes it
+        # (err > 0 passes the guard only with den >= 2^21 n^4)
+        if den <= n:
+            hist = np.bincount(k, minlength=den)
+        del k
+    else:
+        nums = [(a * k * k) % den for k in range(1, n + 1)]
+    return SequenceModOne(nums, den, "quadratic", err, _hist=hist)
 
 
 @dataclass
@@ -160,6 +196,8 @@ class PairCorrResult:
     x: Fraction
     r: Optional[Fraction]
     r0: Optional[Fraction] = None
+    # "sorted-window" names the exact window count, whichever kernel (the
+    # sorted search or the residue histogram) serves it
     method: str = "sorted-window"
     pair_count: Optional[int] = None
 
@@ -243,6 +281,28 @@ def _pair_stats(seq: SequenceModOne, lo: int, hi: int) -> tuple[int, np.ndarray,
     return count, forward, wrap, band + wrap_band
 
 
+def _histogram_stats(seq: SequenceModOne, t: int) -> Optional[tuple[int, int]]:
+    """Count and scaled sum of the pair distances <= t (t >= 0) from the
+    residue histogram, or None when err > 0 or the window costs more than
+    ``HIST_COST`` * N there (see the module docstring)."""
+    q = seq.den
+    terms = min(t, (q - 1) // 2)
+    if seq.err or q * (terms + 1) > HIST_COST * seq.n:
+        return None
+    h = seq.residue_histogram()
+    count = (int(h @ h) - seq.n) // 2
+    dist_sum = 0
+    for d in range(1, terms + 1):
+        c = int(h[:q - d] @ h[d:]) + int(h[q - d:] @ h[:d])
+        count += c
+        dist_sum += d * c
+    if q % 2 == 0 and 2 * t >= q:
+        c = int(h[:q // 2] @ h[q // 2:])  # C[q/2] / 2: residue q/2 is its own mirror
+        count += c
+        dist_sum += q // 2 * c
+    return count, dist_sum
+
+
 def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) -> int:
     """Scaled sum of the pair distances that ``_pair_stats`` counted.
 
@@ -286,7 +346,8 @@ def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     The window ends at hi are left on the sequence for
     ``weighted_pair_correlation`` at t = floor(tau * den).  An empty band
     means the pairs at t are the pairs at hi, and whether a pair is forward
-    or wrapped depends only on its gap, so they are the ends at t.
+    or wrapped depends only on its gap, so they are the ends at t.  A window
+    the residue histogram counts leaves nothing.
     """
     x = Fraction(x)
     if x < 0:
@@ -294,6 +355,9 @@ def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     n = seq.n
     tau = x / n
     seq._window = None
+    stats = _histogram_stats(seq, scaled_floor(tau, seq.den))
+    if stats is not None:
+        return PairCorrResult(n, x, Fraction(stats[0], n), method="sorted-window", pair_count=stats[0])
     lo = scaled_floor(max(tau - 2 * seq.err, Fraction(0)), seq.den)
     hi = scaled_floor(tau + 2 * seq.err, seq.den)
     count, forward, wrap, band = _pair_stats(seq, lo, hi)
@@ -403,8 +467,11 @@ def weighted_pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     t = scaled_floor(tau, seq.den)
     # the window ends pair_correlation left, if they are at t; read once
     window, seq._window = seq._window, None
-    count, forward, wrap = window[1] if window and window[0] == t else _pair_stats(seq, t, t)[:3]
-    dist_sum = _distance_sum(seq, forward, wrap)
+    stats = _histogram_stats(seq, t)
+    if stats is None:
+        count, forward, wrap = window[1] if window and window[0] == t else _pair_stats(seq, t, t)[:3]
+        stats = count, _distance_sum(seq, forward, wrap)
+    count, dist_sum = stats
     r0 = 1 + Fraction(2, n) * (count - Fraction(dist_sum, seq.den) / tau)
     return PairCorrResult(n, x, None, r0=r0, method="weighted")
 

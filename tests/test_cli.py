@@ -166,6 +166,23 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# stdout sha256 of rational windows the residue histogram counts, recorded
+# from the sorted-window search alone: ties, X = 0 and an empty R0
+HISTOGRAM_DIGESTS = {
+    "paircorr --alpha rat:38717/92551 --N 100000 --X 0.25,1,16":
+        "fd82aaa14964635646a7920293e581b734e897c58332038f18db90cb6b80f30c",
+    "paircorr --alpha rat:83/809 --N 20000 --X 0,1/2,16 --format json":
+        "2bc888065bf92db57e9f11ee87d8c9101e8e35d3c9ee304781bbecd39d45b948",
+}
+
+
+@pytest.mark.parametrize("line", HISTOGRAM_DIGESTS)
+def test_histogram_windows_print_the_sorted_window_bytes(capsys, line):
+    code, out = run(line.split(), capsys)
+    assert code == 0
+    assert _sha256(out.encode()) == HISTOGRAM_DIGESTS[line]
+
+
 def test_expsum_json_matches_library(tmp_path):
     out = tmp_path / "e.json"
     assert main(["expsum", "--b", "1,0,0,0", "--q", "21", "--out", str(out)]) == 0

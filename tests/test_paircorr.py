@@ -105,8 +105,13 @@ def test_sorted_vs_naive_seeded_sample():
     st.fractions(min_value=0, max_value=30),
 )
 def test_sorted_vs_naive_property(nums, x):
+    # pair_correlation takes the residue histogram on some of these, so the
+    # sorted window is also called directly
     seq = SequenceModOne([v % 1000 for v in nums], 1000)
-    assert pair_correlation(seq, x).pair_count == pair_correlation_naive(seq, x).pair_count
+    want = pair_correlation_naive(seq, x).pair_count
+    assert pair_correlation(seq, x).pair_count == want
+    t = (x / seq.n).numerator * seq.den // (x / seq.n).denominator
+    assert paircorr._pair_stats(seq, t, t)[0] == want
 
 
 def _window_stats(seq, t):
@@ -651,9 +656,11 @@ def test_certified_window_counts_once_exact_window_once(monkeypatch):
 
 def test_weighted_after_pair_correlation_matches_a_fresh_copy(monkeypatch):
     # the read window, a window at another X (a miss), a second read of the
-    # same X (already dropped) and an X = 0 count before a weighted one
+    # same X (already dropped) and an X = 0 count before a weighted one; the
+    # rational's den is past the residue histogram's cost rule at every X
     calls = _spy_pair_stats(monkeypatch)
-    for seq in (quadratic_sequence(sqrt_fixed(2, 192), 700), quadratic_sequence(Fraction(5, 997), 700)):
+    for seq in (quadratic_sequence(sqrt_fixed(2, 192), 700), quadratic_sequence(Fraction(5, 1 << 16), 700)):
+        assert paircorr._histogram_stats(_exact_copy(seq), 0) is None
         def fresh(x):
             return weighted_pair_correlation(_exact_copy(seq), x).r0
         pair_correlation(seq, 2)
@@ -665,3 +672,129 @@ def test_weighted_after_pair_correlation_matches_a_fresh_copy(monkeypatch):
         assert weighted_pair_correlation(seq, 2).r0 == fresh(2)
         pair_correlation(seq, 0)
         assert weighted_pair_correlation(seq, 5).r0 == fresh(5)
+
+
+# ---------------------------------------------------------------------------
+# the residue histogram: exact sequences over a small denominator
+
+
+def _sorted_search(fn, seq, x):
+    # fn on a fresh exact copy, with the residue histogram serving nothing
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paircorr, "HIST_COST", 0)
+        return fn(_exact_copy(seq), x)
+
+
+def _served(seq, t):
+    return seq.den * (min(t, (seq.den - 1) // 2) + 1) <= paircorr.HIST_COST * seq.n
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_histogram_matches_the_sorted_window_and_naive(data):
+    # quadratic numerators over a reduced a/q, over q with gcd(a, q) > 1 and
+    # arbitrary ones; thresholds at 0, around den/2 (the d = den/2 tie on
+    # even dens) and past den, on both sides of the cost rule
+    den = data.draw(st.sampled_from([1, 2, 3, 4, 6, 12, 97, 128, 809]) | st.integers(1, 1000))
+    n = data.draw(st.integers(1, 200))
+    kind = data.draw(st.sampled_from(["reduced", "shared", "arbitrary"]))
+    if kind == "arbitrary":
+        seq = SequenceModOne(data.draw(st.lists(st.integers(0, den - 1), min_size=n, max_size=n)), den)
+    else:
+        a = data.draw(st.integers(0, den - 1)) * data.draw(st.sampled_from([1, 2, 3, 6])) % den
+        seq = (quadratic_sequence(Fraction(a, den), n) if kind == "reduced"
+               else SequenceModOne([a * k * k % den for k in range(1, n + 1)], den))
+    q = seq.den
+    ts = {0, 1, q // 2 - 1, q // 2, q // 2 + 1, q - 1, q, q + 1, data.draw(st.integers(0, 2 * q))}
+    for t in sorted(t for t in ts if t >= 0):
+        want = _window_stats(seq, t)
+        assert want == paircorr._naive_distance_stats(seq, t)
+        got = paircorr._histogram_stats(seq, t)
+        assert (got is not None) == _served(seq, t)
+        assert got in (None, want), (seq.nums, q, t)
+        x = Fraction(t * n, q)
+        assert pair_correlation(seq, x).pair_count == want[0]
+        if x:
+            assert weighted_pair_correlation(seq, x).r0 == _sorted_search(weighted_pair_correlation, seq, x).r0
+
+
+@pytest.mark.parametrize(
+    "nums, den, x",
+    [
+        ([0] * 5, 1, 0),  # den 1: every pair at distance 0
+        ([0] * 5, 1, 3),
+        ([0, 1, 1, 0, 1], 2, 0),  # den 2: the only nonzero distance is den/2
+        ([0, 1, 1, 0, 1], 2, 2),
+        ([3], 7, 0),  # N = 1
+        ([3], 7, 1),
+        ([0, 5, 5, 2, 7, 9], 10, 5),  # even den, t = den/2 and past it
+        ([0, 5, 5, 2, 7, 9], 10, 9),
+        ([0, 4, 4, 8, 8, 0], 12, Fraction(6, 5)),  # gcd(a, q) > 1: every residue a multiple of 4
+    ],
+)
+def test_histogram_edge_cases_match_the_sorted_search(monkeypatch, nums, den, x):
+    seq = SequenceModOne(nums, den)
+    calls = _spy_pair_stats(monkeypatch)
+    got = pair_correlation(seq, x)
+    r0 = weighted_pair_correlation(seq, x).r0 if x else None
+    assert calls == []
+    assert got.method == "sorted-window"
+    assert got.pair_count == pair_correlation_naive(seq, x).pair_count
+    assert got.pair_count == _sorted_search(pair_correlation, seq, x).pair_count
+    if x:
+        assert r0 == _sorted_search(weighted_pair_correlation, seq, x).r0
+
+
+@pytest.mark.parametrize("n, served", [(8, True), (7, False)])
+def test_histogram_cost_rule_boundary(monkeypatch, n, served):
+    # den 2 HIST_COST at t = 3 costs den * 4 = 8 HIST_COST: served from N = 8
+    den, t = 2 * paircorr.HIST_COST, 3
+    rng = random.Random(n)
+    seq = SequenceModOne([rng.randrange(den) for _ in range(n)], den)
+    x = Fraction(t * n, den)
+    calls = _spy_pair_stats(monkeypatch)
+    count = pair_correlation(seq, x).pair_count
+    r0 = weighted_pair_correlation(seq, x).r0
+    assert calls == ([] if served else [(t, t)])  # the weighted call reads the handoff
+    assert count == pair_correlation_naive(seq, x).pair_count
+    assert r0 == _sorted_search(weighted_pair_correlation, seq, x).r0
+
+
+def test_histogram_serves_only_exact_sequences():
+    seq = SequenceModOne([0, 1, 1], 2, err=Fraction(1, 1000))
+    assert paircorr._histogram_stats(seq, 0) is None
+    assert paircorr._histogram_stats(_exact_copy(seq), 0) == (1, 0)
+
+
+def test_histogram_route_drops_the_window_handoff():
+    # a sorted-window count leaves its ends; a histogram count at the same
+    # sequence must clear them, so no later weighted call reads stale ones
+    seq = quadratic_sequence(Fraction(5, 997), 700)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paircorr, "HIST_COST", 0)
+        pair_correlation(seq, 2)
+    assert seq._window is not None
+    pair_correlation(seq, 2)
+    assert seq._window is None
+
+
+@pytest.mark.parametrize("den", [(1 << 31) - 1, 1 << 31])
+def test_quadratic_numerators_are_exact_at_the_int64_build_limit(den):
+    # the int64 build serves den < 2^31, the list build from 2^31 on
+    n = 10 ** 5
+    for a in (1, den - 1, 1234567891):
+        seq = quadratic_sequence(Fraction(a, den), n)
+        assert seq.den == den
+        assert seq.nums == [(a * k * k) % den for k in range(1, n + 1)]
+        assert type(seq.nums[-1]) is int
+
+
+def test_quadratic_sequence_caches_the_histogram_up_to_den_n():
+    # past den = N it is built from the numerators, only when a window takes it
+    n = 1000
+    seq = quadratic_sequence(Fraction(3, n), n)
+    assert seq._hist.tolist() == SequenceModOne(seq.nums, seq.den).residue_histogram().tolist()
+    seq = quadratic_sequence(Fraction(3, n + 1), n)
+    assert seq._hist is None
+    pair_correlation(seq, 1)
+    assert seq._hist.tolist() == np.bincount(seq.nums, minlength=seq.den).tolist()
