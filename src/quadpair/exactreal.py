@@ -29,6 +29,7 @@ MAX_BITS = 1024
 
 _TRIAL_LIMIT = 10 ** 6
 _FACTOR_CAP = 10 ** 12
+_MUL_BLOCK = 1 << 14  # rows of the limb product built at a time
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +264,41 @@ def near_integer_count(w: int, step: int, terms: int, den: int, t: int, err: int
     if err and (above(t - err + 1) != start or above(den - t + err) != stop):
         raise PrecisionError("a term lands within the error radius of the threshold")
     return terms - max(start - stop, 0)
+
+
+def mul_mod_pow2_limbs(a: int, m: np.ndarray, bits: int) -> np.ndarray:
+    """(a * m) mod 2^bits for each m of a non-negative int64 array, as rows
+    of ceil(bits / 32) little-endian uint32 limbs.
+
+    a mod 2^bits and every m are cut into 24-bit limbs, so each partial
+    product is below 2^48 and a 24-bit column sums at most three of them;
+    with the carry from the column below, every column stays below 2^50 in
+    uint64, and one carry pass from the bottom finishes the product.  The
+    top column is masked to ``bits``, and each 32-bit limb is read off the
+    two 24-bit columns it spans.  Rows are built ``_MUL_BLOCK`` at a time,
+    so the work arrays stay small however long m is."""
+    cols = -(-bits // 24)
+    digit = np.uint64((1 << 24) - 1)
+    a_limbs = [np.uint64((a >> 24 * i) & ((1 << 24) - 1)) for i in range(cols)]
+    m_cols = -(-int(m.max(initial=0)).bit_length() // 24)
+    out = np.empty((len(m), -(-bits // 32)), np.uint32)
+    for start in range(0, len(m), _MUL_BLOCK):
+        block = m[start:start + _MUL_BLOCK].astype(np.uint64)
+        parts = [(block >> np.uint64(24 * j)) & digit for j in range(m_cols)]
+        column = []
+        carry = np.zeros_like(block)
+        for i in range(cols):
+            for j in range(min(i + 1, m_cols)):
+                carry += a_limbs[i - j] * parts[j]
+            column.append(carry & digit)
+            carry >>= np.uint64(24)
+        column[-1] &= np.uint64((1 << bits - 24 * (cols - 1)) - 1)
+        column.append(np.zeros_like(block))
+        rows = out[start:start + _MUL_BLOCK]
+        for w in range(out.shape[1]):
+            i, r = divmod(32 * w, 24)
+            rows[:, w] = (column[i] >> np.uint64(r)) | (column[i + 1] << np.uint64(24 - r))
+    return out
 
 
 def fixed_from_fraction(fr: Fraction, bits: int = DEFAULT_BITS) -> FixedReal:

@@ -8,6 +8,11 @@ a naive O(N^2) oracle, and a difference/sum substitution that never builds
 the sequence at all.  The sorted window has a second kernel for exact
 sequences with a small denominator, the residue histogram below.
 
+A quadratic sequence over den = 2^bits (every ``FixedReal`` alpha) is built
+as rows of uint32 limbs by one numpy limb product and sorted by one
+``argsort`` of its int64 keys, so the sorted window starts with no Python
+int; the numerators become Python ints only when something reads them.
+
 The sorted window finds every window end with numpy ``searchsorted`` on
 int64 keys, the top 62 bits of each sorted numerator (the numerators
 themselves for den <= 2^62).  A certified window needs its count at both
@@ -31,7 +36,8 @@ C[d] = sum_r h[r] h[(r + d) mod q] over 1 <= d <= min(t, (q - 1)/2), plus
 C[q/2]/2 when q is even and t >= q/2; the distance sum takes the same terms
 weighted by d.  Each C[d] is two int64 slice dot products, so the cost is
 about q (min(t, (q - 1)/2) + 1), and the histogram serves whenever that is
-at most ``HIST_COST`` * N; the sorted window stays its oracle.
+at most ``HIST_COST`` * N and q <= ``HIST_DEN`` * N, which bounds its memory
+to ``HIST_DEN`` counts a point; the sorted window stays its oracle.
 """
 
 from __future__ import annotations
@@ -39,17 +45,18 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .errors import CostGuardError, PrecisionError
-from .exactreal import is_prime, near_integer_count, scaled, scaled_floor
+from .exactreal import is_prime, mul_mod_pow2_limbs, near_integer_count, scaled, scaled_floor
 
 NAIVE_GUARD = 5000
 HIST_COST = 64  # the residue histogram counts exact windows of cost den * (terms + 1) <= HIST_COST * N
+HIST_DEN = 8  # ... over den <= HIST_DEN * N, so that it holds at most HIST_DEN int64 counts a point
 SWEEP_GUARD = 4000
 _PAIR_BLOCK = 1 << 16  # pair distances per block of rows in the brute force
 _DOT_BLOCK = 4096  # numerators per slice of the limb matrix and of the distance-sum dot product
@@ -58,42 +65,80 @@ _LOW31 = (1 << 31) - 1
 _DOT_RANGE = 1 << 31  # slice length times max |weight|: keeps every 32-bit limb dot below 2^63
 
 
-@dataclass
 class SequenceModOne:
     """N fractional parts, all over one common denominator.
 
     ``nums[k] / den`` is the k-th point; ``err`` is a certified radius such
     that the intended point differs from the stored one by at most ``err``
     (mod 1).  Exactly constructed sequences have ``err == 0``.
+
+    A sequence built from a list keeps it as ``nums`` and sorts it, keys it
+    and cuts it into limbs only when a count asks for them.  One built by
+    ``from_limbs`` is held the other way round, as its sorted keys, sorted
+    limb rows and sort order; ``nums`` and ``sorted_nums()`` are Python ints
+    read off the limbs the first time something asks for them (the naive
+    count, the identity sweep, a bisection in ``_upto_counts``).
     """
 
-    nums: list[int]
-    den: int
-    provenance: str = "explicit"
-    err: Fraction = Fraction(0)
-    _sorted: Optional[list[int]] = field(default=None, repr=False, compare=False)
-    _keys: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _limbs: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _hist: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    # (t, (count, F, K)) that pair_correlation leaves for
-    # weighted_pair_correlation; dropped when read
-    _window: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.nums:
+    def __init__(self, nums: list[int], den: int, provenance: str = "explicit",
+                 err: Fraction = Fraction(0), *, _hist: Optional[np.ndarray] = None):
+        if not nums:
             raise ValueError("sequence must have length >= 1")
-        if self.den < 1:
+        if den < 1:
             raise ValueError("denominator must be positive")
-        if min(self.nums) < 0 or max(self.nums) >= self.den:
+        if min(nums) < 0 or max(nums) >= den:
             raise ValueError("numerators must lie in [0, den)")
+        self._start(len(nums), den, provenance, err)
+        self._nums = nums
+        self._hist = _hist
+
+    @classmethod
+    def from_limbs(cls, limbs: np.ndarray, den: int, provenance: str = "explicit",
+                   err: Fraction = Fraction(0)) -> "SequenceModOne":
+        """The sequence whose k-th numerator is row k of ``limbs``, little-endian
+        uint32 limbs of values below den, for den past 2^62 (key shift > 0).
+
+        One ``argsort`` of the int64 keys orders it; if two adjacent sorted
+        keys are equal, one ``lexsort`` over all limbs does instead, which
+        leaves the sorted keys as they are."""
+        seq = cls.__new__(cls)
+        seq._start(len(limbs), den, provenance, err)
+        keys = _limb_shift(limbs, seq.key_shift)
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            order = np.lexsort(limbs.T)
+        seq._order, seq._keys, seq._limbs = order, keys, limbs[order]
+        return seq
+
+    def _start(self, n: int, den: int, provenance: str, err: Fraction) -> None:
+        self.n, self.den, self.provenance, self.err = n, den, provenance, err
+        self._nums: Optional[list[int]] = None
+        self._order: Optional[np.ndarray] = None  # sort order of a from_limbs sequence
+        self._sorted: Optional[list[int]] = None
+        self._keys: Optional[np.ndarray] = None
+        self._limbs: Optional[np.ndarray] = None
+        self._hist: Optional[np.ndarray] = None
+        # (t, (count, F, K)) that pair_correlation leaves for
+        # weighted_pair_correlation; dropped when read
+        self._window: Optional[tuple] = None
 
     @property
-    def n(self) -> int:
-        return len(self.nums)
+    def nums(self) -> list[int]:
+        if self._nums is None:
+            nums = np.empty(self.n, object)
+            nums[self._order] = self.sorted_nums()
+            self._nums = nums.tolist()
+        return self._nums
 
     def sorted_nums(self) -> list[int]:
         if self._sorted is None:
-            self._sorted = sorted(self.nums)
+            if self._order is None:
+                self._sorted = sorted(self._nums)
+            else:
+                raw = self._limbs.tobytes()
+                size = 4 * self._limbs.shape[1]
+                self._sorted = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
         return self._sorted
 
     @property
@@ -116,7 +161,8 @@ class SequenceModOne:
         """The sorted numerators as rows of little-endian uint32 limbs.
 
         For den <= 2^62 this is a view of the int64 keys, two limbs a row;
-        past it the matrix is built once, a slice at a time through
+        past it the matrix is the one ``from_limbs`` sorted, or is built
+        once from ``sorted_nums()``, a slice at a time through
         ``int.to_bytes``, and kept.
         """
         if not self.key_shift:
@@ -158,7 +204,20 @@ def equally_spaced(n: int) -> SequenceModOne:
 
 
 def quadratic_sequence(alpha, n: int) -> SequenceModOne:
-    """Points alpha * k^2 mod 1 for k = 1..n, certified well below 1/(2 n^2)."""
+    """Points alpha * k^2 mod 1 for k = 1..n, certified well below 1/(2 n^2).
+
+    With alpha = num/den (``scaled``), the numerators a * k^2 mod den, a =
+    num mod den, are built one of three ways:
+
+    * den < 2^31 (rationals only): in int64 numpy, every product below
+      2^62, then one ``tolist``; the residue histogram is cached too while
+      den <= n;
+    * den = 2^bits past 2^62 (every ``FixedReal``): as uint32 limb rows by
+      ``mul_mod_pow2_limbs``, handed to ``SequenceModOne.from_limbs``, which
+      sorts them; no Python int is made until ``nums`` or ``sorted_nums()``
+      is read;
+    * any other den: a Python list, the oracle for the other two.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     num, den, err_ulp = scaled(alpha)
@@ -169,6 +228,13 @@ def quadratic_sequence(alpha, n: int) -> SequenceModOne:
         raise PrecisionError(
             f"{den.bit_length() - 1} bits cannot certify alpha*k^2 up to k={n}"
         )
+    bits = den.bit_length() - 1
+    if den == 1 << bits and bits > _KEY_BITS:
+        k = np.arange(1, n + 1, dtype=np.int64)
+        k *= k
+        limbs = mul_mod_pow2_limbs(a, k, bits)
+        del k
+        return SequenceModOne.from_limbs(limbs, den, "quadratic", err)
     hist = None
     if den < 1 << 31:
         # every factor is below 2^31, so every product is below 2^62
@@ -180,7 +246,7 @@ def quadratic_sequence(alpha, n: int) -> SequenceModOne:
         k %= den
         nums = k.tolist()
         # cache the histogram while it is no larger than this array; past
-        # that, up to HIST_COST * n, it is built only if a window takes it
+        # that, up to HIST_DEN * n, it is built only if a window takes it
         # (err > 0 passes the guard only with den >= 2^21 n^4)
         if den <= n:
             hist = np.bincount(k, minlength=den)
@@ -283,11 +349,12 @@ def _pair_stats(seq: SequenceModOne, lo: int, hi: int) -> tuple[int, np.ndarray,
 
 def _histogram_stats(seq: SequenceModOne, t: int) -> Optional[tuple[int, int]]:
     """Count and scaled sum of the pair distances <= t (t >= 0) from the
-    residue histogram, or None when err > 0 or the window costs more than
-    ``HIST_COST`` * N there (see the module docstring)."""
+    residue histogram, or None when err > 0, den > ``HIST_DEN`` * N or the
+    window costs more than ``HIST_COST`` * N there (see the module
+    docstring)."""
     q = seq.den
     terms = min(t, (q - 1) // 2)
-    if seq.err or q * (terms + 1) > HIST_COST * seq.n:
+    if seq.err or q * (terms + 1) > HIST_COST * seq.n or q > HIST_DEN * seq.n:
         return None
     h = seq.residue_histogram()
     count = (int(h @ h) - seq.n) // 2

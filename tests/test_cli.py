@@ -183,6 +183,14 @@ def test_histogram_windows_print_the_sorted_window_bytes(capsys, line):
     assert _sha256(out.encode()) == HISTOGRAM_DIGESTS[line]
 
 
+def test_million_point_paircorr_bytes_are_pinned(capsys):
+    # the sorted limb rows at N = 10^6 and 192 bits; recorded from the
+    # Python-int list build they replaced
+    code, out = run(["paircorr", "--alpha", "sqrt:2", "--N", "1000000", "--X", "1"], capsys)
+    assert code == 0
+    assert _sha256(out.encode()) == "de45f5086bce315cc06d4bb41890d141ca08dca7d3aaf48c8d48cf06e16acb58"
+
+
 def test_expsum_json_matches_library(tmp_path):
     out = tmp_path / "e.json"
     assert main(["expsum", "--b", "1,0,0,0", "--q", "21", "--out", str(out)]) == 0

@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadpair import exactreal
 from quadpair.errors import PrecisionError
 from quadpair.exactreal import (
     cmp_power,
@@ -16,6 +18,7 @@ from quadpair.exactreal import (
     floor_sum,
     iroot,
     is_prime,
+    mul_mod_pow2_limbs,
     near_integer_count,
     parse_alpha,
     primes_upto,
@@ -257,3 +260,26 @@ def test_floor_sum_matches_the_direct_sum(m):
 def test_floor_sum_splits_at_any_index(n, k, a, b, m):
     # the first n + k terms are the first n and then k more starting at a*n + b
     assert floor_sum(n + k, a, b, m) == floor_sum(n, a, b, m) + floor_sum(k, a, a * n + b, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_limb_product_matches_python_ints(data):
+    # widths with a partly used top 24-bit column or 32-bit limb, a past
+    # 2^bits, m up to 63 bits (three 24-bit limbs), zeros and the extremes
+    bits = data.draw(st.sampled_from([1, 23, 24, 31, 32, 48, 63, 64, 65, 100, 192, 1024]))
+    a = data.draw(st.integers(0, (1 << bits + 30) - 1) | st.sampled_from([0, 1, (1 << bits) - 1]))
+    ms = data.draw(st.lists(st.integers(0, (1 << 63) - 1) | st.integers(0, 1 << 24), max_size=40))
+    out = mul_mod_pow2_limbs(a, np.array(ms + [0, (1 << 63) - 1], np.int64), bits)
+    assert out.dtype == np.uint32 and out.shape == (len(ms) + 2, -(-bits // 32))
+    got = [int.from_bytes(row.tobytes(), "little") for row in out]
+    assert got == [a * m % (1 << bits) for m in ms + [0, (1 << 63) - 1]]
+
+
+def test_limb_product_is_built_in_blocks(monkeypatch):
+    # one-row and ragged last blocks, m of three 24-bit limbs
+    monkeypatch.setattr(exactreal, "_MUL_BLOCK", 7)
+    m = np.arange(50, dtype=np.int64) ** 9 * 1009
+    a = (1 << 191) + 12345
+    got = [int.from_bytes(row.tobytes(), "little") for row in mul_mod_pow2_limbs(a, m, 192)]
+    assert got == [a * int(v) % (1 << 192) for v in m]

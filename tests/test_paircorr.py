@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quadpair import paircorr
 from quadpair.errors import CostGuardError, PrecisionError
-from quadpair.exactreal import FixedReal, sqrt_fixed
+from quadpair.exactreal import FixedReal, scaled, sqrt_fixed
 from quadpair.paircorr import (
     PairCorrResult,
     SequenceModOne,
@@ -686,7 +686,8 @@ def _sorted_search(fn, seq, x):
 
 
 def _served(seq, t):
-    return seq.den * (min(t, (seq.den - 1) // 2) + 1) <= paircorr.HIST_COST * seq.n
+    return (seq.den * (min(t, (seq.den - 1) // 2) + 1) <= paircorr.HIST_COST * seq.n
+            and seq.den <= paircorr.HIST_DEN * seq.n)
 
 
 @settings(max_examples=120, deadline=None)
@@ -747,8 +748,11 @@ def test_histogram_edge_cases_match_the_sorted_search(monkeypatch, nums, den, x)
 
 @pytest.mark.parametrize("n, served", [(8, True), (7, False)])
 def test_histogram_cost_rule_boundary(monkeypatch, n, served):
-    # den 2 HIST_COST at t = 3 costs den * 4 = 8 HIST_COST: served from N = 8
-    den, t = 2 * paircorr.HIST_COST, 3
+    # den HIST_COST / 2 at t = den/2 - 1 costs den * den/2 = 8 HIST_COST:
+    # served from N = 8, and den <= HIST_DEN * N on both sides
+    den = paircorr.HIST_COST // 2
+    t = den // 2 - 1
+    assert den <= paircorr.HIST_DEN * 7
     rng = random.Random(n)
     seq = SequenceModOne([rng.randrange(den) for _ in range(n)], den)
     x = Fraction(t * n, den)
@@ -756,6 +760,24 @@ def test_histogram_cost_rule_boundary(monkeypatch, n, served):
     count = pair_correlation(seq, x).pair_count
     r0 = weighted_pair_correlation(seq, x).r0
     assert calls == ([] if served else [(t, t)])  # the weighted call reads the handoff
+    assert count == pair_correlation_naive(seq, x).pair_count
+    assert r0 == _sorted_search(weighted_pair_correlation, seq, x).r0
+
+
+@pytest.mark.parametrize("n, served", [(16, True), (15, False)])
+def test_histogram_memory_rule_boundary(monkeypatch, n, served):
+    # den 16 HIST_DEN at t = 0 costs den <= 64 N, but holds den counts:
+    # served from N = 16
+    den = 16 * paircorr.HIST_DEN
+    rng = random.Random(n)
+    seq = SequenceModOne([rng.randrange(den) for _ in range(n)], den)
+    x = Fraction(n, 2 * den)  # t = 0
+    assert den <= paircorr.HIST_COST * n
+    calls = _spy_pair_stats(monkeypatch)
+    count = pair_correlation(seq, x).pair_count
+    r0 = weighted_pair_correlation(seq, x).r0
+    assert calls == ([] if served else [(0, 0)])
+    assert (seq._hist is not None) == served
     assert count == pair_correlation_naive(seq, x).pair_count
     assert r0 == _sorted_search(weighted_pair_correlation, seq, x).r0
 
@@ -798,3 +820,98 @@ def test_quadratic_sequence_caches_the_histogram_up_to_den_n():
     assert seq._hist is None
     pair_correlation(seq, 1)
     assert seq._hist.tolist() == np.bincount(seq.nums, minlength=seq.den).tolist()
+
+
+# ---------------------------------------------------------------------------
+# sequences over den = 2^bits: the limb product against the Python-int list
+
+
+_WINDOWS = tuple(Fraction(x) for x in ("1/4", "1/2", "1", "2", "4", "8", "16"))  # the benchmark's
+
+
+def _list_build(alpha, n):
+    # the Python-int build the limb product replaces, with the same error radius
+    num, den, err_ulp = scaled(alpha)
+    return SequenceModOne([(num % den) * k * k % den for k in range(1, n + 1)], den,
+                          err=Fraction(err_ulp * n * n, den))
+
+
+def _check_limb_build(alpha, n, windows=_WINDOWS):
+    # keys and limbs before any Python int exists, then the windows (certified
+    # or raising on both), then the ints read off the limbs
+    seq, want = quadratic_sequence(alpha, n), _list_build(alpha, n)
+    assert seq._order is not None and seq._nums is None and seq._sorted is None
+    assert (seq.n, seq.den, seq.err) == (want.n, want.den, want.err)
+    assert seq.sorted_keys().tolist() == want.sorted_keys().tolist()
+    assert np.array_equal(seq.sorted_limbs(), want.sorted_limbs())
+    for x in windows:
+        try:
+            count = pair_correlation(seq, x).pair_count
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                pair_correlation(want, x)
+            continue
+        assert count == pair_correlation(want, x).pair_count
+        if x:
+            assert weighted_pair_correlation(seq, x).r0 == weighted_pair_correlation(want, x).r0
+    assert seq.sorted_nums() == want.sorted_nums()
+    assert seq.nums == want.nums
+    assert type(seq.nums[-1]) is int
+    return seq
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_limb_build_matches_the_list_build(data):
+    # random mantissas, mantissas whose products repeat (equal keys), and
+    # every err_ulp from 0 to the largest the precision guard lets through
+    bits = data.draw(st.sampled_from([64, 65, 100, 192, 384, 1024]))
+    n = data.draw(st.integers(1, 5000))
+    repeats = st.integers(0, 15).map(lambda r: (2 * r + 1) << bits - 4)
+    mantissa = data.draw(st.integers(0, (1 << bits) - 1) | repeats)
+    widest = (1 << bits) // (n ** 4 << 21)
+    err_ulp = data.draw(st.integers(0, widest) | st.sampled_from([0, widest]))
+    _check_limb_build(FixedReal(mantissa, bits, err_ulp), n, (0, *_WINDOWS))
+
+
+def test_limb_build_matches_the_list_build_at_desk_scale():
+    _check_limb_build(sqrt_fixed(2, 192), 10 ** 5)
+
+
+# a * 3 = -1 (mod 2^64): a * 2^2 = a * 1^2 - 1, one key apart from a at most;
+# a = 1 (mod 4), so both share the key a >> 2, larger one first
+_TIED = FixedReal(0x5555555555555555, 64, 0)
+
+
+def test_equal_keys_are_ordered_on_every_limb(monkeypatch):
+    lexsorts = []
+    monkeypatch.setattr(np, "lexsort", lambda keys, _f=np.lexsort: lexsorts.append(keys) or _f(keys))
+    for n in (2, 3, 100):
+        seq = _check_limb_build(_TIED, n, (0, 1))
+        s = seq.sorted_nums()
+        assert s.index(_TIED.mantissa - 1) + 1 == s.index(_TIED.mantissa)
+        for x in (0, 1, 16):
+            assert pair_correlation(seq, x).pair_count == pair_correlation_naive(seq, x).pair_count
+    assert len(lexsorts) == 3
+
+
+def test_bisection_reads_the_sorted_ints_off_the_limbs():
+    # at X = 0 the tied pair's first index takes the second one's key, so
+    # _upto_counts bisects on the exact ints, which only the limbs hold
+    seq = quadratic_sequence(_TIED, 2)
+    assert seq._sorted is None
+    assert pair_correlation(seq, 0).pair_count == 0
+    assert seq._sorted == [_TIED.mantissa - 1, _TIED.mantissa]
+    assert pair_correlation(seq, 1).pair_count == 1
+
+
+def test_limb_sequence_rebuilds_from_its_nums():
+    # what the benchmark's err-0 recount does: the positional constructor on
+    # nums read off the limbs gives the same sorted sequence and counts
+    seq = quadratic_sequence(sqrt_fixed(2, 192), 3000)
+    copy = SequenceModOne(seq.nums, seq.den, seq.provenance)
+    assert copy.provenance == "quadratic" and copy.err == 0
+    assert copy.sorted_nums() == seq.sorted_nums()
+    assert np.array_equal(copy.sorted_limbs(), seq.sorted_limbs())
+    for x in _WINDOWS:
+        assert pair_correlation(copy, x).pair_count == pair_correlation(seq, x).pair_count
