@@ -29,7 +29,7 @@ MAX_BITS = 1024
 
 _TRIAL_LIMIT = 10 ** 6
 _FACTOR_CAP = 10 ** 12
-_MUL_BLOCK = 1 << 14  # rows of the limb product built at a time
+_MUL_BLOCK = 1 << 14  # values of a numpy modular product built at a time
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +299,39 @@ def mul_mod_pow2_limbs(a: int, m: np.ndarray, bits: int) -> np.ndarray:
             i, r = divmod(32 * w, 24)
             rows[:, w] = (column[i] >> np.uint64(r)) | (column[i + 1] << np.uint64(24 - r))
     return out
+
+
+def mul_mod_int64(a: int, m: np.ndarray, den: int) -> np.ndarray:
+    """(a * m) mod den in place over a non-negative int64 array m, for
+    0 <= a < den <= 2^62, every m below den, and below 2^51 too once den >=
+    2^31.
+
+    Below 2^31 every product a * m is below 2^62 and is reduced directly.
+    From 2^31 on the quotient comes from floats: with c = a/den, m < 2^51
+    exact as a float, and p = fl(m * fl(c)), round-to-nearest gives
+    |p - m c| <= m c (2^-52 + 2^-106) < 1/2 + 2^-54, so q = floor(p) lies in
+    (m c - 3/2 - 2^-54, m c + 1/2 + 2^-54) and r = a m - q den = den (m c - q)
+    in (-den, 2 den), inside (-2^63, 2^63) because den <= 2^62.  The uint64
+    products wrap mod 2^64, so their difference read as int64 is r itself,
+    and adding or subtracting one den lands it in [0, den).  The quotients
+    are taken ``_MUL_BLOCK`` values at a time, so the work arrays stay small
+    however long m is."""
+    if den < 1 << 31:
+        m *= a
+        m %= den
+        return m
+    c = a / den
+    for start in range(0, len(m), _MUL_BLOCK):
+        block = m[start:start + _MUL_BLOCK]
+        q = block.astype(np.float64)
+        q *= c
+        np.floor(q, out=q)
+        r = block.view(np.uint64)
+        r *= np.uint64(a)
+        r -= q.astype(np.uint64) * np.uint64(den)
+        block[block < 0] += den
+        block[block >= den] -= den
+    return m
 
 
 def fixed_from_fraction(fr: Fraction, bits: int = DEFAULT_BITS) -> FixedReal:

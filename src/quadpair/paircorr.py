@@ -8,10 +8,14 @@ a naive O(N^2) oracle, and a difference/sum substitution that never builds
 the sequence at all.  The sorted window has a second kernel for exact
 sequences with a small denominator, the residue histogram below.
 
-A quadratic sequence over den = 2^bits (every ``FixedReal`` alpha) is built
-as rows of uint32 limbs by one numpy limb product and sorted by one
-``argsort`` of its int64 keys, so the sorted window starts with no Python
-int; the numerators become Python ints only when something reads them.
+A quadratic sequence is built as a numpy array whenever it can be: over
+den <= 2^62 as one int64 array of residues a k^2 mod den (``mul_mod_int64``:
+direct products below 2^31, exact float quotients from there on), sorted by
+one ``np.sort`` when a count first asks for its keys, and over den = 2^bits
+past that (every ``FixedReal`` alpha) as rows of uint32 limbs by one numpy
+limb product, sorted by one ``argsort`` of its int64 keys.  Either way the
+sorted window and the residue histogram start with no Python int; the
+numerators become Python ints only when something reads them.
 
 The sorted window finds every window end with numpy ``searchsorted`` on
 int64 keys, the top 62 bits of each sorted numerator (the numerators
@@ -52,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuardError, PrecisionError
-from .exactreal import is_prime, mul_mod_pow2_limbs, near_integer_count, scaled, scaled_floor
+from .exactreal import is_prime, mul_mod_int64, mul_mod_pow2_limbs, near_integer_count, scaled, scaled_floor
 
 NAIVE_GUARD = 5000
 HIST_COST = 64  # the residue histogram counts exact windows of cost den * (terms + 1) <= HIST_COST * N
@@ -73,15 +77,17 @@ class SequenceModOne:
     (mod 1).  Exactly constructed sequences have ``err == 0``.
 
     A sequence built from a list keeps it as ``nums`` and sorts it, keys it
-    and cuts it into limbs only when a count asks for them.  One built by
-    ``from_limbs`` is held the other way round, as its sorted keys, sorted
-    limb rows and sort order; ``nums`` and ``sorted_nums()`` are Python ints
-    read off the limbs the first time something asks for them (the naive
-    count, the identity sweep, a bisection in ``_upto_counts``).
+    and cuts it into limbs only when a count asks for them; it is the
+    oracle for the array-built one.  One built by ``from_array`` holds a
+    numpy array instead: over den <= 2^62 its int64 numerators, in order,
+    and past that its sorted limb rows, keys and sort order.  Its ``nums``
+    and ``sorted_nums()`` are Python ints read off the array the first time
+    something asks for them (the naive count, the identity sweep, a
+    bisection in ``_upto_counts``).
     """
 
     def __init__(self, nums: list[int], den: int, provenance: str = "explicit",
-                 err: Fraction = Fraction(0), *, _hist: Optional[np.ndarray] = None):
+                 err: Fraction = Fraction(0)):
         if not nums:
             raise ValueError("sequence must have length >= 1")
         if den < 1:
@@ -90,31 +96,38 @@ class SequenceModOne:
             raise ValueError("numerators must lie in [0, den)")
         self._start(len(nums), den, provenance, err)
         self._nums = nums
-        self._hist = _hist
 
     @classmethod
-    def from_limbs(cls, limbs: np.ndarray, den: int, provenance: str = "explicit",
+    def from_array(cls, values: np.ndarray, den: int, provenance: str = "explicit",
                    err: Fraction = Fraction(0)) -> "SequenceModOne":
-        """The sequence whose k-th numerator is row k of ``limbs``, little-endian
-        uint32 limbs of values below den, for den past 2^62 (key shift > 0).
+        """The sequence whose k-th numerator, below den, is ``values[k]``: an
+        int64 array for den <= 2^62, or row k of little-endian uint32 limbs
+        past it (key shift > 0).
 
-        One ``argsort`` of the int64 keys orders it; if two adjacent sorted
-        keys are equal, one ``lexsort`` over all limbs does instead, which
-        leaves the sorted keys as they are."""
+        An int64 array is held as it is: ``np.sort`` of it gives the keys,
+        ``np.bincount`` the residue histogram and ``tolist()`` the
+        numerators, each when first asked for.  Limb rows are sorted here,
+        by one ``argsort`` of their int64 keys; if two adjacent sorted keys
+        are equal, one ``lexsort`` over all limbs does instead, which leaves
+        the sorted keys as they are."""
         seq = cls.__new__(cls)
-        seq._start(len(limbs), den, provenance, err)
-        keys = _limb_shift(limbs, seq.key_shift)
+        seq._start(len(values), den, provenance, err)
+        if not seq.key_shift:
+            seq._values = values
+            return seq
+        keys = _limb_shift(values, seq.key_shift)
         order = np.argsort(keys)
         keys = keys[order]
         if np.any(keys[1:] == keys[:-1]):
-            order = np.lexsort(limbs.T)
-        seq._order, seq._keys, seq._limbs = order, keys, limbs[order]
+            order = np.lexsort(values.T)
+        seq._order, seq._keys, seq._limbs = order, keys, values[order]
         return seq
 
     def _start(self, n: int, den: int, provenance: str, err: Fraction) -> None:
         self.n, self.den, self.provenance, self.err = n, den, provenance, err
         self._nums: Optional[list[int]] = None
-        self._order: Optional[np.ndarray] = None  # sort order of a from_limbs sequence
+        self._values: Optional[np.ndarray] = None  # int64 numerators of a from_array sequence
+        self._order: Optional[np.ndarray] = None  # sort order of a from_array sequence's limbs
         self._sorted: Optional[list[int]] = None
         self._keys: Optional[np.ndarray] = None
         self._limbs: Optional[np.ndarray] = None
@@ -126,20 +139,32 @@ class SequenceModOne:
     @property
     def nums(self) -> list[int]:
         if self._nums is None:
-            nums = np.empty(self.n, object)
-            nums[self._order] = self.sorted_nums()
-            self._nums = nums.tolist()
+            if self._values is not None:
+                self._nums = self._values.tolist()
+            else:
+                nums = np.empty(self.n, object)
+                nums[self._order] = self.sorted_nums()
+                self._nums = nums.tolist()
         return self._nums
 
     def sorted_nums(self) -> list[int]:
         if self._sorted is None:
-            if self._order is None:
+            if self._values is not None:
+                self._sorted = self.sorted_keys().tolist()
+            elif self._order is None:
                 self._sorted = sorted(self._nums)
             else:
                 raw = self._limbs.tobytes()
                 size = 4 * self._limbs.shape[1]
                 self._sorted = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
         return self._sorted
+
+    def _int64_nums(self) -> np.ndarray:
+        """``nums`` as int64, for den <= 2^62: the array a ``from_array``
+        sequence holds, or one built from the list (not to be written to)."""
+        if self._values is not None:
+            return self._values
+        return np.fromiter(self.nums, np.int64, self.n)
 
     @property
     def key_shift(self) -> int:
@@ -148,11 +173,14 @@ class SequenceModOne:
         return max(0, (self.den - 1).bit_length() - _KEY_BITS)
 
     def sorted_keys(self) -> np.ndarray:
-        """int64 keys v >> key_shift of the sorted numerators, same order;
-        past 2^62 they are read from the limb matrix."""
+        """int64 keys v >> key_shift of the sorted numerators, same order:
+        up to 2^62 the sorted numerators themselves, past it read from the
+        limb matrix."""
         if self._keys is None:
             if self.key_shift:
                 self._keys = _limb_shift(self.sorted_limbs(), self.key_shift)
+            elif self._values is not None:
+                self._keys = np.sort(self._values)
             else:
                 self._keys = np.fromiter(self.sorted_nums(), np.int64, self.n)
         return self._keys
@@ -161,7 +189,7 @@ class SequenceModOne:
         """The sorted numerators as rows of little-endian uint32 limbs.
 
         For den <= 2^62 this is a view of the int64 keys, two limbs a row;
-        past it the matrix is the one ``from_limbs`` sorted, or is built
+        past it the matrix is the one ``from_array`` sorted, or is built
         once from ``sorted_nums()``, a slice at a time through
         ``int.to_bytes``, and kept.
         """
@@ -180,7 +208,7 @@ class SequenceModOne:
     def residue_histogram(self) -> np.ndarray:
         """int64 counts h[r] = #{k : nums[k] = r} for r < den, built once."""
         if self._hist is None:
-            self._hist = np.bincount(np.fromiter(self.nums, np.int64, self.n), minlength=self.den)
+            self._hist = np.bincount(self._int64_nums(), minlength=self.den)
         return self._hist
 
 
@@ -209,14 +237,18 @@ def quadratic_sequence(alpha, n: int) -> SequenceModOne:
     With alpha = num/den (``scaled``), the numerators a * k^2 mod den, a =
     num mod den, are built one of three ways:
 
-    * den < 2^31 (rationals only): in int64 numpy, every product below
-      2^62, then one ``tolist``; the residue histogram is cached too while
-      den <= n;
+    * den <= 2^62, when min(n^2, den) <= 2^51 and k mod den squares within
+      int64: as one int64 array, k^2 mod den times a by ``mul_mod_int64``
+      (every product below 2^62 for den < 2^31, an exact float quotient and
+      a wrapped uint64 remainder from 2^31 on, since every k^2 mod den is
+      then below 2^51), handed to ``SequenceModOne.from_array``;
     * den = 2^bits past 2^62 (every ``FixedReal``): as uint32 limb rows by
-      ``mul_mod_pow2_limbs``, handed to ``SequenceModOne.from_limbs``, which
-      sorts them; no Python int is made until ``nums`` or ``sorted_nums()``
-      is read;
+      ``mul_mod_pow2_limbs``, handed to ``SequenceModOne.from_array``, which
+      sorts them;
     * any other den: a Python list, the oracle for the other two.
+
+    The first two make no Python int until ``nums`` or ``sorted_nums()`` is
+    read.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -228,32 +260,27 @@ def quadratic_sequence(alpha, n: int) -> SequenceModOne:
         raise PrecisionError(
             f"{den.bit_length() - 1} bits cannot certify alpha*k^2 up to k={n}"
         )
+    if _int64_build(n, den):
+        k = np.arange(1, n + 1, dtype=np.int64)
+        k %= den
+        k *= k
+        k %= den
+        return SequenceModOne.from_array(mul_mod_int64(a, k, den), den, "quadratic", err)
     bits = den.bit_length() - 1
     if den == 1 << bits and bits > _KEY_BITS:
         k = np.arange(1, n + 1, dtype=np.int64)
         k *= k
         limbs = mul_mod_pow2_limbs(a, k, bits)
         del k
-        return SequenceModOne.from_limbs(limbs, den, "quadratic", err)
-    hist = None
-    if den < 1 << 31:
-        # every factor is below 2^31, so every product is below 2^62
-        k = np.arange(1, n + 1, dtype=np.int64)
-        k %= den
-        k *= k
-        k %= den
-        k *= a
-        k %= den
-        nums = k.tolist()
-        # cache the histogram while it is no larger than this array; past
-        # that, up to HIST_DEN * n, it is built only if a window takes it
-        # (err > 0 passes the guard only with den >= 2^21 n^4)
-        if den <= n:
-            hist = np.bincount(k, minlength=den)
-        del k
-    else:
-        nums = [(a * k * k) % den for k in range(1, n + 1)]
-    return SequenceModOne(nums, den, "quadratic", err, _hist=hist)
+        return SequenceModOne.from_array(limbs, den, "quadratic", err)
+    return SequenceModOne([(a * k * k) % den for k in range(1, n + 1)], den, "quadratic", err)
+
+
+def _int64_build(n: int, den: int) -> bool:
+    """Whether ``quadratic_sequence`` builds a * k^2 mod den for k <= n in
+    int64: den <= 2^62, every k mod den squares below 2^63, and every k^2
+    mod den is below 2^51 (as ``mul_mod_int64`` needs from den = 2^31 on)."""
+    return den <= 1 << _KEY_BITS and min(n, den - 1) ** 2 < 1 << 63 and min(n * n, den) <= 1 << 51
 
 
 @dataclass
@@ -444,7 +471,7 @@ def _naive_distance_stats(seq: SequenceModOne, t: int) -> tuple[int, int]:
     n = seq.n
     den = seq.den
     t = min(t, den)
-    a = np.array(seq.nums, dtype=np.int64 if den <= 1 << 62 else object)
+    a = seq._int64_nums() if den <= 1 << 62 else np.array(seq.nums, dtype=object)
     count = dist_sum = 0
     start = 0
     while start < n - 1:

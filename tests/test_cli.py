@@ -162,6 +162,24 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys, line):
     assert (_sha256(out.encode()), written) == README_DIGESTS[line]
 
 
+# stdout sha256 of a/q + 1/(4q^3) = (4aq^2 + 1)/(4q^3) over dens in
+# [2^31, 2^51] (q = 10007) and (2^51, 2^62] (q = 1000003), which the int64
+# float-quotient build serves; recorded from the Python-int list build
+INT64_DIGESTS = {
+    "paircorr --alpha rat:494291281865/4008405881372 --N 100000 --X 1/4,16":
+        "48dc3aeb3ea41cdbca1c02354cbf5db7b57c8191b788629a5a8ee070b339a15e",
+    "paircorr --alpha rat:1256643539827309725/4000036000108000108 --N 100000 --X 1/4,16":
+        "26371aaf72868212d36d05721738b08bcc5820c1debc38d52189dd2637c3226a",
+}
+
+
+@pytest.mark.parametrize("line", INT64_DIGESTS)
+def test_int64_build_prints_the_list_build_bytes(capsys, line):
+    code, out = run(line.split(), capsys)
+    assert code == 0
+    assert _sha256(out.encode()) == INT64_DIGESTS[line]
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

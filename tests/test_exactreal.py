@@ -18,6 +18,7 @@ from quadpair.exactreal import (
     floor_sum,
     iroot,
     is_prime,
+    mul_mod_int64,
     mul_mod_pow2_limbs,
     near_integer_count,
     parse_alpha,
@@ -283,3 +284,67 @@ def test_limb_product_is_built_in_blocks(monkeypatch):
     a = (1 << 191) + 12345
     got = [int.from_bytes(row.tobytes(), "little") for row in mul_mod_pow2_limbs(a, m, 192)]
     assert got == [a * int(v) % (1 << 192) for v in m]
+
+
+# the direct product's last den, the float quotient's first, a den past
+# 2^31.5 (where a * m can pass 2^63), dens on both sides of 2^51 (where m
+# reaches its 2^51 bound) and the largest, 2^62
+_INT64_DENS = [(1 << 31) - 1, 1 << 31, (1 << 32) - 5, (1 << 51) - 1, 1 << 51, (1 << 51) + 1,
+               3171051812640604, (1 << 62) - 1, 1 << 62]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_INT64_DENS) | st.integers(1, 1 << 62), st.data())
+def test_int64_product_matches_python_ints(den, data):
+    # a at 0, 1 and den - 1 (where a/den rounds to 1.0 past 2^53) or any;
+    # m at its bound, below it and anywhere, with the bound min(den, 2^51)
+    # from 2^31 on
+    top = den if den < 1 << 31 else min(den, 1 << 51)
+    a = data.draw(st.sampled_from([0, 1, den - 1]) | st.integers(0, den - 1))
+    near_top = st.integers(max(top - 4, 0), top - 1)
+    ms = [0, top - 1, top // 2] + data.draw(st.lists(st.integers(0, top - 1) | near_top, max_size=60))
+    m = np.array(ms, np.int64)
+    out = mul_mod_int64(a, m, den)
+    assert out is m and out.dtype == np.int64
+    assert out.tolist() == [a * v % den for v in ms]
+
+
+def test_int64_product_at_every_top_residue():
+    # every m in the last 2^16 below 2^51, at the three dens past 2^51,
+    # against a near den (a/den rounds up to 1.0) and a = den // 2 + 1
+    ms = list(range((1 << 51) - (1 << 16), 1 << 51))
+    for den in ((1 << 51) + 1, (1 << 62) - 1, 1 << 62):
+        for a in (den - 1, den // 2 + 1):
+            assert mul_mod_int64(a, np.array(ms, np.int64), den).tolist() == [a * v % den for v in ms]
+
+
+def test_int64_product_next_to_multiples_of_den():
+    # m = +-d / a mod den for small d, kept below the bound, puts a * m just
+    # past or just short of a multiple of den, where the float quotient
+    # floor(m * (a / den)) is one over or one short and the remainder needs
+    # den added or subtracted; a just past den/4 and den/2, where both occur
+    rng = random.Random(62)
+    over = short = 0
+    for den in _INT64_DENS:
+        top = min(den, 1 << 51)
+        for _ in range(3):
+            for lo in (den // 4, den // 2):
+                a = next(a for a in iter(lambda: rng.randrange(lo, lo + lo // 100), None) if math.gcd(a, den) == 1)
+                inv = pow(a, -1, den)
+                ms = [m for d in range(1, 1 << 12) for m in (d * inv % den, -d * inv % den) if m < top]
+                assert mul_mod_int64(a, np.array(ms, np.int64), den).tolist() == [a * v % den for v in ms]
+                off = [math.floor(m * (a / den)) - a * m // den for m in ms]
+                over += off.count(1)
+                short += off.count(-1)
+    assert over and short
+
+
+def test_int64_product_is_built_in_blocks(monkeypatch):
+    # one-value and ragged last blocks, with products next to multiples of
+    # den in every block
+    monkeypatch.setattr(exactreal, "_MUL_BLOCK", 7)
+    den, a = 3171051812640604, 1326550907391669
+    inv = pow(a, -1, den)
+    ms = [m for d in range(1, 200) for m in (d * inv % den, -d * inv % den) if m < 1 << 51][:50]
+    for size in (1, 7, 50):
+        assert mul_mod_int64(a, np.array(ms[:size], np.int64), den).tolist() == [a * v % den for v in ms[:size]]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -800,26 +801,69 @@ def test_histogram_route_drops_the_window_handoff():
     assert seq._window is None
 
 
-@pytest.mark.parametrize("den", [(1 << 31) - 1, 1 << 31])
+@pytest.mark.parametrize(
+    "den",
+    [(1 << 31) - 1, 1 << 31, 1 << 51, (1 << 51) + 1, (1 << 62) - 1, 1 << 62, (1 << 62) + 1],
+)
 def test_quadratic_numerators_are_exact_at_the_int64_build_limit(den):
-    # the int64 build serves den < 2^31, the list build from 2^31 on
+    # the int64 build serves den < 2^31 by direct products and den up to
+    # 2^62 by float quotients, past 2^51 while n^2 <= 2^51 (n = 10^5 here;
+    # the other side of that rule is test_int64_build_rule_edges); the list
+    # build serves 2^62 + 1
     n = 10 ** 5
-    for a in (1, den - 1, 1234567891):
+    rng = random.Random(den)
+    seeded = next(a for a in iter(lambda: rng.randrange(2, den - 1), None) if math.gcd(a, den) == 1)
+    for a in (1, den - 1, seeded):
         seq = quadratic_sequence(Fraction(a, den), n)
         assert seq.den == den
-        assert seq.nums == [(a * k * k) % den for k in range(1, n + 1)]
+        assert (seq._nums is None) == (den <= 1 << 62)  # no Python list until nums is read
+        want = [(a * k * k) % den for k in range(1, n + 1)]
+        assert seq.nums == want
         assert type(seq.nums[-1]) is int
+        assert seq.sorted_nums() == sorted(want)
 
 
-def test_quadratic_sequence_caches_the_histogram_up_to_den_n():
-    # past den = N it is built from the numerators, only when a window takes it
+def test_int64_build_rule_edges():
+    # past 2^51 the int64 build needs n^2 <= 2^51; up to it any n whose
+    # k mod den squares below 2^63; past 2^62 never
+    edge = math.isqrt(1 << 51)
+    for den in ((1 << 51) + 1, (1 << 62) - 1, 1 << 62):
+        assert paircorr._int64_build(edge, den) and not paircorr._int64_build(edge + 1, den)
+    last = math.isqrt((1 << 63) - 1)
+    for den in (1 << 40, 1 << 51):
+        assert paircorr._int64_build(last, den) and not paircorr._int64_build(last + 1, den)
+    assert paircorr._int64_build(10 ** 12, (1 << 31) + 1)  # k mod den squares below 2^62
+    assert not paircorr._int64_build(1, (1 << 62) + 1)
+    assert not paircorr._int64_build(1, 1 << 63)
+
+
+def test_quadratic_sequence_histogram_is_a_bincount_of_its_array():
+    # on both sides of den = N the histogram is built only when a window
+    # takes it, from the held int64 array: no sort and no Python list
     n = 1000
-    seq = quadratic_sequence(Fraction(3, n), n)
-    assert seq._hist.tolist() == SequenceModOne(seq.nums, seq.den).residue_histogram().tolist()
-    seq = quadratic_sequence(Fraction(3, n + 1), n)
-    assert seq._hist is None
-    pair_correlation(seq, 1)
-    assert seq._hist.tolist() == np.bincount(seq.nums, minlength=seq.den).tolist()
+    for den in (n, n + 1):
+        seq = quadratic_sequence(Fraction(3, den), n)
+        assert seq._hist is None
+        pair_correlation(seq, 1)
+        weighted_pair_correlation(seq, 1)
+        assert seq._nums is None and seq._keys is None
+        assert seq._hist.tolist() == SequenceModOne(seq.nums, seq.den).residue_histogram().tolist()
+
+
+def test_int64_sequence_sorts_once_and_reads_ints_off_the_sort():
+    # a den past the histogram's rules: one np.sort serves the keys, the
+    # limbs view and sorted_nums(), and nums is the held array, unsorted
+    seq = quadratic_sequence(Fraction(494291281865, 4008405881372), 3000)
+    want = SequenceModOne([494291281865 * k * k % seq.den for k in range(1, 3001)], seq.den)
+    assert seq._values is not None and seq._keys is None
+    assert pair_correlation(seq, 1).pair_count == pair_correlation(want, 1).pair_count
+    assert weighted_pair_correlation(seq, 1).r0 == weighted_pair_correlation(want, 1).r0
+    assert seq._nums is None and seq._sorted is None
+    assert np.shares_memory(seq.sorted_limbs(), seq.sorted_keys())
+    assert seq.sorted_keys().tolist() == want.sorted_keys().tolist()
+    assert seq.sorted_nums() == want.sorted_nums()
+    assert seq.nums == want.nums
+    assert pair_correlation_naive(seq, 16).pair_count == pair_correlation(want, 16).pair_count
 
 
 # ---------------------------------------------------------------------------
