@@ -8,14 +8,18 @@ a naive O(N^2) oracle, and a difference/sum substitution that never builds
 the sequence at all.  The sorted window has a second kernel for exact
 sequences with a small denominator, the residue histogram below.
 
-A quadratic sequence is built as a numpy array whenever it can be: over
-den <= 2^62 as one int64 array of residues a k^2 mod den (``mul_mod_int64``:
-direct products below 2^31, exact float quotients from there on), sorted by
-one ``np.sort`` when a count first asks for its keys, and over den = 2^bits
-past that (every ``FixedReal`` alpha) as rows of uint32 limbs by one numpy
-limb product, sorted by one ``argsort`` of its int64 keys.  Either way the
-sorted window and the residue histogram start with no Python int; the
-numerators become Python ints only when something reads them.
+Every sequence holds one numpy array: over den <= 2^62 its int64
+numerators, sorted by one ``np.sort`` when a count first asks for its keys,
+and past that rows of uint32 limbs, sorted by one ``argsort`` of their int64
+keys.  A quadratic sequence is built straight into that array whenever it
+can be: over den <= 2^62 as residues a k^2 mod den (``mul_mod_int64``:
+direct products below 2^31, exact float quotients from there on), and over
+den = 2^bits past that (every ``FixedReal`` alpha) by one numpy limb
+product.  Other sequences are given as Python ints, converted once at
+construction.  Either way the sorted window and the residue histogram start
+from the array; the numerators become Python ints only when something reads
+them.  The oracles share none of this: the Python-int numerators,
+``sorted()``, the naive count and the u/v substitution.
 
 The sorted window finds every window end with numpy ``searchsorted`` on
 int64 keys, the top 62 bits of each sorted numerator (the numerators
@@ -76,14 +80,14 @@ class SequenceModOne:
     that the intended point differs from the stored one by at most ``err``
     (mod 1).  Exactly constructed sequences have ``err == 0``.
 
-    A sequence built from a list keeps it as ``nums`` and sorts it, keys it
-    and cuts it into limbs only when a count asks for them; it is the
-    oracle for the array-built one.  One built by ``from_array`` holds a
-    numpy array instead: over den <= 2^62 its int64 numerators, in order,
-    and past that its sorted limb rows, keys and sort order.  Its ``nums``
-    and ``sorted_nums()`` are Python ints read off the array the first time
-    something asks for them (the naive count, the identity sweep, a
-    bisection in ``_upto_counts``).
+    Every sequence holds one numpy array: over den <= 2^62 its int64
+    numerators, in order, and past that its sorted uint32 limb rows, keys
+    and sort order.  ``from_array`` takes that array as built; a sequence
+    built from a list converts it once, here, and keeps the list as
+    ``nums``.  ``sorted_nums()``, and ``nums`` of a ``from_array``
+    sequence, are Python ints read off the array the first time something
+    asks for them (the naive count, the identity sweep, a bisection in
+    ``_upto_counts``).
     """
 
     def __init__(self, nums: list[int], den: int, provenance: str = "explicit",
@@ -94,7 +98,8 @@ class SequenceModOne:
             raise ValueError("denominator must be positive")
         if min(nums) < 0 or max(nums) >= den:
             raise ValueError("numerators must lie in [0, den)")
-        self._start(len(nums), den, provenance, err)
+        self._fill(np.array(nums, np.int64) if den <= 1 << _KEY_BITS else _limb_rows(nums, den),
+                   den, provenance, err)
         self._nums = nums
 
     @classmethod
@@ -102,7 +107,13 @@ class SequenceModOne:
                    err: Fraction = Fraction(0)) -> "SequenceModOne":
         """The sequence whose k-th numerator, below den, is ``values[k]``: an
         int64 array for den <= 2^62, or row k of little-endian uint32 limbs
-        past it (key shift > 0).
+        past it (key shift > 0)."""
+        seq = cls.__new__(cls)
+        seq._fill(values, den, provenance, err)
+        return seq
+
+    def _fill(self, values: np.ndarray, den: int, provenance: str, err: Fraction) -> None:
+        """Hold ``values`` as ``from_array`` describes them.
 
         An int64 array is held as it is: ``np.sort`` of it gives the keys,
         ``np.bincount`` the residue histogram and ``tolist()`` the
@@ -110,24 +121,13 @@ class SequenceModOne:
         by one ``argsort`` of their int64 keys; if two adjacent sorted keys
         are equal, one ``lexsort`` over all limbs does instead, which leaves
         the sorted keys as they are."""
-        seq = cls.__new__(cls)
-        seq._start(len(values), den, provenance, err)
-        if not seq.key_shift:
-            seq._values = values
-            return seq
-        keys = _limb_shift(values, seq.key_shift)
-        order = np.argsort(keys)
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
-            order = np.lexsort(values.T)
-        seq._order, seq._keys, seq._limbs = order, keys, values[order]
-        return seq
-
-    def _start(self, n: int, den: int, provenance: str, err: Fraction) -> None:
-        self.n, self.den, self.provenance, self.err = n, den, provenance, err
+        self.n, self.den, self.provenance, self.err = len(values), den, provenance, err
+        # low bits dropped from a numerator to make its int64 key; 0 (keys
+        # equal to the numerators) for den <= 2^62
+        self.key_shift = max(0, (den - 1).bit_length() - _KEY_BITS)
         self._nums: Optional[list[int]] = None
-        self._values: Optional[np.ndarray] = None  # int64 numerators of a from_array sequence
-        self._order: Optional[np.ndarray] = None  # sort order of a from_array sequence's limbs
+        self._values: Optional[np.ndarray] = None  # int64 numerators, for den <= 2^62
+        self._order: Optional[np.ndarray] = None  # sort order of the limb rows, past 2^62
         self._sorted: Optional[list[int]] = None
         self._keys: Optional[np.ndarray] = None
         self._limbs: Optional[np.ndarray] = None
@@ -135,6 +135,15 @@ class SequenceModOne:
         # (t, (count, F, K)) that pair_correlation leaves for
         # weighted_pair_correlation; dropped when read
         self._window: Optional[tuple] = None
+        if not self.key_shift:
+            self._values = values
+            return
+        keys = _limb_shift(values, self.key_shift)
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            order = np.lexsort(values.T)
+        self._order, self._keys, self._limbs = order, keys, values[order]
 
     @property
     def nums(self) -> list[int]:
@@ -151,65 +160,44 @@ class SequenceModOne:
         if self._sorted is None:
             if self._values is not None:
                 self._sorted = self.sorted_keys().tolist()
-            elif self._order is None:
-                self._sorted = sorted(self._nums)
             else:
                 raw = self._limbs.tobytes()
                 size = 4 * self._limbs.shape[1]
                 self._sorted = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
         return self._sorted
 
-    def _int64_nums(self) -> np.ndarray:
-        """``nums`` as int64, for den <= 2^62: the array a ``from_array``
-        sequence holds, or one built from the list (not to be written to)."""
-        if self._values is not None:
-            return self._values
-        return np.fromiter(self.nums, np.int64, self.n)
-
-    @property
-    def key_shift(self) -> int:
-        """Low bits dropped from a numerator to make its int64 key; 0 (keys
-        equal to the numerators) for den <= 2^62."""
-        return max(0, (self.den - 1).bit_length() - _KEY_BITS)
-
     def sorted_keys(self) -> np.ndarray:
         """int64 keys v >> key_shift of the sorted numerators, same order:
-        up to 2^62 the sorted numerators themselves, past it read from the
-        limb matrix."""
+        up to 2^62 the sorted numerators themselves, sorted when first asked
+        for; past it the keys the limb rows were sorted by."""
         if self._keys is None:
-            if self.key_shift:
-                self._keys = _limb_shift(self.sorted_limbs(), self.key_shift)
-            elif self._values is not None:
-                self._keys = np.sort(self._values)
-            else:
-                self._keys = np.fromiter(self.sorted_nums(), np.int64, self.n)
+            self._keys = np.sort(self._values)
         return self._keys
 
     def sorted_limbs(self) -> np.ndarray:
-        """The sorted numerators as rows of little-endian uint32 limbs.
-
-        For den <= 2^62 this is a view of the int64 keys, two limbs a row;
-        past it the matrix is the one ``from_array`` sorted, or is built
-        once from ``sorted_nums()``, a slice at a time through
-        ``int.to_bytes``, and kept.
-        """
+        """The sorted numerators as rows of little-endian uint32 limbs: for
+        den <= 2^62 a view of the int64 keys, two limbs a row; past it the
+        sorted rows held."""
         if not self.key_shift:
             return self.sorted_keys().astype("<i8", copy=False).view("<u4").reshape(self.n, 2)
-        if self._limbs is None:
-            size = -(-(self.den - 1).bit_length() // 32)
-            s = self.sorted_nums()
-            limbs = np.empty((self.n, size), np.uint32)
-            for a in range(0, self.n, _DOT_BLOCK):
-                raw = b"".join([v.to_bytes(4 * size, "little") for v in s[a:a + _DOT_BLOCK]])
-                limbs[a:a + _DOT_BLOCK] = np.frombuffer(raw, "<u4").reshape(-1, size)
-            self._limbs = limbs
         return self._limbs
 
     def residue_histogram(self) -> np.ndarray:
         """int64 counts h[r] = #{k : nums[k] = r} for r < den, built once."""
         if self._hist is None:
-            self._hist = np.bincount(self._int64_nums(), minlength=self.den)
+            self._hist = np.bincount(self._values, minlength=self.den)
         return self._hist
+
+
+def _limb_rows(nums: list[int], den: int) -> np.ndarray:
+    """Rows of little-endian uint32 limbs, as many as den - 1 needs, of the
+    Python ints ``nums``, a slice at a time through ``int.to_bytes``."""
+    size = -(-(den - 1).bit_length() // 32)
+    limbs = np.empty((len(nums), size), np.uint32)
+    for a in range(0, len(nums), _DOT_BLOCK):
+        raw = b"".join([v.to_bytes(4 * size, "little") for v in nums[a:a + _DOT_BLOCK]])
+        limbs[a:a + _DOT_BLOCK] = np.frombuffer(raw, "<u4").reshape(-1, size)
+    return limbs
 
 
 def _limb_shift(limbs: np.ndarray, shift: int) -> np.ndarray:
@@ -245,7 +233,8 @@ def quadratic_sequence(alpha, n: int) -> SequenceModOne:
     * den = 2^bits past 2^62 (every ``FixedReal``): as uint32 limb rows by
       ``mul_mod_pow2_limbs``, handed to ``SequenceModOne.from_array``, which
       sorts them;
-    * any other den: a Python list, the oracle for the other two.
+    * any other den: as Python ints, which ``SequenceModOne`` converts to
+      its array once.
 
     The first two make no Python int until ``nums`` or ``sorted_nums()`` is
     read.
@@ -471,7 +460,7 @@ def _naive_distance_stats(seq: SequenceModOne, t: int) -> tuple[int, int]:
     n = seq.n
     den = seq.den
     t = min(t, den)
-    a = seq._int64_nums() if den <= 1 << 62 else np.array(seq.nums, dtype=object)
+    a = np.array(seq.nums, dtype=object) if seq.key_shift else seq._values
     count = dist_sum = 0
     start = 0
     while start < n - 1:

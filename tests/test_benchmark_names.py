@@ -34,7 +34,15 @@ def test_traced_name_resolves(module, path):
     assert callable(owner)
 
 
-def test_sequence_rebuilds_positionally():
-    seq = SequenceModOne([5, 1, 3], 7, "copy")
+@pytest.mark.parametrize("den", [7, 1 << 62, (1 << 62) + 1, 1 << 64])
+def test_sequence_rebuilds_positionally(den):
+    # the worker's err-0 copy on both held forms, int64 numerators up to 2^62
+    # and sorted limb rows past it, where the last two values share a key
+    top = 4 * (den // 8)
+    nums = [5, 1, 3, top + 1, top]
+    seq = SequenceModOne(nums, den, "copy")
+    if seq.key_shift:
+        assert top + 1 >> seq.key_shift == top >> seq.key_shift
     assert seq.provenance == "copy"
-    assert seq.sorted_nums() == [1, 3, 5]
+    assert seq.sorted_nums() == sorted(nums)
+    assert seq.nums == nums

@@ -209,6 +209,16 @@ def test_million_point_paircorr_bytes_are_pinned(capsys):
     assert _sha256(out.encode()) == "de45f5086bce315cc06d4bb41890d141ca08dca7d3aaf48c8d48cf06e16acb58"
 
 
+def test_list_build_paircorr_bytes_are_pinned(capsys):
+    # den = 2^65 + 1, past 2^62 and not a power of two, so quadratic_sequence
+    # builds its numerators as Python ints and the constructor converts them
+    # to limb rows; recorded before that conversion moved into the constructor
+    code, out = run(["paircorr", "--alpha", "rat:12345678901234567891/36893488147419103233",
+                     "--N", "100000", "--X", "1/4,1,16"], capsys)
+    assert code == 0
+    assert _sha256(out.encode()) == "a8a7f1ec92ab36c63e9d86d1079a89e227fe42aa964876b0cc9a7fa7b9d83947"
+
+
 def test_expsum_json_matches_library(tmp_path):
     out = tmp_path / "e.json"
     assert main(["expsum", "--b", "1,0,0,0", "--q", "21", "--out", str(out)]) == 0

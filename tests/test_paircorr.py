@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -801,6 +802,66 @@ def test_histogram_route_drops_the_window_handoff():
     assert seq._window is None
 
 
+# ---------------------------------------------------------------------------
+# oracles that share no code with SequenceModOne: the Python-int numerators,
+# sorted(), int.to_bytes, the naive count and the u/v substitution
+
+
+def _bytes_limbs(s, den):
+    # int.to_bytes rows of the Python ints s: two limbs a row up to 2^62 (the
+    # int64 keys' view), as many as den - 1 needs past it
+    size = max(2, -(-(den - 1).bit_length() // 32))
+    return np.frombuffer(b"".join(v.to_bytes(4 * size, "little") for v in s), "<u4").reshape(len(s), size)
+
+
+def _sorted_list_stats(s, den):
+    # t -> count of the pairs at circular distance <= t (t >= 0) and, with
+    # sums, their scaled distance sum, by exact search and prefix sums over an
+    # object array of the Python-sorted ints s: i < j with gap g = s_j - s_i
+    # is in at distance g when g <= min(t, den // 2), and at distance den - g
+    # when g > den // 2 and g >= den - t
+    n = len(s)
+    v = np.array(s, dtype=object)
+    prefix = np.concatenate(([0], np.cumsum(v)))
+    i = np.arange(n)
+
+    def stats(t, sums=True):
+        f = np.maximum(np.searchsorted(v, v + min(t, den // 2), "right"), i + 1)
+        w = np.maximum(np.searchsorted(v, v + max(den // 2 + 1, den - t)), f)
+        count = int((f - i - 1).sum() + (n - w).sum())
+        if not sums:
+            return count, None
+        total = prefix[f] - prefix[i + 1] - (f - i - 1) * v + (n - w) * (den + v) - (prefix[n] - prefix[w])
+        return count, int(total.sum())
+    return stats
+
+
+def _check_windows(seq, s, windows, alpha=None):
+    # each window certified or raising, as the sorted ints s say at both ends
+    # of the error band (both t at err = 0), R0 from the same pairs, and the
+    # count against the u/v substitution wherever that certifies too
+    stats = _sorted_list_stats(s, seq.den)
+    for x in windows:
+        lo, hi = _band(seq, x)
+        at_lo, at_hi = stats(lo, sums=False), stats(hi)
+        if at_lo[0] != at_hi[0]:
+            with pytest.raises(PrecisionError):
+                pair_correlation(seq, x)
+            continue
+        count, dist_sum = at_hi
+        assert pair_correlation(seq, x).pair_count == count, x
+        if x:
+            tau = Fraction(x) / seq.n
+            want = 1 + Fraction(2, seq.n) * (count - Fraction(dist_sum, seq.den) / tau)
+            assert weighted_pair_correlation(seq, x).r0 == want, x
+        if alpha is not None:
+            try:
+                uv = pair_correlation_uv(alpha, seq.n, x).pair_count
+            except PrecisionError:
+                continue
+            assert uv == count, x
+
+
 @pytest.mark.parametrize(
     "den",
     [(1 << 31) - 1, 1 << 31, 1 << 51, (1 << 51) + 1, (1 << 62) - 1, 1 << 62, (1 << 62) + 1],
@@ -818,9 +879,12 @@ def test_quadratic_numerators_are_exact_at_the_int64_build_limit(den):
         assert seq.den == den
         assert (seq._nums is None) == (den <= 1 << 62)  # no Python list until nums is read
         want = [(a * k * k) % den for k in range(1, n + 1)]
+        s = sorted(want)
+        assert seq.sorted_keys().tolist() == [v >> seq.key_shift for v in s]
+        assert np.array_equal(seq.sorted_limbs(), _bytes_limbs(s, den))
         assert seq.nums == want
         assert type(seq.nums[-1]) is int
-        assert seq.sorted_nums() == sorted(want)
+        assert seq.sorted_nums() == s
 
 
 def test_int64_build_rule_edges():
@@ -847,23 +911,26 @@ def test_quadratic_sequence_histogram_is_a_bincount_of_its_array():
         pair_correlation(seq, 1)
         weighted_pair_correlation(seq, 1)
         assert seq._nums is None and seq._keys is None
-        assert seq._hist.tolist() == SequenceModOne(seq.nums, seq.den).residue_histogram().tolist()
+        want = Counter(seq.nums)
+        assert seq._hist.tolist() == [want[r] for r in range(den)]
 
 
 def test_int64_sequence_sorts_once_and_reads_ints_off_the_sort():
     # a den past the histogram's rules: one np.sort serves the keys, the
     # limbs view and sorted_nums(), and nums is the held array, unsorted
-    seq = quadratic_sequence(Fraction(494291281865, 4008405881372), 3000)
-    want = SequenceModOne([494291281865 * k * k % seq.den for k in range(1, 3001)], seq.den)
+    alpha = Fraction(494291281865, 4008405881372)
+    seq = quadratic_sequence(alpha, 3000)
+    want = [494291281865 * k * k % seq.den for k in range(1, 3001)]
+    s = sorted(want)
     assert seq._values is not None and seq._keys is None
-    assert pair_correlation(seq, 1).pair_count == pair_correlation(want, 1).pair_count
-    assert weighted_pair_correlation(seq, 1).r0 == weighted_pair_correlation(want, 1).r0
+    _check_windows(seq, s, (1,), alpha)
     assert seq._nums is None and seq._sorted is None
     assert np.shares_memory(seq.sorted_limbs(), seq.sorted_keys())
-    assert seq.sorted_keys().tolist() == want.sorted_keys().tolist()
-    assert seq.sorted_nums() == want.sorted_nums()
-    assert seq.nums == want.nums
-    assert pair_correlation_naive(seq, 16).pair_count == pair_correlation(want, 16).pair_count
+    assert seq.sorted_keys().tolist() == s
+    assert np.array_equal(seq.sorted_limbs(), _bytes_limbs(s, seq.den))
+    assert seq.sorted_nums() == s
+    assert seq.nums == want
+    assert pair_correlation_naive(seq, 16).pair_count == pair_correlation_uv(alpha, 3000, 16).pair_count
 
 
 # ---------------------------------------------------------------------------
@@ -873,35 +940,23 @@ def test_int64_sequence_sorts_once_and_reads_ints_off_the_sort():
 _WINDOWS = tuple(Fraction(x) for x in ("1/4", "1/2", "1", "2", "4", "8", "16"))  # the benchmark's
 
 
-def _list_build(alpha, n):
-    # the Python-int build the limb product replaces, with the same error radius
+def _check_limb_build(seq, alpha, windows=_WINDOWS):
+    # seq = quadratic_sequence(alpha, n): its keys and limbs before any Python
+    # int exists, against sorted() of the Python-int numerators and their
+    # int.to_bytes rows; then the windows (the u/v substitution up to n =
+    # 1000, where it is quick); then the ints read off the limbs
+    n = seq.n
     num, den, err_ulp = scaled(alpha)
-    return SequenceModOne([(num % den) * k * k % den for k in range(1, n + 1)], den,
-                          err=Fraction(err_ulp * n * n, den))
-
-
-def _check_limb_build(alpha, n, windows=_WINDOWS):
-    # keys and limbs before any Python int exists, then the windows (certified
-    # or raising on both), then the ints read off the limbs
-    seq, want = quadratic_sequence(alpha, n), _list_build(alpha, n)
+    want = [(num % den) * k * k % den for k in range(1, n + 1)]
+    s = sorted(want)
     assert seq._order is not None and seq._nums is None and seq._sorted is None
-    assert (seq.n, seq.den, seq.err) == (want.n, want.den, want.err)
-    assert seq.sorted_keys().tolist() == want.sorted_keys().tolist()
-    assert np.array_equal(seq.sorted_limbs(), want.sorted_limbs())
-    for x in windows:
-        try:
-            count = pair_correlation(seq, x).pair_count
-        except PrecisionError:
-            with pytest.raises(PrecisionError):
-                pair_correlation(want, x)
-            continue
-        assert count == pair_correlation(want, x).pair_count
-        if x:
-            assert weighted_pair_correlation(seq, x).r0 == weighted_pair_correlation(want, x).r0
-    assert seq.sorted_nums() == want.sorted_nums()
-    assert seq.nums == want.nums
+    assert (seq.den, seq.err) == (den, Fraction(err_ulp * n * n, den))
+    assert seq.sorted_keys().tolist() == [v >> seq.key_shift for v in s]
+    assert np.array_equal(seq.sorted_limbs(), _bytes_limbs(s, den))
+    _check_windows(seq, s, windows, alpha if n <= 1000 else None)
+    assert seq.sorted_nums() == s
+    assert seq.nums == want
     assert type(seq.nums[-1]) is int
-    return seq
 
 
 @settings(max_examples=60, deadline=None)
@@ -915,11 +970,13 @@ def test_limb_build_matches_the_list_build(data):
     mantissa = data.draw(st.integers(0, (1 << bits) - 1) | repeats)
     widest = (1 << bits) // (n ** 4 << 21)
     err_ulp = data.draw(st.integers(0, widest) | st.sampled_from([0, widest]))
-    _check_limb_build(FixedReal(mantissa, bits, err_ulp), n, (0, *_WINDOWS))
+    alpha = FixedReal(mantissa, bits, err_ulp)
+    _check_limb_build(quadratic_sequence(alpha, n), alpha, (0, *_WINDOWS))
 
 
 def test_limb_build_matches_the_list_build_at_desk_scale():
-    _check_limb_build(sqrt_fixed(2, 192), 10 ** 5)
+    alpha = sqrt_fixed(2, 192)
+    _check_limb_build(quadratic_sequence(alpha, 10 ** 5), alpha)
 
 
 # a * 3 = -1 (mod 2^64): a * 2^2 = a * 1^2 - 1, one key apart from a at most;
@@ -928,10 +985,13 @@ _TIED = FixedReal(0x5555555555555555, 64, 0)
 
 
 def test_equal_keys_are_ordered_on_every_limb(monkeypatch):
+    # one lexsort a build, counted around quadratic_sequence alone
     lexsorts = []
-    monkeypatch.setattr(np, "lexsort", lambda keys, _f=np.lexsort: lexsorts.append(keys) or _f(keys))
     for n in (2, 3, 100):
-        seq = _check_limb_build(_TIED, n, (0, 1))
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "lexsort", lambda keys, _f=np.lexsort: lexsorts.append(keys) or _f(keys))
+            seq = quadratic_sequence(_TIED, n)
+        _check_limb_build(seq, _TIED, (0, 1))
         s = seq.sorted_nums()
         assert s.index(_TIED.mantissa - 1) + 1 == s.index(_TIED.mantissa)
         for x in (0, 1, 16):
@@ -951,11 +1011,37 @@ def test_bisection_reads_the_sorted_ints_off_the_limbs():
 
 def test_limb_sequence_rebuilds_from_its_nums():
     # what the benchmark's err-0 recount does: the positional constructor on
-    # nums read off the limbs gives the same sorted sequence and counts
-    seq = quadratic_sequence(sqrt_fixed(2, 192), 3000)
+    # nums read off the limbs gives the sorted ints and limb rows of sorted()
+    # and int.to_bytes, the counts of the u/v substitution, and the counts of
+    # the certified sequence it copies
+    alpha = sqrt_fixed(2, 192)
+    seq = quadratic_sequence(alpha, 3000)
     copy = SequenceModOne(seq.nums, seq.den, seq.provenance)
     assert copy.provenance == "quadratic" and copy.err == 0
-    assert copy.sorted_nums() == seq.sorted_nums()
-    assert np.array_equal(copy.sorted_limbs(), seq.sorted_limbs())
+    s = sorted(seq.nums)
+    assert copy.sorted_nums() == s
+    assert np.array_equal(copy.sorted_limbs(), _bytes_limbs(s, copy.den))
+    _check_windows(copy, s, _WINDOWS, alpha)
     for x in _WINDOWS:
         assert pair_correlation(copy, x).pair_count == pair_correlation(seq, x).pair_count
+
+
+@pytest.mark.parametrize("den", [(1 << 62) + 1, 1 << 64, (1 << 65) + 1, 1 << 192])
+def test_list_limbs_are_built_once_at_construction(monkeypatch, den):
+    # past 2^62 a list's int.to_bytes rows are built by the constructor and
+    # by nothing that counts or reads the sequence after it
+    calls = []
+    build = paircorr._limb_rows
+    monkeypatch.setattr(paircorr, "_limb_rows", lambda nums, d: calls.append(d) or build(nums, d))
+    rng = random.Random(den)
+    nums = [rng.randrange(den) for _ in range(300)]
+    seq = SequenceModOne(nums, den)
+    assert calls == [den]
+    for x in (0, 1, 16):
+        pair_correlation(seq, x)
+        if x:
+            weighted_pair_correlation(seq, x)
+    assert seq.sorted_nums() == sorted(nums)
+    assert calls == [den]
+    SequenceModOne([1, 2, 3], 1 << 62)  # the int64 form takes no limb rows
+    assert calls == [den]
