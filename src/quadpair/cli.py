@@ -17,7 +17,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import QuadpairError
 from .exactreal import DEFAULT_BITS, eval_with_retry, parse_alpha
@@ -51,15 +51,11 @@ def _write_text(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(args, header: list[str], rows: list[dict]) -> None:
+def _emit_rows(args, columns: tuple, rows: list[tuple]) -> None:
     if args.format == "json":
-        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        _emit_json(args, [dict(zip(columns, row)) for row in rows])
     else:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(row[h]) for h in header))
-        text = "\n".join(lines) + "\n"
-    _write_text(args.out, text)
+        _write_text(args.out, "".join(",".join(map(str, row)) + "\n" for row in [columns, *rows]))
 
 
 def _emit_json(args, payload) -> None:
@@ -74,89 +70,57 @@ def _fractions(text: str) -> list[Fraction]:
 # subcommand handlers
 
 
-def _cmd_paircorr(args) -> int:
+def _cmd_paircorr(args) -> list[tuple]:
     spec = parse_alpha(args.alpha)
     n = int(args.N)
     xs = _fractions(args.X)
 
-    def rows_at(alpha) -> list[dict]:
+    def rows_at(alpha) -> list[tuple]:
         # the whole alpha is redone at more bits on a PrecisionError
         seq = paircorr.quadratic_sequence(alpha, n)
         rows = []
         for x in xs:
             res = paircorr.pair_correlation(seq, x)
-            r0 = paircorr.weighted_pair_correlation(seq, x).r0 if x > 0 else ""
-            rows.append(
-                {
-                    "alpha": args.alpha,
-                    "N": n,
-                    "X": fmt_float(x),
-                    "R": fmt_float(res.r),
-                    "R0": fmt_float(r0) if r0 != "" else "",
-                    "method": res.method,
-                }
-            )
+            r0 = fmt_float(paircorr.weighted_pair_correlation(seq, x).r0) if x > 0 else ""
+            rows.append((args.alpha, n, fmt_float(x), fmt_float(res.r), r0, res.method))
         return rows
 
-    rows = eval_with_retry(spec, rows_at, int(args.bits))
-    _emit_rows(args, ["alpha", "N", "X", "R", "R0", "method"], rows)
-    return 0
+    return eval_with_retry(spec, rows_at, int(args.bits))
 
 
-def _cmd_r0(args) -> int:
+def _cmd_r0(args) -> list[tuple]:
     spec = parse_alpha(args.alpha)
     n = int(args.N)
     xs = _fractions(args.X)
 
-    def rows_at(alpha) -> list[dict]:
+    def rows_at(alpha) -> list[tuple]:
         # the whole alpha is redone at more bits on a PrecisionError
         seq = paircorr.quadratic_sequence(alpha, n)
         rows = []
         for x in xs:
             rep = paircorr.verify_integral_identities(seq, x)
             rows.append(
-                {
-                    "alpha": args.alpha,
-                    "N": n,
-                    "X": fmt_float(x),
-                    "R0": fmt_float(rep.r0),
-                    "intL": fmt_float(rep.int_l),
-                    "intL2": fmt_float(rep.int_l2),
-                    "coverage_ok": rep.int_l_ok,
-                    "square_ok": rep.square_ok,
-                    "square_applicable": rep.square_applicable,
-                    "additive_ok": rep.additive_ok,
-                }
+                (
+                    args.alpha, n, fmt_float(x),
+                    fmt_float(rep.r0), fmt_float(rep.int_l), fmt_float(rep.int_l2),
+                    rep.int_l_ok, rep.square_ok, rep.square_applicable, rep.additive_ok,
+                )
             )
         return rows
 
-    rows = eval_with_retry(spec, rows_at, int(args.bits))
-    _emit_rows(
-        args,
-        ["alpha", "N", "X", "R0", "intL", "intL2", "coverage_ok", "square_ok", "square_applicable", "additive_ok"],
-        rows,
-    )
-    return 0
+    return eval_with_retry(spec, rows_at, int(args.bits))
 
 
-def _cmd_badset(args) -> int:
+def _cmd_badset(args) -> list[tuple]:
     eta = Fraction(args.eta)
     rows = []
     for q in range(int(args.qlo), int(args.qhi) + 1):
         members = modcount.bad_set(q, eta)
-        rows.append(
-            {
-                "q": q,
-                "eta": str(eta),
-                "card": len(members),
-                "members": ";".join(map(str, members)),
-            }
-        )
-    _emit_rows(args, ["q", "eta", "card", "members"], rows)
-    return 0
+        rows.append((q, str(eta), len(members), ";".join(map(str, members))))
+    return rows
 
 
-def _cmd_dispersion(args) -> int:
+def _cmd_dispersion(args) -> list[tuple]:
     eta = Fraction(args.eta)
     if args.q:
         moduli = [int(t) for t in args.q.split(",")]
@@ -169,20 +133,13 @@ def _cmd_dispersion(args) -> int:
     for q in moduli:
         rep = modcount.dispersion_report(q, n=n, eta=eta)
         rows.append(
-            {
-                "q": q,
-                "q1": rep.q1,
-                "eta": str(eta),
-                "sum_delta_star_sq": fmt_float(rep.sum_delta_sq),
-                "bound": fmt_float(rep.bound_value),
-                "ratio": fmt_float(rep.ratio),
-                "card_bad_set": rep.card_bad_set if rep.card_bad_set is not None else "",
-            }
+            (
+                q, rep.q1, str(eta),
+                fmt_float(rep.sum_delta_sq), fmt_float(rep.bound_value), fmt_float(rep.ratio),
+                rep.card_bad_set if rep.card_bad_set is not None else "",
+            )
         )
-    _emit_rows(
-        args, ["q", "q1", "eta", "sum_delta_star_sq", "bound", "ratio", "card_bad_set"], rows
-    )
-    return 0
+    return rows
 
 
 def _cmd_construct(args) -> int:
@@ -233,12 +190,12 @@ def _cmd_expsum(args) -> int:
     return 0
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args) -> list[tuple]:
     beta_spec = parse_alpha(args.beta)
     delta = Fraction(args.delta)
     bounds = [int(m_text) for m_text in args.M.split(",")]
 
-    def rows_at(beta) -> list[dict]:
+    def rows_at(beta) -> list[tuple]:
         # every bound is redone at more bits on a PrecisionError
         rows = []
         for m in bounds:
@@ -246,24 +203,14 @@ def _cmd_lattice(args) -> int:
             basis = latcount.pair_lattice(m, beta, delta)
             res = latcount.lattice_square_count(basis)
             rows.append(
-                {
-                    "M": m,
-                    "beta": args.beta,
-                    "delta": fmt_float(delta),
-                    "R": count,
-                    "lambda1": fmt_float(basis.lambda1),
-                    "count": res.count,
-                    "main": fmt_float(res.main),
-                    "error_term": fmt_float(res.error_term),
-                }
+                (
+                    m, args.beta, fmt_float(delta), count, fmt_float(basis.lambda1),
+                    res.count, fmt_float(res.main), fmt_float(res.error_term),
+                )
             )
         return rows
 
-    rows = eval_with_retry(beta_spec, rows_at, int(args.bits))
-    _emit_rows(
-        args, ["M", "beta", "delta", "R", "lambda1", "count", "main", "error_term"], rows
-    )
-    return 0
+    return eval_with_retry(beta_spec, rows_at, int(args.bits))
 
 
 def _cmd_vcounts(args) -> int:
@@ -293,7 +240,7 @@ def _cmd_vcounts(args) -> int:
     return 0
 
 
-def _cmd_conjecture2(args) -> int:
+def _cmd_conjecture2(args) -> list[tuple]:
     n = int(args.N)
     q = int(args.q)
     if q < 2:
@@ -305,18 +252,8 @@ def _cmd_conjecture2(args) -> int:
         while math.gcd(c, q) != 1:
             c = rng.randrange(1, q)
         res = modcount.hyperbola_ap_count(n, q, c)
-        rows.append(
-            {
-                "N": n,
-                "q": q,
-                "c": c,
-                "count": res.count,
-                "expected": fmt_float(res.expected),
-                "ratio": fmt_float(res.ratio),
-            }
-        )
-    _emit_rows(args, ["N", "q", "c", "count", "expected", "ratio"], rows)
-    return 0
+        rows.append((n, q, c, res.count, fmt_float(res.expected), fmt_float(res.ratio)))
+    return rows
 
 
 def _cmd_divisor_ap(args) -> int:
@@ -356,173 +293,204 @@ def _cmd_suite(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# subcommand declarations
+
+REQUIRED = object()
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value defaults file")
-    p.add_argument("--out", help="output path (default stdout)")
+class Flag(NamedTuple):
+    """A flag a subcommand reads.  ``default`` is the value it takes when
+    neither the command line nor the config file gives it: ``REQUIRED``
+    when one of them must, ``False`` for a switch."""
+
+    default: object = None
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+
+class Subcommand(NamedTuple):
+    """A subcommand's help line, its handler and the flags it reads, in
+    ``--help`` order.  A subcommand with ``columns`` has a handler that
+    returns rows of those columns, which main emits as CSV or JSON."""
+
+    help: str
+    handler: Callable
+    flags: dict
+    columns: tuple = ()
+
+
+_IO = {
+    "config": Flag(help="key = value defaults file"),
+    "out": Flag(help="output path (default stdout)"),
+}
+_FORMAT = {"format": Flag("csv", ("csv", "json"))}
+_BITS = {"bits": Flag(str(DEFAULT_BITS))}
+_ETA = {"eta": Flag("1/200")}
+
+SUBCOMMANDS = {
+    "paircorr": Subcommand(
+        "pair correlation of a quadratic sequence",
+        _cmd_paircorr,
+        {
+            "alpha": Flag(REQUIRED),
+            "N": Flag(REQUIRED),
+            "X": Flag(REQUIRED, help="comma-separated window values"),
+            **_IO, **_FORMAT, **_BITS,
+        },
+        ("alpha", "N", "X", "R", "R0", "method"),
+    ),
+    "r0": Subcommand(
+        "weighted correlation and integral identities",
+        _cmd_r0,
+        {
+            "alpha": Flag(REQUIRED),
+            "N": Flag(REQUIRED),
+            "X": Flag(REQUIRED),
+            **_IO, **_FORMAT, **_BITS,
+        },
+        (
+            "alpha", "N", "X", "R0", "intL", "intL2",
+            "coverage_ok", "square_ok", "square_applicable", "additive_ok",
+        ),
+    ),
+    "badset": Subcommand(
+        "bad residue sets per modulus",
+        _cmd_badset,
+        {"qlo": Flag(REQUIRED), "qhi": Flag(REQUIRED), **_IO, **_FORMAT, **_ETA},
+        ("q", "eta", "card", "members"),
+    ),
+    "dispersion": Subcommand(
+        "dispersion sums vs the benchmark",
+        _cmd_dispersion,
+        {
+            "q": Flag(help="comma-separated moduli"),
+            "qlo": Flag(),
+            "qhi": Flag(),
+            "N": Flag(help="box mode bound (default: running-max mode)"),
+            **_IO, **_FORMAT, **_ETA,
+        },
+        ("q", "q1", "eta", "sum_delta_star_sq", "bound", "ratio", "card_bad_set"),
+    ),
+    "construct": Subcommand(
+        "interval refinement construction",
+        _cmd_construct,
+        {
+            "interval": Flag(REQUIRED, help="lo:hi with rational endpoints"),
+            "qstart": Flag(REQUIRED),
+            "qmax": Flag(REQUIRED),
+            "no_strict_budget": Flag(
+                False, help="proceed past the measure precondition, verifying survival per step"
+            ),
+            **_IO, **_ETA,
+        },
+    ),
+    "verify-avoidance": Subcommand(
+        "check a value against the exclusion families",
+        _cmd_verify_avoidance,
+        {
+            "alpha": Flag(help="alpha spec string"),
+            "x": Flag(help="rational value, e.g. 7/20"),
+            "qstart": Flag(REQUIRED),
+            "qmax": Flag(REQUIRED),
+            **_IO, **_BITS, **_ETA,
+        },
+    ),
+    "expsum": Subcommand(
+        "quadric exponential sum",
+        _cmd_expsum,
+        {"b": Flag(REQUIRED, help="four comma-separated integers"), "q": Flag(REQUIRED), **_IO},
+    ),
+    "lattice": Subcommand(
+        "near-multiple counts and square sections",
+        _cmd_lattice,
+        {
+            "M": Flag(REQUIRED, help="comma-separated bounds"),
+            "beta": Flag(REQUIRED, help="alpha spec string"),
+            "delta": Flag(REQUIRED),
+            **_IO, **_FORMAT, **_BITS,
+        },
+        ("M", "beta", "delta", "R", "lambda1", "count", "main", "error_term"),
+    ),
+    "vcounts": Subcommand(
+        "coprime triple box counts",
+        _cmd_vcounts,
+        {
+            "A": Flag(REQUIRED),
+            "B": Flag(REQUIRED),
+            "delta": Flag(REQUIRED),
+            "alpha": Flag(REQUIRED),
+            "P0": Flag(),
+            "P1": Flag(),
+            **_IO, **_BITS,
+        },
+    ),
+    "conjecture2": Subcommand(
+        "hyperbola box counts at unit residues",
+        _cmd_conjecture2,
+        {
+            "N": Flag(REQUIRED),
+            "q": Flag(REQUIRED),
+            "samples": Flag("50"),
+            **_IO, **_FORMAT,
+            "seed": Flag("0"),
+        },
+        ("N", "q", "c", "count", "expected", "ratio"),
+    ),
+    "divisor-ap": Subcommand(
+        "divisor sum in a progression",
+        _cmd_divisor_ap,
+        {"M": Flag(REQUIRED), "q": Flag(REQUIRED), "s": Flag(REQUIRED), **_IO},
+    ),
+    "suite": Subcommand(
+        "run the acceptance criteria",
+        _cmd_suite,
+        {
+            "level": Flag("desk", ("desk", "quick")),
+            "only": Flag(help="comma-separated criterion names, e.g. A1,A3"),
+            **_IO,
+        },
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Subcommand parsers leave every flag not given on the command line
-    unset; _apply_config fills those from the config file or _DEFAULTS.
-    Each subcommand accepts only the flags its handler reads, and names in
-    ``required`` the ones that the command line or the config file must
-    supply."""
+    """One subparser per entry of SUBCOMMANDS, accepting exactly the flags
+    it declares.  Every flag not given on the command line is left unset
+    for _apply_config to fill."""
     parser = argparse.ArgumentParser(prog="quadpair")
     sub = parser.add_subparsers(
         dest="subcommand",
         required=True,
         parser_class=functools.partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS),
     )
-
-    p = sub.add_parser("paircorr", help="pair correlation of a quadratic sequence")
-    p.add_argument("--alpha")
-    p.add_argument("--N")
-    p.add_argument("--X", help="comma-separated window values")
-    _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--bits")
-    p.set_defaults(handler=_cmd_paircorr, required=("alpha", "N", "X"))
-
-    p = sub.add_parser("r0", help="weighted correlation and integral identities")
-    p.add_argument("--alpha")
-    p.add_argument("--N")
-    p.add_argument("--X")
-    _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--bits")
-    p.set_defaults(handler=_cmd_r0, required=("alpha", "N", "X"))
-
-    p = sub.add_parser("badset", help="bad residue sets per modulus")
-    p.add_argument("--qlo")
-    p.add_argument("--qhi")
-    _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--eta")
-    p.set_defaults(handler=_cmd_badset, required=("qlo", "qhi"))
-
-    p = sub.add_parser("dispersion", help="dispersion sums vs the benchmark")
-    p.add_argument("--q", help="comma-separated moduli")
-    p.add_argument("--qlo")
-    p.add_argument("--qhi")
-    p.add_argument("--N", help="box mode bound (default: running-max mode)")
-    _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--eta")
-    p.set_defaults(handler=_cmd_dispersion, required=())
-
-    p = sub.add_parser("construct", help="interval refinement construction")
-    p.add_argument("--interval", help="lo:hi with rational endpoints")
-    p.add_argument("--qstart")
-    p.add_argument("--qmax")
-    p.add_argument(
-        "--no-strict-budget",
-        action="store_true",
-        help="proceed past the measure precondition, verifying survival per step",
-    )
-    _add_common(p)
-    p.add_argument("--eta")
-    p.set_defaults(handler=_cmd_construct, required=("interval", "qstart", "qmax"))
-
-    p = sub.add_parser("verify-avoidance", help="check a value against the exclusion families")
-    p.add_argument("--alpha", help="alpha spec string")
-    p.add_argument("--x", help="rational value, e.g. 7/20")
-    p.add_argument("--qstart")
-    p.add_argument("--qmax")
-    _add_common(p)
-    p.add_argument("--bits")
-    p.add_argument("--eta")
-    p.set_defaults(handler=_cmd_verify_avoidance, required=("qstart", "qmax"))
-
-    p = sub.add_parser("expsum", help="quadric exponential sum")
-    p.add_argument("--b", help="four comma-separated integers")
-    p.add_argument("--q")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_expsum, required=("b", "q"))
-
-    p = sub.add_parser("lattice", help="near-multiple counts and square sections")
-    p.add_argument("--M", help="comma-separated bounds")
-    p.add_argument("--beta", help="alpha spec string")
-    p.add_argument("--delta")
-    _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--bits")
-    p.set_defaults(handler=_cmd_lattice, required=("M", "beta", "delta"))
-
-    p = sub.add_parser("vcounts", help="coprime triple box counts")
-    p.add_argument("--A")
-    p.add_argument("--B")
-    p.add_argument("--delta")
-    p.add_argument("--alpha")
-    p.add_argument("--P0")
-    p.add_argument("--P1")
-    _add_common(p)
-    p.add_argument("--bits")
-    p.set_defaults(handler=_cmd_vcounts, required=("A", "B", "delta", "alpha"))
-
-    p = sub.add_parser("conjecture2", help="hyperbola box counts at unit residues")
-    p.add_argument("--N")
-    p.add_argument("--q")
-    p.add_argument("--samples")
-    _add_common(p)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--seed")
-    p.set_defaults(handler=_cmd_conjecture2, required=("N", "q"))
-
-    p = sub.add_parser("divisor-ap", help="divisor sum in a progression")
-    p.add_argument("--M")
-    p.add_argument("--q")
-    p.add_argument("--s")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_divisor_ap, required=("M", "q", "s"))
-
-    p = sub.add_parser("suite", help="run the acceptance criteria")
-    p.add_argument("--level", choices=("desk", "quick"))
-    p.add_argument("--only", help="comma-separated criterion names, e.g. A1,A3")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_suite, required=())
-
+    for name, cmd in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for key, flag in cmd.flags.items():
+            if flag.default is False:
+                p.add_argument("--" + key.replace("_", "-"), action="store_true", help=flag.help)
+            else:
+                p.add_argument("--" + key, choices=flag.choices, help=flag.help)
     return parser
 
 
-_DEFAULTS = {
-    "config": None,
-    "out": None,
-    "format": "csv",
-    "seed": "0",
-    "bits": str(DEFAULT_BITS),
-    "eta": "1/200",
-    "alpha": None,
-    "x": None,
-    "q": None,
-    "qlo": None,
-    "qhi": None,
-    "N": None,
-    "P0": None,
-    "P1": None,
-    "no_strict_budget": False,
-    "samples": "50",
-    "level": "desk",
-    "only": None,
-}
-
-
-def _apply_config(args) -> None:
-    """Fill every flag the command line left unset: from the config file
-    when it has the key, else from _DEFAULTS.  Explicit flags always win.
-    A boolean key in the file reads ``true`` or ``false``."""
+def _apply_config(args, flags: dict) -> None:
+    """Fill every flag in ``flags`` the command line left unset: from the
+    config file when it has the key, else from the flag's default.
+    Explicit flags always win.  The file's value for each of these flags is
+    checked as the command line checks the flag: against its choices, and
+    ``true`` or ``false`` for a switch.  Keys for other flags are ignored."""
     config = load_config(args.config) if hasattr(args, "config") else {}
-    for key, value in config.items():
-        if isinstance(_DEFAULTS.get(key), bool):
-            if value not in ("true", "false"):
-                raise ValueError(f"config key {key} must be true or false, got {value!r}")
-            config[key] = value == "true"
-    for key, value in [*config.items(), *_DEFAULTS.items()]:
+    for key, flag in flags.items():
+        value = config.get(key, flag.default)
+        if key in config:
+            allowed = ("true", "false") if flag.default is False else flag.choices
+            if allowed and value not in allowed:
+                raise ValueError(f"config key {key} must be {' or '.join(allowed)}, got {value!r}")
+            if flag.default is False:
+                value = value == "true"
         if not hasattr(args, key):
             setattr(args, key, value)
-    missing = [f"--{key}" for key in args.required if getattr(args, key, None) is None]
+    missing = [f"--{key}" for key in flags if getattr(args, key) is REQUIRED]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
 
@@ -533,11 +501,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    cmd = SUBCOMMANDS[args.subcommand]
     try:
-        _apply_config(args)
-        return args.handler(args)
-    except (QuadpairError, ValueError, ArithmeticError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _apply_config(args, cmd.flags)
+        if not cmd.columns:
+            return cmd.handler(args)
+        _emit_rows(args, cmd.columns, cmd.handler(args))
+        return 0
+    except (QuadpairError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 2
 
 

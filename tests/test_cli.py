@@ -9,7 +9,7 @@ import pytest
 
 from quadpair import latcount, paircorr
 from quadpair.acceptance import run_suite
-from quadpair.cli import fmt_float, load_config, main
+from quadpair.cli import SUBCOMMANDS, fmt_float, load_config, main
 from quadpair.constructor import tail_budget
 from quadpair.errors import PrecisionError
 from quadpair.expsum import quad_sum
@@ -46,6 +46,24 @@ def test_paircorr_rejects_zero_denominator(capsys):
 
 def test_usage_error_exit_code():
     assert main(["nonsense-subcommand"]) == 2
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(), "MemoryError"),
+        (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+    ],
+)
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys, exc, message):
+    # raised, not allocated: with overcommit a huge request may succeed and
+    # the process be killed later
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(paircorr, "quadratic_sequence", no_memory)
+    assert main(["paircorr", "--alpha", "sqrt:2", "--N", "1000000000000", "--X", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -95,6 +113,31 @@ def _readme_examples() -> list[str]:
 
 def test_paper_command_line_section_matches_readme():
     assert _command_line_section("PAPER.md") == _command_line_section("README.md")
+
+
+def test_readme_flag_and_schema_lists_match_the_declarations():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert all({"config", "out"} <= cmd.flags.keys() for cmd in SUBCOMMANDS.values())
+    shared = re.search(r"subcommands that read it:\n\n(.*?)\n\n", readme, re.S).group(1)
+    listed = {}
+    for bullet in re.split(r"\n(?=- )", shared):
+        # "- `--format csv|json` (default csv): `paircorr`, ...; the other ..."
+        m = re.fullmatch(r"- `--(\w+)(?: ([\w|]+))?`(?: \(default (\w+)\))?: ([^;]*).*", bullet,
+                         re.S)
+        flag, choices, default, readers = m.groups()
+        listed[flag] = re.findall(r"`([\w-]+)`", readers)
+        for name in listed[flag]:
+            declared = SUBCOMMANDS[name].flags[flag]
+            if choices:
+                assert (choices, default) == ("|".join(declared.choices), declared.default)
+    assert listed == {
+        flag: [name for name, cmd in SUBCOMMANDS.items() if flag in cmd.flags]
+        for flag in ("format", "bits", "eta", "seed")
+    }
+    schemas = re.search(r"^### CSV schemas\n\n(.*?)\n\n", readme, re.M | re.S).group(1)
+    assert dict(re.findall(r"^- `([\w-]+)`: `([^`]*)`$", schemas, re.M)) == {
+        name: ",".join(cmd.columns) for name, cmd in SUBCOMMANDS.items() if cmd.columns
+    }
 
 
 # sha256 of each README example's stdout and of each file it writes
@@ -381,6 +424,18 @@ def test_badset_and_dispersion(tmp_path):
     assert lines[1].split(",")[3] == fmt_float(Fraction(930, 625))
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["badset", "--qlo", "5", "--qhi", "3"], "q,eta,card,members\n"),
+        (["badset", "--qlo", "5", "--qhi", "3", "--format", "json"], "[]\n"),
+        (["paircorr", "--alpha", "sqrt:2", "--N", "10", "--X", ","], "alpha,N,X,R,R0,method\n"),
+    ],
+)
+def test_empty_selections_print_the_header_alone(capsys, argv, expected):
+    assert run(argv, capsys) == (0, expected)
+
+
 def test_dispersion_range_rows_match_the_library(tmp_path):
     out = tmp_path / "disp.csv"
     assert main(["dispersion", "--qlo", "50", "--qhi", "60", "--out", str(out)]) == 0
@@ -492,6 +547,36 @@ def test_config_booleans_are_true_or_false(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, key, value, allowed",
+    [
+        (["paircorr", "--alpha", "sqrt:2", "--N", "10", "--X", "1"], "format", "xml", "csv or json"),
+        (["suite", "--only", "A8"], "level", "fast", "desk or quick"),
+    ],
+)
+def test_config_values_are_checked_against_the_flag_choices(
+    tmp_path, capsys, argv, key, value, allowed
+):
+    out = tmp_path / "out"
+    assert main(argv + [f"--{key}", value, "--out", str(out)]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: config key {key} must be {allowed}, got {value!r}\n")
+    assert not out.exists()
+
+
+def test_config_switch_of_another_subcommand_is_ignored(tmp_path, capsys):
+    # paircorr does not read no_strict_budget, so its value is not checked
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("no_strict_budget = yes\n")
+    argv = ["paircorr", "--alpha", "sqrt:2", "--N", "10", "--X", "1"]
+    expected = run(argv, capsys)
+    assert expected[0] == 0
+    assert run(argv + ["--config", str(cfg)], capsys) == expected
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["divisor-ap", "--M", "20", "--q", "4", "--s", "1", "--format", "csv"],
@@ -499,6 +584,19 @@ def test_config_booleans_are_true_or_false(tmp_path, capsys):
         ["suite", "--level", "quick", "--only", "A5", "--threads", "2"],
         ["construct", "--interval", "1/3:2/5", "--qstart", "1000", "--qmax", "1005",
          "--lemma2-constant", "2"],
+        # each subcommand given a flag that another one reads
+        ["paircorr", "--alpha", "sqrt:2", "--N", "10", "--X", "1", "--eta", "1/3"],
+        ["r0", "--alpha", "rat:3/7", "--N", "40", "--X", "1.5", "--seed", "1"],
+        ["badset", "--qlo", "2", "--qhi", "5", "--bits", "256"],
+        ["dispersion", "--q", "101", "--bits", "256"],
+        ["construct", "--interval", "1/3:2/5", "--qstart", "1000", "--qmax", "1005",
+         "--bits", "256"],
+        ["verify-avoidance", "--x", "7/20", "--qstart", "10", "--qmax", "40", "--format", "json"],
+        ["lattice", "--M", "100", "--beta", "sqrt:2", "--delta", "3/10", "--eta", "1/3"],
+        ["vcounts", "--A", "6", "--B", "9", "--delta", "1/2", "--alpha", "rat:2/7",
+         "--format", "json"],
+        ["conjecture2", "--N", "200", "--q", "101", "--bits", "256"],
+        ["suite", "--level", "quick", "--only", "A5", "--format", "json"],
     ],
 )
 def test_flags_the_subcommand_does_not_read_are_usage_errors(capsys, argv):
