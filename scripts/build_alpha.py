@@ -4,6 +4,8 @@ exclusion families, and report the pair correlation of the result.
 
 The measure precondition only holds for short sweeps at high moduli; pass
 --no-strict-budget to explore longer sweeps (they eventually empty out).
+A failed budget, an emptied sweep or a bad argument prints
+``error: <message>`` and exits 2, as ``quadpair construct`` does.
 
     python3 scripts/build_alpha.py --interval 1/3:2/5 --qstart 1000 --qmax 1005
 """
@@ -14,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from quadpair.constructor import construct_alpha, interval
+from quadpair.errors import QuadpairError
 from quadpair.paircorr import pair_correlation, quadratic_sequence
 
 
@@ -29,14 +32,18 @@ def main() -> int:
     args = ap.parse_args()
 
     lo, _, hi = args.interval.partition(":")
-    base = interval(Fraction(lo), Fraction(hi))
-    res = construct_alpha(
-        base,
-        args.qstart,
-        args.qmax,
-        Fraction(args.eta),
-        strict_budget=not args.no_strict_budget,
-    )
+    try:
+        base = interval(Fraction(lo), Fraction(hi))
+        res = construct_alpha(
+            base,
+            args.qstart,
+            args.qmax,
+            Fraction(args.eta),
+            strict_budget=not args.no_strict_budget,
+        )
+    except (QuadpairError, ValueError, ArithmeticError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     print(f"final = {res.final} = {float(res.final):.12f}  (budget_ok={res.budget_ok})")
     # construct_alpha has verified the survivor over the same sweep
     print(f"avoidance violations: {len(res.certificate['violations'])}")

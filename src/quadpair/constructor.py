@@ -278,24 +278,25 @@ def construct_alpha(
     precondition and instead verifies survival constructively at every step
     (long low sweeps genuinely empty out: neighbouring exclusion intervals
     overlap across every gap once the modulus range is deep enough).  The
-    certificate's class measures are summed once, before the sweep in strict
-    mode and after it otherwise, so a sweep that empties early never
-    classifies the moduli past that point.
+    class measures are summed as the sweep reaches each modulus, and strict
+    mode stops at the first modulus whose running total breaks the budget,
+    so no sweep classifies a modulus past the one where it ends.
     """
     eta = Fraction(eta)
     if not (0 <= base.lo < base.hi <= 1):
         raise ValueError("base interval must lie in [0, 1] with positive length")
     _check_sweep(q_start, q_max)
-    if strict_budget:
-        budget = tail_budget(q_start, q_max, eta)
-        if not budget.total < base.measure / 2:
-            raise BudgetError(
-                f"enumerated measure {float(budget.total):.4g} is not below "
-                f"half the interval length {float(base.measure / 2):.4g}"
-            )
+    sums = [Fraction(0)] * 3
     union = _OpenUnion()
     r_sequence: list[Fraction] = []
     for q in range(q_start, q_max + 1):
+        step = tail_budget(q, q, eta)
+        sums = [s + t for s, t in zip(sums, (step.class1_sum, step.class2_sum, step.class3_sum))]
+        if strict_budget and not sum(sums) < base.measure / 2:
+            raise BudgetError(
+                f"enumerated measure {float(sum(sums)):.4g} through q={q} is not "
+                f"below half the interval length {float(base.measure / 2):.4g}"
+            )
         for bad in enumerate_bad_intervals(q, q, eta, within=base):
             union.insert(bad.lo, bad.hi)
         r = union.first_uncovered(base.lo)
@@ -305,8 +306,7 @@ def construct_alpha(
             raise AssertionError("survivor sequence decreased")  # pragma: no cover
         r_sequence.append(r)
     final = r_sequence[-1]
-    if not strict_budget:
-        budget = tail_budget(q_start, q_max, eta)
+    budget = TailBudget(*sums, sum(sums))
     budget_ok = bool(budget.total < base.measure / 2)
     violations = verify_avoidance(final, q_start, q_max, eta)
     certificate = {

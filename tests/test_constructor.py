@@ -228,9 +228,44 @@ def test_construct_non_strict_certificate_measures_match_tail_budget():
     assert res.budget_ok == (tb.total < base.measure / 2)
 
 
+def test_construct_strict_raises_exactly_when_the_whole_range_breaks_the_budget():
+    # the budget is summed modulus by modulus, but measures are non-negative,
+    # so a prefix reaches half the base exactly when the whole range does
+    outcomes = set()
+    for lo, hi in ((Fraction(1, 3), Fraction(2, 5)), (0, 1), (Fraction(1, 2), 1),
+                   (Fraction(1, 7), Fraction(1, 7) + Fraction(1, 40))):
+        base = interval(lo, hi)
+        for q_start, q_max in ((1000, 1005), (1000, 1010), (1000, 1011), (10, 12),
+                               (100, 110), (200, 230), (2000, 2003), (2990, 3000)):
+            breaks = tail_budget(q_start, q_max, ETA).total >= base.measure / 2
+            outcomes.add(breaks)
+            if breaks:
+                with pytest.raises(BudgetError):
+                    construct_alpha(base, q_start, q_max, ETA, strict_budget=True)
+            else:
+                assert construct_alpha(base, q_start, q_max, ETA, strict_budget=True).budget_ok
+    assert outcomes == {True, False}
+
+
+def test_construct_strict_stops_at_the_modulus_that_breaks_the_budget(monkeypatch):
+    # the running total first reaches 1/30 at q=1011, so no modulus past it
+    # is classified
+    seen = []
+
+    def recording_bad_set(q, eta):
+        seen.append(q)
+        return bad_set(q, eta)
+
+    monkeypatch.setattr(constructor, "bad_set", recording_bad_set)
+    base = interval(Fraction(1, 3), Fraction(2, 5))
+    with pytest.raises(BudgetError, match=r"through q=1011 is not below half the interval length"):
+        construct_alpha(base, 1000, 3000, ETA, strict_budget=True)
+    assert max(seen) == 1011
+
+
 def test_construct_non_strict_stops_at_the_emptying_modulus(monkeypatch):
-    # without the strict budget the measure sums are built after the sweep,
-    # so a sweep that empties at q=47 never classifies a modulus past it
+    # the measure sums are built as the sweep reaches each modulus, so a
+    # sweep that empties at q=47 never classifies a modulus past it
     seen = []
 
     def recording_bad_set(q, eta):
