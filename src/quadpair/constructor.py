@@ -8,7 +8,10 @@ residues in the per-modulus bad set.  Subtracting them from a starting
 interval and tracking the smallest surviving endpoint yields a non-decreasing
 rational sequence, together with an avoidance certificate over the sweep.
 
-All interval arithmetic is exact over rationals.
+All interval arithmetic is exact.  Survivors, measures and the certificate
+are Fractions; the sweep keeps its union of open intervals on integer keys
+floor(x * 2^shift), with the shift wide enough to order and equate every
+endpoint exactly, and each end's exact value beside its key.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 
 from .errors import BudgetError, CostGuardError, EmptyRefinementError, PrecisionError
 from .exactreal import cmp_power, floor_power, q1_part, scaled
-from .modcount import bad_set
+from .modcount import _checked_eta, bad_set
 
 Q_GUARD = 3000
 
@@ -140,25 +143,31 @@ def _wide_radius_den(q: int, eta: Fraction) -> int:
     return floor_power(q, 2 + eta)
 
 
-@lru_cache(maxsize=None)
-def _class2_flag(q: int, eta: Fraction) -> bool:
-    return cmp_power(Fraction(q1_part(q)), q, 2 * eta) >= 0
-
-
-def _check_sweep(q_lo: int, q_hi: int) -> None:
+def _check_sweep(q_lo: int, q_hi: int, eta) -> Fraction:
+    """eta as a Fraction, once the modulus range and eta are checked."""
     if not 2 <= q_lo <= q_hi <= Q_GUARD:
         raise CostGuardError(f"modulus sweep must stay within [2, {Q_GUARD}]")
+    return _checked_eta(eta)
+
+
+@lru_cache(maxsize=None)
+def _full_families(q: int, eta: Fraction):
+    """The families around every a/q, 0 <= a <= q, as in ``_families``: the
+    wide one, and the narrow one when q1(q) >= q^(2 eta)."""
+    radii = [(1, Fraction(1, _wide_radius_den(q, eta)))]
+    if cmp_power(Fraction(q1_part(q)), q, 2 * eta) >= 0:
+        radii.append((2, Fraction(1, q * q)))
+    every = range(q + 1)
+    return tuple((cls, radius, every, radius * (2 * (q + 1))) for cls, radius in radii)
 
 
 def _families(q: int, eta: Fraction):
-    """The exclusion families at modulus q, as (class, radius, centres): the
-    open intervals of that radius around a/q for each a in the sorted
-    ``centres``."""
-    every = range(q + 1)
-    yield 1, Fraction(1, _wide_radius_den(q, eta)), every
-    if _class2_flag(q, eta):
-        yield 2, Fraction(1, q * q), every
-    yield 3, Fraction(1, q * q), bad_set(q, eta)
+    """The exclusion families at modulus q, as (class, radius, centres,
+    measure): the open intervals of that radius around a/q for each a in the
+    sorted ``centres``, and their summed length."""
+    yield from _full_families(q, eta)
+    centres = bad_set(q, eta)
+    yield 3, Fraction(1, q * q), centres, Fraction(2 * len(centres), q * q)
 
 
 def _centres_near(q: int, radius: Fraction, centres, lo: Fraction, hi: Fraction):
@@ -178,12 +187,11 @@ def enumerate_bad_intervals(
     [0, 1]); the full family per modulus is 0 <= a <= q for classes 1 and 2
     and the bad set for class 3.
     """
-    eta = Fraction(eta)
-    _check_sweep(q_lo, q_hi)
+    eta = _check_sweep(q_lo, q_hi, eta)
     lo, hi = (Fraction(0), Fraction(1)) if within is None else (within.lo, within.hi)
     out: list[BadInterval] = []
     for q in range(q_lo, q_hi + 1):
-        for cls, radius, centres in _families(q, eta):
+        for cls, radius, centres, _ in _families(q, eta):
             for a in _centres_near(q, radius, centres, lo, hi):
                 out.append(BadInterval(q, a, cls, Fraction(a, q), radius))
     return out
@@ -198,20 +206,22 @@ class TailBudget:
     class1_sum: Fraction
     class2_sum: Fraction
     class3_sum: Fraction
-    total: Fraction
+
+    @property
+    def total(self) -> Fraction:
+        return self.class1_sum + self.class2_sum + self.class3_sum
 
 
 def tail_budget(q_start: int, q_hi: int, eta) -> TailBudget:
     """Exact measure of each exclusion family summed over q_start..q_hi,
-    counting every centre a/q in [0, 1] for the two full families, and
-    their total."""
-    eta = Fraction(eta)
-    _check_sweep(q_start, q_hi)
-    sums = [Fraction(0)] * 3
+    counting every centre a/q in [0, 1] for the two full families."""
+    eta = _check_sweep(q_start, q_hi, eta)
+    columns: tuple[list[Fraction], ...] = ([], [], [])
     for q in range(q_start, q_hi + 1):
-        for cls, radius, centres in _families(q, eta):
-            sums[cls - 1] += radius * (2 * len(centres))
-    return TailBudget(*sums, sum(sums))
+        for cls, _, _, measure in _families(q, eta):
+            columns[cls - 1].append(measure)
+    # a column's first term starts its sum: no Fraction(0) to add
+    return TailBudget(*(sum(col[1:], col[0]) if col else Fraction(0) for col in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -219,28 +229,46 @@ def tail_budget(q_start: int, q_hi: int, eta) -> TailBudget:
 
 
 class _OpenUnion:
-    """Disjoint union of open intervals; merging only on strict overlap, so
-    shared endpoints of adjacent intervals stay uncovered."""
+    """Disjoint union of open intervals, kept on the integer keys
+    floor(x * 2^shift) of their endpoints; merging only on strict overlap,
+    so shared endpoints of adjacent intervals stay uncovered.
 
-    def __init__(self):
-        self.starts: list[Fraction] = []
-        self.ends: list[Fraction] = []
+    The keys order and equate endpoints exactly while every endpoint, and
+    every point asked about, has a denominator below 2^b with
+    shift >= 2b + 1: two distinct such rationals differ by more than 2^(-2b).
+    Each end keeps its exact (numerator, denominator) beside its key.
+    """
 
-    def insert(self, lo: Fraction, hi: Fraction):
+    def __init__(self, shift: int):
+        self.shift = shift
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.exact_ends: list[tuple[int, int]] = []
+
+    def insert(self, bad: BadInterval):
+        # the ends of bad are a/q -+ n/d = (a d -+ n q) / (q d)
+        n, d = bad.radius.numerator, bad.radius.denominator
+        mid, den, half = bad.a * d, bad.q * d, n * bad.q
+        lo = ((mid - half) << self.shift) // den
+        hi = ((mid + half) << self.shift) // den
         if lo >= hi:
             return
+        end = (mid + half, den)
         i = bisect_right(self.ends, lo)
         j = bisect_left(self.starts, hi)
         if i < j:
             lo = min(lo, self.starts[i])
-            hi = max(hi, self.ends[j - 1])
+            if self.ends[j - 1] > hi:
+                hi, end = self.ends[j - 1], self.exact_ends[j - 1]
         self.starts[i:j] = [lo]
         self.ends[i:j] = [hi]
+        self.exact_ends[i:j] = [end]
 
     def first_uncovered(self, x: Fraction) -> Fraction:
-        i = bisect_right(self.starts, x) - 1
-        if i >= 0 and self.starts[i] < x < self.ends[i]:
-            return self.ends[i]
+        k = (x.numerator << self.shift) // x.denominator
+        i = bisect_right(self.starts, k) - 1
+        if i >= 0 and self.starts[i] < k < self.ends[i]:
+            return Fraction(*self.exact_ends[i])
         return x
 
 
@@ -282,23 +310,27 @@ def construct_alpha(
     mode stops at the first modulus whose running total breaks the budget,
     so no sweep classifies a modulus past the one where it ends.
     """
-    eta = Fraction(eta)
     if not (0 <= base.lo < base.hi <= 1):
         raise ValueError("base interval must lie in [0, 1] with positive length")
-    _check_sweep(q_start, q_max)
+    eta = _check_sweep(q_start, q_max, eta)
+    half = base.measure / 2
     sums = [Fraction(0)] * 3
-    union = _OpenUnion()
+    # every endpoint a/q -+ 1/d of the sweep has denominator dividing
+    # q d <= q_max D(q_max), where D(q) = floor(q^(2+eta)) >= q^2 (eta > 0)
+    # is the widest radius denominator at q
+    width = max(q_max * _wide_radius_den(q_max, eta), base.lo.denominator).bit_length()
+    union = _OpenUnion(2 * width + 1)
     r_sequence: list[Fraction] = []
     for q in range(q_start, q_max + 1):
         step = tail_budget(q, q, eta)
         sums = [s + t for s, t in zip(sums, (step.class1_sum, step.class2_sum, step.class3_sum))]
-        if strict_budget and not sum(sums) < base.measure / 2:
+        if strict_budget and not sum(sums) < half:
             raise BudgetError(
                 f"enumerated measure {float(sum(sums)):.4g} through q={q} is not "
-                f"below half the interval length {float(base.measure / 2):.4g}"
+                f"below half the interval length {float(half):.4g}"
             )
         for bad in enumerate_bad_intervals(q, q, eta, within=base):
-            union.insert(bad.lo, bad.hi)
+            union.insert(bad)
         r = union.first_uncovered(base.lo)
         if r > base.hi:
             raise EmptyRefinementError(f"refinement emptied at modulus {q}")
@@ -306,8 +338,8 @@ def construct_alpha(
             raise AssertionError("survivor sequence decreased")  # pragma: no cover
         r_sequence.append(r)
     final = r_sequence[-1]
-    budget = TailBudget(*sums, sum(sums))
-    budget_ok = bool(budget.total < base.measure / 2)
+    budget = TailBudget(*sums)
+    budget_ok = bool(budget.total < half)
     violations = verify_avoidance(final, q_start, q_max, eta)
     certificate = {
         "interval": [str(base.lo), str(base.hi)],
@@ -335,13 +367,12 @@ def construct_alpha(
 def verify_avoidance(x, q_start: int, q_max: int, eta) -> list[BadInterval]:
     """Exact membership scan of x against every exclusion interval in range;
     an empty result certifies avoidance over the sweep."""
-    eta = Fraction(eta)
-    _check_sweep(q_start, q_max)
+    eta = _check_sweep(q_start, q_max, eta)
     num, den, err = scaled(x)
     x_lo, x_hi = Fraction(num - err, den), Fraction(num + err, den)
     violated: list[BadInterval] = []
     for q in range(q_start, q_max + 1):
-        for cls, radius, centres in _families(q, eta):
+        for cls, radius, centres, _ in _families(q, eta):
             for a in _centres_near(q, radius, centres, x_lo, x_hi):
                 # the enclosure meets this interval; a violation needs all of it inside
                 center = Fraction(a, q)

@@ -125,9 +125,12 @@ class CongruenceProfile:
     m_max: int
 
 
+_ETA_MAX = Fraction(1, 100)
+
+
 def _checked_eta(eta) -> Fraction:
     eta = Fraction(eta)
-    if not 0 < eta <= Fraction(1, 100):
+    if not 0 < eta <= _ETA_MAX:
         raise ValueError("eta must lie in (0, 1/100]")
     return eta
 

@@ -363,6 +363,25 @@ def test_construct_budget_failure_is_an_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("eta", ["-1/2", "0", "1/50"])
+@pytest.mark.parametrize("argv", [
+    ["construct", "--interval", "1/3:2/5", "--qstart", "1000", "--qmax", "1005"],
+    ["verify-avoidance", "--x", "7/20", "--qstart", "10", "--qmax", "40"],
+])
+def test_construction_sweeps_check_eta_first(capsys, argv, eta):
+    assert main(argv + [f"--eta={eta}"]) == 2
+    assert capsys.readouterr() == ("", "error: eta must lie in (0, 1/100]\n")
+
+
+def test_construct_bytes_are_pinned(capsys):
+    # the keyed open union's survivors over 201 moduli; recorded from the
+    # Fraction-bisecting union it replaced
+    code, out = run(["construct", "--interval", "1/3:2/5", "--qstart", "1000", "--qmax", "1200",
+                     "--no-strict-budget"], capsys)
+    assert code == 0
+    assert _sha256(out.encode()) == "6071b8991173577742bf04b502d0113354e299e3974bc6ffa0f1cadc293459e4"
+
+
 @pytest.mark.parametrize("values", [[], ["--x", "7/20", "--alpha", "sqrt:2"]])
 def test_verify_avoidance_takes_exactly_one_value(capsys, values):
     argv = ["verify-avoidance", "--qstart", "10", "--qmax", "12", *values]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -112,19 +113,78 @@ def test_subtract_measure_lower_bound_and_membership_oracle():
 
 
 def test_open_union_keeps_touching_endpoint():
-    u = _OpenUnion()
-    u.insert(Fraction(0), Fraction(1, 2))
-    u.insert(Fraction(1, 2), Fraction(1))
+    # every end below has denominator at most 16 < 2^5, so shift 2*5 + 1 keys
+    # them exactly; key(x) = x * 2^11
+    u = _OpenUnion(11)
+    u.insert(BadInterval(4, 1, 1, Fraction(1, 4), Fraction(1, 4)))  # (0, 1/2)
+    u.insert(BadInterval(4, 3, 1, Fraction(3, 4), Fraction(1, 4)))  # (1/2, 1)
+    assert u.starts == [0, 1 << 10] and u.ends == [1 << 10, 1 << 11]
     assert u.first_uncovered(Fraction(1, 2)) == Fraction(1, 2)
     assert u.first_uncovered(Fraction(1, 4)) == Fraction(1, 2)
 
 
 def test_open_union_merges_overlap():
-    u = _OpenUnion()
-    u.insert(Fraction(0), Fraction(1, 2))
-    u.insert(Fraction(1, 4), Fraction(3, 4))
+    u = _OpenUnion(11)
+    u.insert(BadInterval(4, 1, 1, Fraction(1, 4), Fraction(1, 4)))  # (0, 1/2)
+    u.insert(BadInterval(2, 1, 1, Fraction(1, 2), Fraction(1, 4)))  # (1/4, 3/4)
     assert u.first_uncovered(Fraction(1, 8)) == Fraction(3, 4)
-    assert u.starts == [Fraction(0)] and u.ends == [Fraction(3, 4)]
+    assert u.starts == [0] and u.ends == [3 << 9]
+
+
+def _sweep_by_subtract(base, q_start, q_max):
+    # construct_alpha's outcome from per-modulus subtract prefixes: the
+    # survivor sequence, or the modulus at which the base empties
+    bads, r_sequence = [], []
+    for q in range(q_start, q_max + 1):
+        bads += enumerate_bad_intervals(q, q, ETA, within=base)
+        survivors = subtract(base, bads)
+        if survivors.is_empty:
+            return f"emptied at {q}"
+        r_sequence.append(survivors.smallest_endpoint)
+    return r_sequence
+
+
+def _sweep_by_union(base, q_start, q_max):
+    try:
+        res = construct_alpha(base, q_start, q_max, ETA, strict_budget=False)
+    except EmptyRefinementError as exc:
+        return "emptied at " + re.fullmatch(r"refinement emptied at modulus (\d+)", str(exc))[1]
+    return res.r_sequence
+
+
+def test_keyed_union_sweep_matches_subtract_prefixes():
+    rng = random.Random(2027)
+    cases = [
+        # base.lo with a 100-digit denominator: covered, just inside the left
+        # end 4/12 - 1/144 (a key that ignored it would equal that end's), and
+        # uncovered
+        (interval(Fraction(1, 3) + Fraction(1, 3 * 10 ** 99 + 1), Fraction(2, 5)), 10, 30),
+        (interval(Fraction(1, 3) - Fraction(1, 144) + Fraction(1, 10 ** 100), Fraction(2, 5)), 12, 12),
+        (interval(Fraction(10 ** 99 + 7, 3 * 10 ** 99 + 11), Fraction(1, 2)), 1000, 1003),
+        # base.lo on exclusion endpoints: 4/12 -+ 1/144 (class 2) and
+        # 4/12 + 1/floor(12^(2+eta)) (class 1, inside the class-2 interval)
+        (interval(Fraction(1, 3) + Fraction(1, 144), Fraction(2, 5)), 12, 20),
+        (interval(Fraction(1, 3) - Fraction(1, 144), Fraction(2, 5)), 12, 12),
+        (interval(Fraction(1, 3) + Fraction(1, floor_power(12, 2 + ETA)), Fraction(2, 5)), 12, 14),
+        # q = 2: (-1/4, 1/4), (1/4, 3/4) and (3/4, 5/4) touch exactly
+        (interval(Fraction(1, 5), Fraction(1, 2)), 2, 2),
+        (interval(0, 1), 2, 3),
+    ]
+    for _ in range(40):
+        den = rng.choice([7, 60, 1009, 2 ** 61 - 1])
+        lo = rng.randrange(0, den)
+        hi = rng.randrange(lo + 1, min(den, lo + den // 4 + 2) + 1)
+        q_start = rng.randrange(2, 90)
+        cases.append((interval(Fraction(lo, den), Fraction(hi, den)), q_start,
+                       q_start + rng.randrange(0, 12)))
+    outcomes = set()
+    for base, q_start, q_max in cases:
+        expected = _sweep_by_subtract(base, q_start, q_max)
+        assert _sweep_by_union(base, q_start, q_max) == expected, (base, q_start, q_max)
+        outcomes.add(isinstance(expected, str))
+    assert outcomes == {True, False}
+    assert _sweep_by_union(*cases[1]) == [Fraction(1, 3) + Fraction(1, 144)]
+    assert _sweep_by_union(*cases[6]) == [Fraction(1, 4)]
 
 
 def test_enumerate_class_structure_q5():
