@@ -86,17 +86,20 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class BadInterval:
-    """Open exclusion interval around center = a/q."""
+    """Open exclusion interval of the given radius around center = a/q."""
 
     q: int
     a: int
     cls: int
-    center: Fraction
     radius: Fraction
 
     def __post_init__(self):
         if self.cls not in (1, 2, 3):
             raise ValueError("class must be 1, 2 or 3")
+
+    @property
+    def center(self) -> Fraction:
+        return Fraction(self.a, self.q)
 
     @property
     def lo(self) -> Fraction:
@@ -117,8 +120,7 @@ def subtract(base: RationalInterval, bads) -> IntervalSet:
     # meets (start < its hi and end > its lo) form one contiguous run
     starts = [base.lo]
     ends = [base.hi]
-    for bad in sorted(bads, key=lambda b: (b.lo, b.hi)):
-        blo, bhi = bad.lo, bad.hi
+    for blo, bhi in sorted((bad.lo, bad.hi) for bad in bads):
         i = bisect_right(ends, blo)
         j = bisect_left(starts, bhi)
         new_starts, new_ends = [], []
@@ -170,12 +172,16 @@ def _families(q: int, eta: Fraction):
     yield 3, Fraction(1, q * q), centres, Fraction(2 * len(centres), q * q)
 
 
-def _centres_near(q: int, radius: Fraction, centres, lo: Fraction, hi: Fraction):
-    """The a in ``centres`` whose open interval around a/q meets [lo, hi],
-    i.e. lo - radius < a/q < hi + radius."""
-    i = bisect_right(centres, math.floor((lo - radius) * q))
-    j = bisect_left(centres, math.ceil((hi + radius) * q))
-    return centres[i:j]
+def _bad_intervals(q_lo: int, q_hi: int, eta: Fraction, lo: Fraction, hi: Fraction):
+    """The exclusion intervals for q in [q_lo, q_hi] that meet [lo, hi],
+    i.e. lo - radius < a/q < hi + radius, ordered by (q, class, a), for a
+    checked eta."""
+    for q in range(q_lo, q_hi + 1):
+        for cls, radius, centres, _ in _families(q, eta):
+            i = bisect_right(centres, math.floor((lo - radius) * q))
+            j = bisect_left(centres, math.ceil((hi + radius) * q))
+            for a in centres[i:j]:
+                yield BadInterval(q, a, cls, radius)
 
 
 def enumerate_bad_intervals(
@@ -189,12 +195,7 @@ def enumerate_bad_intervals(
     """
     eta = _check_sweep(q_lo, q_hi, eta)
     lo, hi = (Fraction(0), Fraction(1)) if within is None else (within.lo, within.hi)
-    out: list[BadInterval] = []
-    for q in range(q_lo, q_hi + 1):
-        for cls, radius, centres, _ in _families(q, eta):
-            for a in _centres_near(q, radius, centres, lo, hi):
-                out.append(BadInterval(q, a, cls, Fraction(a, q), radius))
-    return out
+    return list(_bad_intervals(q_lo, q_hi, eta, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +371,12 @@ def verify_avoidance(x, q_start: int, q_max: int, eta) -> list[BadInterval]:
     eta = _check_sweep(q_start, q_max, eta)
     num, den, err = scaled(x)
     x_lo, x_hi = Fraction(num - err, den), Fraction(num + err, den)
-    violated: list[BadInterval] = []
-    for q in range(q_start, q_max + 1):
-        for cls, radius, centres, _ in _families(q, eta):
-            for a in _centres_near(q, radius, centres, x_lo, x_hi):
-                # the enclosure meets this interval; a violation needs all of it inside
-                center = Fraction(a, q)
-                if not center - radius < x_lo <= x_hi < center + radius:
-                    raise PrecisionError(
-                        f"enclosure of x straddles the boundary of the class-{cls} "
-                        f"interval at {a}/{q}"
-                    )
-                violated.append(BadInterval(q, a, cls, center, radius))
+    violated = list(_bad_intervals(q_start, q_max, eta, x_lo, x_hi))
+    for bad in violated:
+        # the enclosure meets this interval; a violation needs all of it inside
+        if not bad.lo < x_lo <= x_hi < bad.hi:
+            raise PrecisionError(
+                f"enclosure of x straddles the boundary of the class-{bad.cls} "
+                f"interval at {bad.a}/{bad.q}"
+            )
     return violated

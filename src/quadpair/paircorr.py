@@ -32,9 +32,9 @@ from them and the number of pairs inside the band are exact.  Wrapped pairs
 need a search only over the tail of indices whose points reach the first
 one across the wrap.  The distance sum is an int64 dot product of integer
 weights with the 32-bit limbs of the numerators, one bounded slice at a
-time, so it is exact too.  ``pair_correlation`` leaves its window ends on
-the sequence, and ``weighted_pair_correlation`` at the same threshold reads
-them instead of counting again.
+time, so it is exact too.  One window count at tau = X/N yields both R's
+pair count and R0's distance sum, and the sequence keeps the two for the
+last tau it was asked at, so R and R0 at one X count the window once.
 
 An exact sequence (err == 0) over a small denominator q is counted from its
 residue histogram h[r] = #{k : nums[k] = r} instead, with no sort.  Two
@@ -132,9 +132,8 @@ class SequenceModOne:
         self._keys: Optional[np.ndarray] = None
         self._limbs: Optional[np.ndarray] = None
         self._hist: Optional[np.ndarray] = None
-        # (t, (count, F, K)) that pair_correlation leaves for
-        # weighted_pair_correlation; dropped when read
-        self._window: Optional[tuple] = None
+        # (tau, (count, scaled distance sum)) of the last window counted
+        self._stats: Optional[tuple] = None
         if not self.key_shift:
             self._values = values
             return
@@ -417,39 +416,45 @@ def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) ->
     return total
 
 
-def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
-    """Fraction of point pairs within x/N on the circle, threshold inclusive.
+def _window_stats(seq: SequenceModOne, tau: Fraction) -> tuple[int, int]:
+    """Count and scaled sum of the pair distances <= tau (tau >= 0), kept
+    on the sequence until it is asked at another tau.
 
-    With error radius err > 0 the count is certified over the band from
-    lo = max(tau - 2 err, 0) to hi = tau + 2 err, tau = x/N: the count is
-    monotone in the threshold, so it is the count at tau when no pair
-    distance lies in (lo, hi], and PrecisionError is raised when one does.
-    One window pass counts the pairs at hi and those in (lo, hi] together.
-
-    The window ends at hi are left on the sequence for
-    ``weighted_pair_correlation`` at t = floor(tau * den).  An empty band
-    means the pairs at t are the pairs at hi, and whether a pair is forward
-    or wrapped depends only on its gap, so they are the ends at t.  A window
-    the residue histogram counts leaves nothing.
+    The residue histogram serves the window when it can.  Otherwise, with
+    error radius err > 0, the count is certified over the band from
+    lo = max(tau - 2 err, 0) to hi = tau + 2 err: the count is monotone in
+    the threshold, so it is the count at tau when no pair distance lies in
+    (lo, hi], and PrecisionError is raised when one does.  One window pass
+    counts the pairs at hi and those in (lo, hi] together.  An empty band
+    means the pairs at tau are the pairs at hi, and whether a pair is
+    forward or wrapped depends only on its gap, so their distances are
+    summed from the window ends at hi.
     """
+    if seq._stats is not None and seq._stats[0] == tau:
+        return seq._stats[1]
+    stats = _histogram_stats(seq, scaled_floor(tau, seq.den))
+    if stats is None:
+        lo = scaled_floor(max(tau - 2 * seq.err, Fraction(0)), seq.den)
+        hi = scaled_floor(tau + 2 * seq.err, seq.den)
+        count, forward, wrap, band = _pair_stats(seq, lo, hi)
+        if band:
+            raise PrecisionError(
+                f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold"
+            )
+        stats = count, _distance_sum(seq, forward, wrap) if tau else 0
+    seq._stats = tau, stats
+    return stats
+
+
+def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
+    """Fraction of point pairs within x/N on the circle, threshold inclusive,
+    certified when err > 0 (see ``_window_stats``)."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("window parameter must be non-negative")
     n = seq.n
-    tau = x / n
-    seq._window = None
-    stats = _histogram_stats(seq, scaled_floor(tau, seq.den))
-    if stats is not None:
-        return PairCorrResult(n, x, Fraction(stats[0], n), method="sorted-window", pair_count=stats[0])
-    lo = scaled_floor(max(tau - 2 * seq.err, Fraction(0)), seq.den)
-    hi = scaled_floor(tau + 2 * seq.err, seq.den)
-    count, forward, wrap, band = _pair_stats(seq, lo, hi)
-    if band:
-        raise PrecisionError(
-            f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold"
-        )
-    seq._window = (scaled_floor(tau, seq.den), (count, forward, wrap))
-    return PairCorrResult(n, x, Fraction(count, n), method="sorted-window", pair_count=count)
+    count, _ = _window_stats(seq, x / n)
+    return PairCorrResult(n, x, Fraction(count, n), pair_count=count)
 
 
 def _naive_distance_stats(seq: SequenceModOne, t: int) -> tuple[int, int]:
@@ -540,21 +545,14 @@ def weighted_pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     """Triangular-kernel pair sum over all ordered pairs, diagonal included.
 
     Exact rational arithmetic throughout; the diagonal contributes 1, so the
-    result is always >= 1.
+    result is always >= 1.  Its pairs are certified as pair_correlation's.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("weighted correlation needs x > 0")
     n = seq.n
     tau = x / n
-    t = scaled_floor(tau, seq.den)
-    # the window ends pair_correlation left, if they are at t; read once
-    window, seq._window = seq._window, None
-    stats = _histogram_stats(seq, t)
-    if stats is None:
-        count, forward, wrap = window[1] if window and window[0] == t else _pair_stats(seq, t, t)[:3]
-        stats = count, _distance_sum(seq, forward, wrap)
-    count, dist_sum = stats
+    count, dist_sum = _window_stats(seq, tau)
     r0 = 1 + Fraction(2, n) * (count - Fraction(dist_sum, seq.den) / tau)
     return PairCorrResult(n, x, None, r0=r0, method="weighted")
 

@@ -244,6 +244,27 @@ def test_histogram_windows_print_the_sorted_window_bytes(capsys, line):
     assert _sha256(out.encode()) == HISTOGRAM_DIGESTS[line]
 
 
+# stdout sha256 of R and R0 read off one window count: a certified
+# irrational with X = 0, a rational the residue histogram counts, and r0,
+# whose weighted call has no count before it; recorded from the separate
+# count and weighted passes they replaced
+WINDOW_STATS_DIGESTS = {
+    "paircorr --alpha sqrt:3 --N 500 --X 0,1,16":
+        "a4c198bd8d533b7daec82db639984d4228ffdd8a6570ae9f54ae1ea83c287212",
+    "paircorr --alpha rat:38717/92551 --N 100000 --X 1,16":
+        "15c61a72820fcbd77e516c34a317ffd1645ba487569fd6e58050575a40066659",
+    "r0 --alpha sqrt:2 --N 2000 --X 1,16":
+        "ece008150c2a147e548fa1f09800818f7ada38e2af9d4d50d2781b1c1a76d1cc",
+}
+
+
+@pytest.mark.parametrize("line", WINDOW_STATS_DIGESTS)
+def test_window_stats_bytes_are_pinned(capsys, line):
+    code, out = run(line.split(), capsys)
+    assert code == 0
+    assert _sha256(out.encode()) == WINDOW_STATS_DIGESTS[line]
+
+
 def test_million_point_paircorr_bytes_are_pinned(capsys):
     # the sorted limb rows at N = 10^6 and 192 bits; recorded from the
     # Python-int list build they replaced

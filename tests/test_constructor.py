@@ -34,7 +34,7 @@ def test_interval_validation():
 def test_subtract_symmetric_hole():
     out = subtract(
         interval(0, 1),
-        [BadInterval(2, 1, 1, Fraction(1, 2), Fraction(1, 4))],
+        [BadInterval(2, 1, 1, Fraction(1, 4))],
     )
     assert [(iv.lo, iv.hi) for iv in out.intervals] == [
         (Fraction(0), Fraction(1, 4)),
@@ -45,15 +45,15 @@ def test_subtract_symmetric_hole():
 def test_subtract_full_cover():
     out = subtract(
         interval(0, 1),
-        [BadInterval(1, 0, 1, Fraction(1, 2), Fraction(2, 3))],
+        [BadInterval(2, 1, 1, Fraction(2, 3))],
     )
     assert out.is_empty
 
 
 def test_subtract_touching_open_intervals_leave_point():
     bads = [
-        BadInterval(2, 0, 1, Fraction(1, 4), Fraction(1, 4)),
-        BadInterval(2, 1, 1, Fraction(3, 4), Fraction(1, 4)),
+        BadInterval(4, 1, 1, Fraction(1, 4)),
+        BadInterval(4, 3, 1, Fraction(1, 4)),
     ]
     out = subtract(interval(0, 1), bads)
     assert [(iv.lo, iv.hi) for iv in out.intervals] == [
@@ -88,8 +88,7 @@ def test_subtract_matches_piecewise_scan():
         base = interval(lo, lo + Fraction(rng.randrange(0, den), den))
         # coarse grids make shared endpoints, point pieces and full covers common
         bads = [
-            BadInterval(den, 0, 1, Fraction(rng.randrange(-2, 2 * den + 2), 2 * den),
-                        Fraction(rng.randrange(1, 6), 4 * den))
+            BadInterval(2 * den, rng.randrange(-2, 2 * den + 2), 1, Fraction(rng.randrange(1, 6), 4 * den))
             for _ in range(rng.randrange(0, 25))
         ]
         got = [(iv.lo, iv.hi) for iv in subtract(base, bads).intervals]
@@ -116,8 +115,8 @@ def test_open_union_keeps_touching_endpoint():
     # every end below has denominator at most 16 < 2^5, so shift 2*5 + 1 keys
     # them exactly; key(x) = x * 2^11
     u = _OpenUnion(11)
-    u.insert(BadInterval(4, 1, 1, Fraction(1, 4), Fraction(1, 4)))  # (0, 1/2)
-    u.insert(BadInterval(4, 3, 1, Fraction(3, 4), Fraction(1, 4)))  # (1/2, 1)
+    u.insert(BadInterval(4, 1, 1, Fraction(1, 4)))  # (0, 1/2)
+    u.insert(BadInterval(4, 3, 1, Fraction(1, 4)))  # (1/2, 1)
     assert u.starts == [0, 1 << 10] and u.ends == [1 << 10, 1 << 11]
     assert u.first_uncovered(Fraction(1, 2)) == Fraction(1, 2)
     assert u.first_uncovered(Fraction(1, 4)) == Fraction(1, 2)
@@ -125,8 +124,8 @@ def test_open_union_keeps_touching_endpoint():
 
 def test_open_union_merges_overlap():
     u = _OpenUnion(11)
-    u.insert(BadInterval(4, 1, 1, Fraction(1, 4), Fraction(1, 4)))  # (0, 1/2)
-    u.insert(BadInterval(2, 1, 1, Fraction(1, 2), Fraction(1, 4)))  # (1/4, 3/4)
+    u.insert(BadInterval(4, 1, 1, Fraction(1, 4)))  # (0, 1/2)
+    u.insert(BadInterval(2, 1, 1, Fraction(1, 4)))  # (1/4, 3/4)
     assert u.first_uncovered(Fraction(1, 8)) == Fraction(3, 4)
     assert u.starts == [0] and u.ends == [3 << 9]
 
@@ -381,7 +380,7 @@ def _families_by_definition(q, eta, bad_residues):
     if q1_part(q) ** eta.denominator >= q ** (2 * eta.numerator):
         out += [(2, a, narrow) for a in range(q + 1)]
     out += [(3, a, narrow) for a in bad_residues(q, eta)]
-    return [BadInterval(q, a, cls, Fraction(a, q), r) for cls, a, r in out]
+    return [BadInterval(q, a, cls, r) for cls, a, r in out]
 
 
 def _every_other_unit(q, eta):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quadpair import paircorr
 from quadpair.errors import CostGuardError, PrecisionError
-from quadpair.exactreal import FixedReal, scaled, sqrt_fixed
+from quadpair.exactreal import FixedReal, scaled, scaled_floor, sqrt_fixed
 from quadpair.paircorr import (
     PairCorrResult,
     SequenceModOne,
@@ -116,7 +116,7 @@ def test_sorted_vs_naive_property(nums, x):
     assert paircorr._pair_stats(seq, t, t)[0] == want
 
 
-def _window_stats(seq, t):
+def _stats_at(seq, t):
     count, forward, wrap, _ = paircorr._pair_stats(seq, t, t)
     return count, paircorr._distance_sum(seq, forward, wrap)
 
@@ -129,7 +129,7 @@ def test_pair_stats_matches_naive_at_every_threshold():
         for _ in range(6):
             seq = SequenceModOne([rng.randrange(den) for _ in range(rng.randrange(1, 9))], den)
             for t in range(-1, den + 2):
-                assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t), (seq.nums, den, t)
+                assert _stats_at(seq, t) == paircorr._naive_distance_stats(seq, t), (seq.nums, den, t)
 
 
 # past 2^62 the int64 keys drop low bits: dyadic, non-dyadic and just-past
@@ -153,7 +153,7 @@ def test_pair_stats_matches_naive_inside_the_key_band(data):
     ts = {den // 2 - 1, den // 2, den // 2 + 1, den - 1, den, den + 1}
     ts |= {g + e for g in gaps for e in (-1, 0, 1)} | {den - g + e for g in gaps for e in (-1, 0, 1)}
     for t in ts:
-        assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t), (nums, den, t)
+        assert _stats_at(seq, t) == paircorr._naive_distance_stats(seq, t), (nums, den, t)
 
 
 def test_key_band_is_resolved_on_the_exact_integers(monkeypatch):
@@ -170,8 +170,8 @@ def test_key_band_is_resolved_on_the_exact_integers(monkeypatch):
     for n, want in counts.items():
         seq = SequenceModOne(nums[:n], den)
         for t, count in zip((0, 1, 2, 5, (1 << shift) - 1), want):
-            assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t)
-            assert _window_stats(seq, t)[0] == count
+            assert _stats_at(seq, t) == paircorr._naive_distance_stats(seq, t)
+            assert _stats_at(seq, t)[0] == count
     assert resolved
 
 
@@ -200,7 +200,7 @@ def test_wrapped_counts_are_searched_only_over_the_tail():
                 assert band == 0
                 where = (den, t, nums)
                 assert (forward.tolist(), wrap.tolist()) == _brute_ends(nums, den, t), where
-                assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t), where
+                assert _stats_at(seq, t) == paircorr._naive_distance_stats(seq, t), where
 
 
 # limb widths: one limb short, two full limbs (the int64 keys' view), the
@@ -225,7 +225,7 @@ def test_window_stats_match_naive_across_limb_widths(monkeypatch, block):
             assert seq.sorted_keys().tolist() == [v >> seq.key_shift for v in sorted(nums)]
             gap = abs(nums[1 % len(nums)] - nums[2 % len(nums)])
             for t in (0, gap, den // 2 - 1, den // 2, den // 2 + 1, den - gap, den):
-                assert _window_stats(seq, t) == paircorr._naive_distance_stats(seq, t), (den, n, t)
+                assert _stats_at(seq, t) == paircorr._naive_distance_stats(seq, t), (den, n, t)
 
 
 def test_distance_sum_stays_exact_at_the_largest_weights():
@@ -238,7 +238,7 @@ def test_distance_sum_stays_exact_at_the_largest_weights():
     nums = [(k << 32) | (0xFFFFFFFF if 2 * k >= n else 0) for k in range(n)]
     seq = SequenceModOne(nums, 1 << 62)
     want = sum(v * (2 * k - n + 1) for k, v in enumerate(nums))
-    assert _window_stats(seq, seq.den) == (n * (n - 1) // 2, want)
+    assert _stats_at(seq, seq.den) == (n * (n - 1) // 2, want)
 
 
 @pytest.mark.parametrize("block", [1, 7, paircorr._PAIR_BLOCK])
@@ -639,8 +639,8 @@ def _spy_pair_stats(monkeypatch):
 
 def test_certified_window_counts_once_exact_window_once(monkeypatch):
     # one window pass counts both ends of the certified band, and the
-    # weighted correlation at the same X reads the ends pair_correlation
-    # left, on a certified window and on an exact one
+    # weighted correlation at the same X reads the statistic that count
+    # kept, on a certified window and on an exact one
     calls = _spy_pair_stats(monkeypatch)
     seq = quadratic_sequence(sqrt_fixed(2, 192), 500)
     lo, hi = _band(seq, 1)
@@ -656,24 +656,33 @@ def test_certified_window_counts_once_exact_window_once(monkeypatch):
     assert calls == [_band(exact, 1)]
 
 
-def test_weighted_after_pair_correlation_matches_a_fresh_copy(monkeypatch):
-    # the read window, a window at another X (a miss), a second read of the
-    # same X (already dropped) and an X = 0 count before a weighted one; the
-    # rational's den is past the residue histogram's cost rule at every X
-    calls = _spy_pair_stats(monkeypatch)
-    for seq in (quadratic_sequence(sqrt_fixed(2, 192), 700), quadratic_sequence(Fraction(5, 1 << 16), 700)):
-        assert paircorr._histogram_stats(_exact_copy(seq), 0) is None
-        def fresh(x):
-            return weighted_pair_correlation(_exact_copy(seq), x).r0
-        pair_correlation(seq, 2)
-        calls.clear()
-        assert weighted_pair_correlation(seq, 2).r0 == fresh(2)
-        assert calls == [_band(_exact_copy(seq), 2)]  # the fresh copy's, at t alone
-        pair_correlation(seq, 2)
-        assert weighted_pair_correlation(seq, Fraction(1, 3)).r0 == fresh(Fraction(1, 3))
-        assert weighted_pair_correlation(seq, 2).r0 == fresh(2)
-        pair_correlation(seq, 0)
-        assert weighted_pair_correlation(seq, 5).r0 == fresh(5)
+def test_weighted_after_pair_correlation_matches_a_fresh_copy():
+    # R and R0 at X, at another X', at X again and R at X = 0, on each form
+    # a sequence holds: the residue histogram (den 997), int64 sorted
+    # numerators (den 2^16, past the histogram's memory rule) and certified
+    # limb rows; each value against a fresh exact copy asked only for it
+    forms = [(Fraction(5, 997), True), (Fraction(5, 1 << 16), False), (sqrt_fixed(2, 192), False)]
+    for alpha, served in forms:
+        seq = quadratic_sequence(alpha, 700)
+        assert (seq.key_shift > 0) == (seq.err > 0) == isinstance(alpha, FixedReal)
+        for x in (2, Fraction(1, 3), 2, 0):
+            assert _served(seq, scaled_floor(Fraction(x, seq.n), seq.den)) == served
+            assert pair_correlation(seq, x) == pair_correlation(_exact_copy(seq), x)
+            if x:
+                assert weighted_pair_correlation(seq, x) == weighted_pair_correlation(_exact_copy(seq), x)
+
+
+@pytest.mark.parametrize("d, raises", [(994, False), (995, True), (1006, True), (1007, False)])
+def test_weighted_call_alone_certifies_its_window(d, raises):
+    # no count at X comes first: the weighted correlation certifies the band
+    # (994, 1006] itself, as pair_correlation does
+    seq = SequenceModOne([0, d], 10_000, err=Fraction(3, 10_000))
+    x = Fraction(1, 5)
+    if raises:
+        with pytest.raises(PrecisionError):
+            weighted_pair_correlation(seq, x)
+    else:
+        assert weighted_pair_correlation(seq, x).r0 == weighted_pair_correlation(_exact_copy(seq), x).r0
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +719,7 @@ def test_histogram_matches_the_sorted_window_and_naive(data):
     q = seq.den
     ts = {0, 1, q // 2 - 1, q // 2, q // 2 + 1, q - 1, q, q + 1, data.draw(st.integers(0, 2 * q))}
     for t in sorted(t for t in ts if t >= 0):
-        want = _window_stats(seq, t)
+        want = _stats_at(seq, t)
         assert want == paircorr._naive_distance_stats(seq, t)
         got = paircorr._histogram_stats(seq, t)
         assert (got is not None) == _served(seq, t)
@@ -761,7 +770,7 @@ def test_histogram_cost_rule_boundary(monkeypatch, n, served):
     calls = _spy_pair_stats(monkeypatch)
     count = pair_correlation(seq, x).pair_count
     r0 = weighted_pair_correlation(seq, x).r0
-    assert calls == ([] if served else [(t, t)])  # the weighted call reads the handoff
+    assert calls == ([] if served else [(t, t)])  # the weighted call reads the kept count
     assert count == pair_correlation_naive(seq, x).pair_count
     assert r0 == _sorted_search(weighted_pair_correlation, seq, x).r0
 
@@ -790,16 +799,18 @@ def test_histogram_serves_only_exact_sequences():
     assert paircorr._histogram_stats(_exact_copy(seq), 0) == (1, 0)
 
 
-def test_histogram_route_drops_the_window_handoff():
-    # a sorted-window count leaves its ends; a histogram count at the same
-    # sequence must clear them, so no later weighted call reads stale ones
+def test_histogram_route_counts_each_window_once(monkeypatch):
+    # R and R0 at one X are one histogram pass; another X is one more
     seq = quadratic_sequence(Fraction(5, 997), 700)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(paircorr, "HIST_COST", 0)
-        pair_correlation(seq, 2)
-    assert seq._window is not None
-    pair_correlation(seq, 2)
-    assert seq._window is None
+    want = {x: (_sorted_search(pair_correlation, seq, x), _sorted_search(weighted_pair_correlation, seq, x))
+            for x in (2, 3)}
+    calls = []
+    original = paircorr._histogram_stats
+    monkeypatch.setattr(paircorr, "_histogram_stats",
+                        lambda seq, t: calls.append(t) or original(seq, t))
+    for x in (2, 2, 3):
+        assert (pair_correlation(seq, x), weighted_pair_correlation(seq, x)) == want[x]
+    assert calls == [2, 4]
 
 
 # ---------------------------------------------------------------------------
