@@ -257,6 +257,8 @@ class _OpenUnion:
         end = (mid + half, den)
         i = bisect_right(self.ends, lo)
         j = bisect_left(self.starts, hi)
+        if j == i + 1 and self.starts[i] <= lo and hi <= self.ends[i]:
+            return  # inside one piece, as a non-reduced a/q often is
         if i < j:
             lo = min(lo, self.starts[i])
             if self.ends[j - 1] > hi:

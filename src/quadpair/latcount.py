@@ -2,7 +2,10 @@
 square section encodes them (both counted exactly by floor sums, in
 O(log den) steps), Lagrange-Gauss reduction with a first minimum certified
 for the float basis it is given, and coprime-triple box counts (V, V1 and V2
-once per distinct product ab, weighted by its cell count; V* once per cell).
+over the distinct products ab, weighted by their cell counts; V* over the
+cells), whose z-windows are read in blocks off float64 estimates with a
+stated error bound, and off the exact big-integer window only where an end
+is ambiguous.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from .errors import CostGuardError, PrecisionError
 from .exactreal import floor_sum, near_integer_count, primes_upto, scaled, scaled_floor
 
 V_ENUM_GUARD = 10 ** 7
+# products or cells per vector pass of the V-counts: bounds their temporaries
+_BLOCK = 1 << 15
 ILL_CONDITION_SQ = 1e24
 
 
@@ -218,62 +223,108 @@ def _window_primes(spec: VCountSpec) -> np.ndarray:
     return w
 
 
-def _coprime_hits(alpha: tuple[int, int, int], n: int, delta: Fraction, side: int) -> int:
-    """#{z : |alpha*n - z| <= delta, gcd(side, z) = 1}, over the certified
-    z-window; alpha is given as scaled(alpha)."""
-    zlo, zhi = _z_window(alpha, n, delta)
-    return sum(1 for z in range(zlo, zhi + 1) if math.gcd(side, z) == 1)
+def _coprime_counts(alpha: tuple[int, int, int], delta: Fraction, n: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """c[i] = #{z : |alpha*n[i] - z| <= delta, gcd(side[i], z) = 1} for int64
+    arrays n >= 1 and side >= 1; alpha is given as scaled(alpha) = (num, den, err).
+
+    The window ends alpha*n -+ delta are estimated as e = fl(fl(a*n) -+ d),
+    with a = fl(num/den) and d = fl(delta) correctly rounded.  Four roundings
+    of relative size u = 2^-53 put e within 3u|a|n + 2u*delta (to first order)
+    of num/den*n -+ delta, and every alpha of the enclosure moves that by at
+    most err*n/den.  So where e lies farther than
+    bound = 2^-50 (|a|n + d + 1) + (err/den)n from every integer, ceil and
+    floor of the end are the same at both ends of the enclosure, and are
+    those of e.  Every other n, exact ties included, gets the exact
+    _z_window, which raises PrecisionError where the enclosure straddles;
+    so does every n of the array when |alpha|*max(n) or delta reaches 2^49,
+    or err >= den.
+    A window is held as its first z mod side and its length, since
+    gcd(side, z) depends on z mod side alone."""
+    num, den, err = alpha
+    zlo = np.zeros(n.shape, dtype=np.int64)
+    width = np.zeros(n.shape, dtype=np.int64)
+    exact = np.ones(n.shape, dtype=bool)
+    if abs(num) * int(n.max(initial=1)) < den << 49 and delta < 1 << 49 and err < den:
+        a, d = num / den, float(delta)
+        nf = n.astype(np.float64)
+        x = a * nf
+        bound = (np.abs(x) + (d + 1)) * 2.0 ** -50 + nf * (err / den)
+        lo, hi = x - d, x + d
+        exact = (np.abs(lo - np.rint(lo)) <= bound) | (np.abs(hi - np.rint(hi)) <= bound)
+        zlo = np.ceil(lo).astype(np.int64)
+        width = np.floor(hi).astype(np.int64) - zlo + 1
+    windows: dict[int, tuple[int, int]] = {}  # the cells of V* repeat products
+    for i in np.flatnonzero(exact).tolist():
+        k = int(n[i])
+        if k not in windows:
+            windows[k] = _z_window(alpha, k, delta)
+        first, last = windows[k]
+        zlo[i], width[i] = first % int(side[i]), last - first + 1
+    c = np.zeros(n.shape, dtype=np.int64)
+    live = np.flatnonzero(width > 0)
+    width, side = width[live], side[live]
+    start = zlo[live] % side
+    passes = int(width.max(initial=0))
+    if passes < 1 << 30:
+        # side <= V_ENUM_GUARD: z mod side + k fits int32, whose Euclid steps are faster
+        side, start = side.astype(np.int32), start.astype(np.int32)
+    # one vector pass per offset into the window: delta >= 1/2 holds several z
+    for k in range(passes):
+        c[live] += (width > k) & (np.gcd(side, start + k) == 1)
+    return c
 
 
-def _product_hits(spec: VCountSpec, w: Optional[np.ndarray] = None, classified=False):
-    """(n, r(n) * #{z : |alpha*n - z| <= delta, gcd(n, z) = 1}) for each distinct
-    product n with r(n) = #{(a, b) in the box : ab = n} > 0, sqrt(A*B) entries at
-    a time; given the prime-window table w, only the n with (w[n] != 0) == classified."""
+def _product_blocks(spec: VCountSpec, w: Optional[np.ndarray] = None, classified=False):
+    """(n, r(n) * #{z : |alpha*n - z| <= delta, gcd(n, z) = 1}) as int64 arrays
+    over the distinct products n with r(n) = #{(a, b) in the box : ab = n} > 0,
+    _BLOCK values of n at a time; given the prime-window table w, only the n
+    with (w[n] != 0) == classified."""
     delta, alpha = Fraction(spec.delta), scaled(spec.alpha)
     limit = spec.a_bound * spec.b_bound
     # int16: r(n) is at most the divisor count of n, 448 below V_ENUM_GUARD
     r = np.zeros(limit + 1, dtype=np.int16)
     for a in range(1, spec.a_bound + 1):
         r[a : a * spec.b_bound + 1 : a] += 1
-    step = math.isqrt(limit) + 1
-    for lo in range(0, limit + 1, step):
-        piece = r[lo : lo + step]
+    for lo in range(0, limit + 1, _BLOCK):
+        piece = r[lo : lo + _BLOCK]
         if w is not None:
-            piece = piece * ((w[lo : lo + step] != 0) == classified)
+            piece = piece * ((w[lo : lo + _BLOCK] != 0) == classified)
         idx = np.flatnonzero(piece)
-        for n, cells in zip((idx + lo).tolist(), piece[idx].tolist()):
-            yield n, cells * _coprime_hits(alpha, n, delta, n)
+        n = idx + lo
+        yield n, piece[idx] * _coprime_counts(alpha, delta, n, n)
 
 
 def v_count(spec: VCountSpec) -> int:
     """Triples (a, b, z) in the box with ab coprime to z and alpha*ab within
     delta of z."""
-    return sum(hits for _, hits in _product_hits(spec))
+    return sum(int(hits.sum()) for _, hits in _product_blocks(spec))
 
 
 def v_star_count(spec: VCountSpec) -> int:
-    """Like v_count but with the coprimality on (x, y) = (second factor, z)."""
-    delta = Fraction(spec.delta)
-    alpha = scaled(spec.alpha)
-    return sum(
-        _coprime_hits(alpha, u * x, delta, x)
-        for u in range(1, spec.a_bound + 1)
-        for x in range(1, spec.b_bound + 1)
-    )
+    """Like v_count but with the coprimality on (x, y) = (second factor, z):
+    a sum over the cells n = u*x, _BLOCK cells at a time."""
+    delta, alpha = Fraction(spec.delta), scaled(spec.alpha)
+    cells = spec.a_bound * spec.b_bound
+    total = 0
+    for lo in range(0, cells, _BLOCK):
+        x, u = np.divmod(np.arange(lo, min(lo + _BLOCK, cells), dtype=np.int64), spec.a_bound)
+        x += 1
+        total += int(_coprime_counts(alpha, delta, (u + 1) * x, x).sum())
+    return total
 
 
 def v1_count(spec: VCountSpec) -> int:
     """v_count restricted to products ab free of primes in (p0, p1]."""
-    return sum(hits for _, hits in _product_hits(spec, _window_primes(spec)))
+    return sum(int(hits.sum()) for _, hits in _product_blocks(spec, _window_primes(spec)))
 
 
 def v2_count(spec: VCountSpec) -> dict[int, int]:
-    """Complementary counts, classified by the smallest prime of ab in
-    (p0, p1], binned into dyadic ranges keyed by the power of two below it."""
+    """Complementary counts, classified by the smallest prime p of ab in
+    (p0, p1], binned into dyadic ranges keyed by the power of two below it,
+    2^floor(log2(p - 1))."""
     w = _window_primes(spec)
-    bins: dict[int, int] = {}
-    for n, hits in _product_hits(spec, w, classified=True):
-        if hits:
-            key = 1 << (int(w[n]) - 1).bit_length() - 1
-            bins[key] = bins.get(key, 0) + hits
-    return bins
+    # frexp's exponent of m >= 1 is floor(log2 m) + 1; w is int32, so p < 2^31
+    bins = np.zeros(32, dtype=np.int64)
+    for n, hits in _product_blocks(spec, w, classified=True):
+        np.add.at(bins, np.frexp(w[n] - 1)[1] - 1, hits)
+    return {1 << k: int(total) for k, total in enumerate(bins.tolist()) if total}

@@ -349,18 +349,31 @@ class HyperbolaBoxCount:
 
 
 def hyperbola_ap_count(n: int, q: int, c: int) -> HyperbolaBoxCount:
-    """#{u, v <= n : uv = c mod q} for a unit residue c, via per-residue
-    modular inverses, O(n + q)."""
+    """#{u, v <= n : uv = c mod q} for a unit residue c.  Each unit residue
+    r <= min(n, q) of u mod q is taken by (n - r)//q + 1 values u <= n, and
+    each of them pairs with the (n - w)//q + 1 values v <= n with v = w = c/r
+    mod q (w in 1..q).  The inverses are Euler's r^(phi(q) - 1) mod q, by
+    square-and-multiply over all the unit residues at once: in int64 while
+    n, q < 2^31, where products of two residues and the total stay below
+    2^62, and on Python ints past that.  O(min(n, q) log q)."""
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
     if math.gcd(c, q) != 1:
         raise ValueError("hyperbola_ap_count needs gcd(c, q) = 1")
-    inv = np.array([pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)], dtype=np.int64)
-    u_mod = np.arange(1, n + 1, dtype=np.int64) % q
-    unit = np.gcd(u_mod, q) == 1
-    w = (c * inv[u_mod]) % q
+    phi = euler_phi(q)
+    r = np.arange(1, min(n, q) + 1, dtype=np.int64)
+    if max(n, q) >= 1 << 31:
+        r = r.astype(object)
+    r = r[np.gcd(r, q) == 1]
+    # at q = 1 the one residue is its own inverse: phi - 1 = 0 leaves inv = 1
+    inv, base, e = np.ones_like(r), r % q, phi - 1
+    while e:
+        if e & 1:
+            inv = inv * base % q
+        base = base * base % q
+        e >>= 1
+    w = c % q * inv % q
     w[w == 0] = q
-    counts = (n - w) // q + 1
-    total = int(counts[unit].sum())
-    expected = Fraction(euler_phi(q) * n * n, q * q)
+    total = int((((n - r) // q + 1) * ((n - w) // q + 1)).sum())
+    expected = Fraction(phi * n * n, q * q)
     return HyperbolaBoxCount(total, expected, total / float(expected))

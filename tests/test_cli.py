@@ -265,6 +265,25 @@ def test_window_stats_bytes_are_pinned(capsys, line):
     assert _sha256(out.encode()) == WINDOW_STATS_DIGESTS[line]
 
 
+# stdout sha256 of V, V*, V1 and V2 at 192 bits, from boxes of a few
+# thousand cells to 9 * 10^5; recorded from the per-cell window loop
+VCOUNTS_DIGESTS = {
+    "vcounts --A 30 --B 81 --delta 1/25 --alpha sqrt:164 --P0 3 --P1 14":
+        "73ffc57b37ce78a4e0522355ef39556bee163d5fc7d405035842c30d34a2fef3",
+    "vcounts --A 27 --B 88 --delta 1/50 --alpha sqrt:22 --P0 2 --P1 19":
+        "40d4821079ad5a33b3d98be302d10898e27f5762ca15472f8c0e6ef4c39fde0f",
+    "vcounts --A 300 --B 3000 --delta 1/100 --alpha sqrt:2 --P0 2 --P1 100":
+        "e1ea4d4e7fd2d5c54e78eb45e3e66c2be676a23f7b8db0cecca3febc92187ea5",
+}
+
+
+@pytest.mark.parametrize("line", VCOUNTS_DIGESTS)
+def test_vcounts_bytes_are_pinned(capsys, line):
+    code, out = run(line.split(), capsys)
+    assert code == 0
+    assert _sha256(out.encode()) == VCOUNTS_DIGESTS[line]
+
+
 def test_million_point_paircorr_bytes_are_pinned(capsys):
     # the sorted limb rows at N = 10^6 and 192 bits; recorded from the
     # Python-int list build they replaced

@@ -130,6 +130,20 @@ def test_open_union_merges_overlap():
     assert u.starts == [0] and u.ends == [3 << 9]
 
 
+def test_open_union_leaves_a_piece_that_holds_the_new_interval():
+    u = _OpenUnion(11)
+    u.insert(BadInterval(4, 1, 1, Fraction(1, 4)))  # (0, 1/2)
+    u.insert(BadInterval(4, 3, 1, Fraction(1, 8)))  # (5/8, 7/8)
+    before = (list(u.starts), list(u.ends), list(u.exact_ends))
+    u.insert(BadInterval(8, 2, 1, Fraction(1, 4)))  # (0, 1/2) again, non-reduced
+    u.insert(BadInterval(8, 1, 1, Fraction(1, 16)))  # (1/16, 3/16)
+    u.insert(BadInterval(16, 12, 1, Fraction(1, 16)))  # (11/16, 13/16)
+    assert (u.starts, u.ends, u.exact_ends) == before
+    u.insert(BadInterval(32, 17, 1, Fraction(5, 32)))  # (3/8, 11/16): joins both
+    assert u.starts == [0] and u.ends == [7 << 8]
+    assert u.first_uncovered(Fraction(1, 4)) == Fraction(7, 8)
+
+
 def _sweep_by_subtract(base, q_start, q_max):
     # construct_alpha's outcome from per-modulus subtract prefixes: the
     # survivor sequence, or the modulus at which the base empties

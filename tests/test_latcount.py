@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from quadpair.latcount import (
     ILL_CONDITION_SQ,
     V_ENUM_GUARD,
     VCountSpec,
-    _product_hits,
+    _product_blocks,
     _window_primes,
     _z_window,
     gauss_reduce,
@@ -386,16 +387,135 @@ def test_v1_v2_match_their_cell_definitions():
 
 @pytest.mark.parametrize("a_bound, b_bound", [(1, 1), (1, 13), (13, 1), (12, 17), (30, 100)])
 def test_product_weights_count_the_box_cells(monkeypatch, a_bound, b_bound):
-    # with every window counting one hit, each product yields its weight r(n)
-    monkeypatch.setattr(latcount, "_coprime_hits", lambda *args: 1)
+    # with every window counting one hit, each product yields its weight
+    # r(n) = #{(a, b) in the box : ab = n}; small blocks split the products
+    monkeypatch.setattr(latcount, "_coprime_counts", lambda alpha, delta, n, side: np.ones_like(n))
+    monkeypatch.setattr(latcount, "_BLOCK", 7)
     spec = VCountSpec(a_bound, b_bound, Fraction(1, 2), Fraction(1, 3), 2, 7)
     r = np.bincount(np.outer(np.arange(1, a_bound + 1), np.arange(1, b_bound + 1)).ravel())
-    assert dict(_product_hits(spec)) == {n: int(c) for n, c in enumerate(r) if c}
+
+    def weights(*args):
+        blocks = list(_product_blocks(spec, *args))
+        n, hits = (np.concatenate(parts) for parts in zip(*blocks))
+        return dict(zip(n.tolist(), hits.tolist()))
+
+    assert weights() == {n: int(c) for n, c in enumerate(r) if c}
     w = _window_primes(spec)
     for classified in (False, True):
-        assert dict(_product_hits(spec, w, classified)) == {
+        assert weights(w, classified) == {
             n: int(c) for n, c in enumerate(r) if c and (w[n] != 0) == classified
         }
+
+
+def _coprime_hits(alpha, n: int, delta: Fraction, side: int) -> int:
+    """#{z : |alpha*n - z| <= delta, gcd(side, z) = 1} over one certified
+    z-window; alpha is given as scaled(alpha)."""
+    zlo, zhi = _z_window(alpha, n, delta)
+    return sum(1 for z in range(zlo, zhi + 1) if math.gcd(side, z) == 1)
+
+
+def _per_cell_counts(spec):
+    """V, V*, V1 and V2 by the per-cell loop: one exact z-window for every
+    (a, b) of the box.  Each count is its value, or PrecisionError when the
+    window of one of its own cells straddles."""
+    alpha, delta = scaled(spec.alpha), Fraction(spec.delta)
+    w = _window_primes(spec)
+    v = v_star = v1 = 0
+    v2: dict[int, int] = {}
+    raised = set()
+    for a in range(1, spec.a_bound + 1):
+        for b in range(1, spec.b_bound + 1):
+            n = a * b
+            try:
+                hits = _coprime_hits(alpha, n, delta, n)
+                star = _coprime_hits(alpha, n, delta, b)
+            except PrecisionError:
+                raised |= {"V", "V*", "V2" if w[n] else "V1"}
+                continue
+            v += hits
+            v_star += star
+            if not w[n]:
+                v1 += hits
+            elif hits:
+                key = 1 << (int(w[n]) - 1).bit_length() - 1
+                v2[key] = v2.get(key, 0) + hits
+    counts = {"V": v, "V*": v_star, "V1": v1, "V2": v2}
+    return {name: PrecisionError if name in raised else value for name, value in counts.items()}
+
+
+def _vcount_spec(kind: str, rng: random.Random) -> VCountSpec:
+    a_bound, b_bound = rng.randrange(1, 13), rng.randrange(1, 41)
+    p0 = rng.randrange(1, 6)
+    p1 = rng.randrange(p0, 40)
+    d = rng.randrange(1, 9)
+    delta = {
+        "delta-zero": Fraction(0),
+        "small-delta": Fraction(rng.randrange(1, 500), 1000),
+        "half-delta": Fraction(1, 2),
+        "wide-delta": Fraction(rng.randrange(d, 25 * d), d),
+    }.get(kind, Fraction(rng.randrange(0, 3 * d), d))
+    if kind in ("sqrt192", "negative"):
+        alpha = sqrt_fixed(rng.choice((2, 3, 5, 7, 22, 164)), 192)
+        if kind == "negative":
+            alpha = FixedReal(-alpha.mantissa, alpha.frac_bits, alpha.err_ulp)
+    elif kind == "ties":
+        # alpha*n -+ delta is an integer whenever c*n = -+e (mod d)
+        alpha = Fraction(rng.randrange(-3 * d, 3 * d), d)
+    elif kind == "straddle":
+        # 64 bits near c/d with a nonzero error radius: windows can straddle
+        c = rng.randrange(0, d + 1)
+        alpha = FixedReal((c << 64) // d + rng.randrange(-2, 3), 64, rng.randrange(1, 3))
+    else:
+        alpha = Fraction(rng.randrange(-(1 << 20), 1 << 20), rng.randrange(1, 1 << 20))
+    return VCountSpec(a_bound, b_bound, delta, alpha, p0, p1)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["delta-zero", "small-delta", "half-delta", "wide-delta", "negative", "ties", "straddle", "sqrt192"],
+)
+def test_vcounts_match_the_per_cell_loop(monkeypatch, kind):
+    # the block size splits products and cells mid-row; the spy counts the
+    # exact windows, which only ties and straddles may need
+    exact_calls = []
+
+    def spy(alpha, k, delta):
+        exact_calls.append(k)
+        return _z_window(alpha, k, delta)
+
+    monkeypatch.setattr(latcount, "_z_window", spy)
+    rng = random.Random(kind)
+    raised = 0
+    for i in range(25):
+        spec = _vcount_spec(kind, rng)
+        monkeypatch.setattr(latcount, "_BLOCK", (1 << 16, 7)[i % 2])
+        wants = _per_cell_counts(spec)
+        for name, count in (("V", v_count), ("V*", v_star_count), ("V1", v1_count), ("V2", v2_count)):
+            if wants[name] is PrecisionError:
+                with pytest.raises(PrecisionError):
+                    count(spec)
+            else:
+                assert count(spec) == wants[name], (name, spec)
+        raised += PrecisionError in wants.values()
+    assert (raised > 0) == (kind == "straddle")
+    if kind in ("ties", "straddle"):
+        assert exact_calls
+    elif kind in ("sqrt192", "negative"):
+        assert not exact_calls
+
+
+def test_vcount_memory_is_bounded():
+    # a 10^6-cell box: the r and prime-window tables (6 MB) and one block of
+    # temporaries, not a window table over every product or cell
+    spec = VCountSpec(1000, 1000, Fraction(1, 100), sqrt_fixed(2, 192), 2, 100)
+    tracemalloc.start()
+    try:
+        for count in (v_count, v_star_count, v1_count, v2_count):
+            count(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_v_enum_guard_refuses_before_any_table(monkeypatch):

@@ -458,6 +458,37 @@ def test_hyperbola_ap_count_brute():
         assert hyperbola_ap_count(n, q, c).count == brute
 
 
+def _hyperbola_by_inverse_table(n: int, q: int, c: int) -> int:
+    # the per-residue path: a Python list of the inverses of all q residues,
+    # then one cofactor count for every u <= n
+    inv = np.array([pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)], dtype=np.int64)
+    u_mod = np.arange(1, n + 1, dtype=np.int64) % q
+    w = (c * inv[u_mod]) % q
+    w[w == 0] = q
+    return int(((n - w) // q + 1)[np.gcd(u_mod, q) == 1].sum())
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 97, 360, 1000, 1009, 2 ** 10 * 3 ** 2, 30030, 65537])
+def test_hyperbola_ap_count_matches_the_inverse_table(q):
+    # composite and prime q, with n on both sides of q
+    rng = random.Random(q)
+    for n in (1, q // 3 + 1, q - 1 or 1, q, 3 * q + 7, rng.randrange(1, 5 * q)):
+        c = rng.randrange(q)
+        while math.gcd(c, q) != 1:
+            c = rng.randrange(q)
+        assert hyperbola_ap_count(n, q, c).count == _hyperbola_by_inverse_table(n, q, c)
+
+
+def test_hyperbola_ap_count_past_int64_residues():
+    # q past 2^31: uv < q for u, v <= 50, so uv = 12 (mod q) only for uv = 12
+    q = 2 ** 31 + 11
+    assert hyperbola_ap_count(50, q, 12).count == 6
+    # n past 2^31: the unit pairs of 1..n are split among the unit residues c
+    n = 2 ** 31 + 5
+    units = n - n // 3
+    assert sum(hyperbola_ap_count(n, 3, c).count for c in (1, 2)) == units * units
+
+
 def test_hyperbola_ap_count_rejects_nonunit():
     with pytest.raises(ValueError):
         hyperbola_ap_count(10, 6, 2)
