@@ -281,10 +281,12 @@ def _product_blocks(spec: VCountSpec, w: Optional[np.ndarray] = None, classified
     with (w[n] != 0) == classified."""
     delta, alpha = Fraction(spec.delta), scaled(spec.alpha)
     limit = spec.a_bound * spec.b_bound
-    # int16: r(n) is at most the divisor count of n, 448 below V_ENUM_GUARD
+    # int16: r(n) is at most the divisor count of n, 448 below V_ENUM_GUARD;
+    # r is symmetric in the two bounds, so one strided add per smaller factor
     r = np.zeros(limit + 1, dtype=np.int16)
-    for a in range(1, spec.a_bound + 1):
-        r[a : a * spec.b_bound + 1 : a] += 1
+    small, big = sorted((spec.a_bound, spec.b_bound))
+    for a in range(1, small + 1):
+        r[a : a * big + 1 : a] += 1
     for lo in range(0, limit + 1, _BLOCK):
         piece = r[lo : lo + _BLOCK]
         if w is not None:
