@@ -274,7 +274,8 @@ def _cmd_suite(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"{r.name:<{width}}  {status}  [{r.elapsed:7.2f}s]  {r.details}")
-    lines.append(f"suite: {'PASS' if all_ok else 'FAIL'} ({time.time() - t0:.2f}s total)")
+    total = time.time() - t0
+    lines.append(f"suite: {'PASS' if all_ok else 'FAIL'} ({total:.2f}s total)")
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
         _emit_json(
@@ -286,7 +287,7 @@ def _cmd_suite(args) -> int:
                     for r in results
                 ],
                 "suite_passed": all_ok,
-                "wall_clock": time.time() - t0,
+                "wall_clock": total,
             },
         )
     return 0 if all_ok else 1

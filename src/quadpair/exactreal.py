@@ -303,12 +303,10 @@ def mul_mod_pow2_limbs(a: int, m: np.ndarray, bits: int) -> np.ndarray:
 
 def mul_mod_int64(a: int, m: np.ndarray, den: int) -> np.ndarray:
     """(a * m) mod den in place over a non-negative int64 array m, for
-    0 <= a < den <= 2^62, every m below den, and below 2^51 too once den >=
-    2^31.
+    0 <= a < den <= 2^62 and every m below both den and 2^51.
 
-    Below 2^31 every product a * m is below 2^62 and is reduced directly.
-    From 2^31 on the quotient comes from floats: with c = a/den, m < 2^51
-    exact as a float, and p = fl(m * fl(c)), round-to-nearest gives
+    The quotient comes from floats: with c = a/den, m < 2^51 exact as a
+    float, and p = fl(m * fl(c)), round-to-nearest gives
     |p - m c| <= m c (2^-52 + 2^-106) < 1/2 + 2^-54, so q = floor(p) lies in
     (m c - 3/2 - 2^-54, m c + 1/2 + 2^-54) and r = a m - q den = den (m c - q)
     in (-den, 2 den), inside (-2^63, 2^63) because den <= 2^62.  The uint64
@@ -316,10 +314,6 @@ def mul_mod_int64(a: int, m: np.ndarray, den: int) -> np.ndarray:
     and adding or subtracting one den lands it in [0, den).  The quotients
     are taken ``_MUL_BLOCK`` values at a time, so the work arrays stay small
     however long m is."""
-    if den < 1 << 31:
-        m *= a
-        m %= den
-        return m
     c = a / den
     for start in range(0, len(m), _MUL_BLOCK):
         block = m[start:start + _MUL_BLOCK]

@@ -87,8 +87,6 @@ def quad_sum(b, q: int) -> ComplexValue:
     available there), with the enumeration guard applied per factor."""
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    if q == 1:
-        return ComplexValue(1.0, 0.0, 0.0, "product")
     re, im, err = 1.0, 0.0, 0.0
     exact = 1
     exact_only = True

@@ -12,14 +12,14 @@ Every sequence holds one numpy array: over den <= 2^62 its int64
 numerators, sorted by one ``np.sort`` when a count first asks for its keys,
 and past that rows of uint32 limbs, sorted by one ``argsort`` of their int64
 keys.  A quadratic sequence is built straight into that array whenever it
-can be: over den <= 2^62 as residues a k^2 mod den (``mul_mod_int64``:
-direct products below 2^31, exact float quotients from there on), and over
-den = 2^bits past that (every ``FixedReal`` alpha) by one numpy limb
-product.  Other sequences are given as Python ints, converted once at
-construction.  Either way the sorted window and the residue histogram start
-from the array; the numerators become Python ints only when something reads
-them.  The oracles share none of this: the Python-int numerators,
-``sorted()``, the naive count and the u/v substitution.
+can be: over den <= 2^62 as residues a k^2 mod den (``mul_mod_int64``, by
+exact float quotients), and over den = 2^bits past that (every
+``FixedReal`` alpha) by one numpy limb product.  Other sequences are given
+as Python ints, converted once at construction.  Either way the sorted
+window and the residue histogram start from the array; the numerators
+become Python ints only when something reads them.  The oracles share none
+of this: the Python-int numerators, ``sorted()``, the naive count and the
+u/v substitution.
 
 The sorted window finds every window end with numpy ``searchsorted`` on
 int64 keys, the top 62 bits of each sorted numerator (the numerators
@@ -226,9 +226,8 @@ def quadratic_sequence(alpha, n: int) -> SequenceModOne:
 
     * den <= 2^62, when min(n^2, den) <= 2^51 and k mod den squares within
       int64: as one int64 array, k^2 mod den times a by ``mul_mod_int64``
-      (every product below 2^62 for den < 2^31, an exact float quotient and
-      a wrapped uint64 remainder from 2^31 on, since every k^2 mod den is
-      then below 2^51), handed to ``SequenceModOne.from_array``;
+      (an exact float quotient and a wrapped uint64 remainder, since every
+      k^2 mod den is below 2^51), handed to ``SequenceModOne.from_array``;
     * den = 2^bits past 2^62 (every ``FixedReal``): as uint32 limb rows by
       ``mul_mod_pow2_limbs``, handed to ``SequenceModOne.from_array``, which
       sorts them;
@@ -267,7 +266,7 @@ def quadratic_sequence(alpha, n: int) -> SequenceModOne:
 def _int64_build(n: int, den: int) -> bool:
     """Whether ``quadratic_sequence`` builds a * k^2 mod den for k <= n in
     int64: den <= 2^62, every k mod den squares below 2^63, and every k^2
-    mod den is below 2^51 (as ``mul_mod_int64`` needs from den = 2^31 on)."""
+    mod den is below 2^51 (as ``mul_mod_int64`` needs)."""
     return den <= 1 << _KEY_BITS and min(n, den - 1) ** 2 < 1 << 63 and min(n * n, den) <= 1 << 51
 
 

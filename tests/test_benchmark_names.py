@@ -7,7 +7,9 @@ with the positional constructor.  The table is read as text, so nothing under
 ``perfbench/`` is imported or written.  The tracer also counts the moduli a
 construction sweep budgets and sweeps from the positional (q_lo, q_hi) of its
 ``tail_budget`` and ``enumerate_bad_intervals`` calls, so those calls are
-pinned here too.
+pinned here too.  Every other library name the benchmark reads, a module
+it imports or an attribute it reaches from one, is collected from the
+source of ``perfbench/*.py`` and must resolve.
 """
 
 import ast
@@ -22,7 +24,8 @@ from quadpair import constructor
 from quadpair.errors import BudgetError, EmptyRefinementError
 from quadpair.paircorr import SequenceModOne
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _traced_table() -> tuple:
@@ -39,6 +42,47 @@ def test_traced_name_resolves(module, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _perfbench_names() -> list[str]:
+    """The dotted ``quadpair`` names that ``perfbench/*.py`` imports, and
+    every attribute chain it reads off a name one of those imports binds."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quadpair":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "quadpair":
+                        names.add(alias.name)
+                        bound[alias.asname or "quadpair"] = alias.name if alias.asname else "quadpair"
+        names.update(bound.values())
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in bound:
+                names.add(".".join([bound[node.id], *reversed(chain)]))
+    return sorted(names)
+
+
+@pytest.mark.parametrize("name", _perfbench_names())
+def test_perfbench_name_resolves(name):
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for part in parts[split:]:
+            owner = getattr(owner, part)
+        return
+    raise AssertionError(f"{name} names no module")
 
 
 @pytest.mark.parametrize("den", [7, 1 << 62, (1 << 62) + 1, 1 << 64])

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -663,7 +665,11 @@ def test_flags_the_subcommand_does_not_read_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_suite_quick_subset(tmp_path, capsys):
+def test_suite_quick_subset(tmp_path, capsys, monkeypatch):
+    # a clock that moves one second a read: the printed total and the
+    # report's wall_clock agree only if they come from the same read
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "time", lambda: float(next(ticks)))
     out = tmp_path / "report.json"
     code, text = run(["suite", "--level", "quick", "--only", "A5,A8", "--out", str(out)], capsys)
     assert code == 0
@@ -672,6 +678,7 @@ def test_suite_quick_subset(tmp_path, capsys):
     assert report["suite_passed"] is True
     assert report["config"] == {"level": "quick"}
     assert [c["name"] for c in report["criteria"]] == ["A5", "A8"]
+    assert f"suite: PASS ({report['wall_clock']:.2f}s total)" in text
 
 
 @pytest.mark.parametrize("only, unknown", [("A5,A0", "A0"), ("A0", "A0")])
