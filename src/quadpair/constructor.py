@@ -368,10 +368,17 @@ def construct_alpha(
 
 
 def verify_avoidance(x, q_start: int, q_max: int, eta) -> list[BadInterval]:
-    """Exact membership scan of x against every exclusion interval in range;
-    an empty result certifies avoidance over the sweep."""
+    """Exact membership scan of x mod 1 against every exclusion interval in
+    range; an empty result certifies avoidance over the sweep.  alpha n^2
+    mod 1 depends only on alpha mod 1, so the enclosure of x is shifted by
+    the integer part of its lower end, and one that straddles an integer
+    raises PrecisionError."""
     eta = _check_sweep(q_start, q_max, eta)
     num, den, err = scaled(x)
+    whole = (num - err) // den
+    if (num + err) // den != whole:
+        raise PrecisionError(f"enclosure of x straddles the integer {whole + 1}")
+    num -= whole * den
     x_lo, x_hi = Fraction(num - err, den), Fraction(num + err, den)
     violated = list(_bad_intervals(q_start, q_max, eta, x_lo, x_hi))
     for bad in violated:

@@ -87,6 +87,8 @@ def quad_sum(b, q: int) -> ComplexValue:
     available there), with the enumeration guard applied per factor."""
     if q < 1:
         raise ValueError("modulus must be >= 1")
+    # checked here, not only per factor: q = 1 has no factors
+    b = _normalize_b(b, q)
     re, im, err = 1.0, 0.0, 0.0
     exact = 1
     exact_only = True

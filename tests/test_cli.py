@@ -441,6 +441,18 @@ def test_verify_avoidance_json(tmp_path):
     assert {"q": 20, "a": 7, "class": 1} in payload["violations"]
 
 
+def test_verify_avoidance_reads_x_mod_one(capsys):
+    argv = ["verify-avoidance", "--qstart", "10", "--qmax", "40"]
+    payloads = []
+    for x in ("7/20", "27/20"):
+        code, text = run(argv + ["--x", x], capsys)
+        assert code == 0
+        payloads.append(json.loads(text))
+    # the label is kept as given; the violations are those of x mod 1
+    assert payloads[1]["x"] == "27/20"
+    assert payloads[1]["violations"] == payloads[0]["violations"] != []
+
+
 def test_conjecture2_rows(tmp_path):
     out = tmp_path / "c.csv"
     assert main(

@@ -372,15 +372,34 @@ def test_verify_avoidance_rational_center_violates():
 
 
 def test_verify_avoidance_fixedreal():
-    x = sqrt_fixed(2, 192)  # 1.414... lies outside [0,1] neighbourhoods except a/q near it
+    x = sqrt_fixed(2, 192)  # scanned as sqrt(2) - 1, which has convergents 5/12, 12/29
     hits = verify_avoidance(x, 10, 60, ETA)
     brute = []
     for q in range(10, 61):
         bads = enumerate_bad_intervals(q, q, ETA)
         for b in bads:
-            if b.contains_open(x.mid):
+            if b.contains_open(x.mid - 1):
                 brute.append((b.q, b.a, b.cls))
     assert [(b.q, b.a, b.cls) for b in hits] == brute
+    assert (12, 5, 1) in brute and (29, 12, 1) in brute
+
+
+@pytest.mark.parametrize("label, reduced", [
+    ("sqrt:2", "ratio:(-1+sqrt:2)/1"),
+    ("ratio:(1+sqrt:5)/2", "cf:0;1"),
+    ("rat:-13/20", "rat:7/20"),
+])
+def test_verify_avoidance_tests_alpha_mod_one(label, reduced):
+    hits = verify_avoidance(parse_alpha(label).value(192), 10, 120, ETA)
+    assert hits and hits == verify_avoidance(parse_alpha(reduced).value(192), 10, 120, ETA)
+
+
+def test_verify_avoidance_refuses_an_enclosure_straddling_an_integer():
+    one = 1 << 192
+    assert verify_avoidance(FixedReal(one, 192, 0), 10, 12, ETA) == verify_avoidance(0, 10, 12, ETA)
+    for mantissa in (one - 1, one):
+        with pytest.raises(PrecisionError, match="straddles the integer 1"):
+            verify_avoidance(FixedReal(mantissa, 192, 1), 10, 12, ETA)
 
 
 def _families_by_definition(q, eta, bad_residues):
@@ -417,7 +436,8 @@ def test_enumerate_and_verify_match_the_family_definitions(monkeypatch, bad_resi
             b for b in family if b.hi > within.lo and b.lo < within.hi
         ]
         for x in points:
-            assert verify_avoidance(x, q, q, ETA) == [b for b in family if b.contains_open(x)]
+            # x = 1 is scanned as 0, its value mod 1
+            assert verify_avoidance(x, q, q, ETA) == [b for b in family if b.contains_open(x % 1)]
         inside = [b for b in family if b.contains_open(golden.lo)]
         assert inside == [b for b in family if b.contains_open(golden.hi)]
         assert verify_avoidance(golden, q, q, ETA) == inside

@@ -67,6 +67,12 @@ def test_quad_sum_trivial_modulus():
     assert (v.re, v.im, v.err) == (1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("q", [1, 3, 12])
+def test_quad_sum_checks_b_at_every_modulus(q):
+    with pytest.raises(ValueError, match="b must have four components"):
+        quad_sum((1, 2), q)
+
+
 def test_quad_sum_trivial_bound_and_positivity():
     rng = random.Random(1)
     for q in (2, 3, 4, 6, 10, 15, 21):
