@@ -22,33 +22,13 @@ import json
 import sys
 from fractions import Fraction
 
-from quadpair.cli import fmt_float
+from quadpair.cli import REPORTED_ERRORS, fmt_float, report_error
 from quadpair.constructor import construct_alpha, interval
-from quadpair.errors import QuadpairError
-from quadpair.exactreal import eval_with_retry, parse_alpha
-from quadpair.paircorr import pair_correlation, quadratic_sequence, weighted_pair_correlation
+from quadpair.exactreal import parse_alpha
+from quadpair.paircorr import correlation_rows
 
 CONTROLS = ("sqrt:2", "sqrt:3", "ratio:(1+sqrt:5)/2")
 WINDOWS = (Fraction(1, 4), Fraction(1, 2), 1, 2, 4, 8, 16)
-
-
-def table(labels, n: int) -> list[str]:
-    """The CSV block: R and R0 at every window, from one sequence per alpha."""
-
-    def rows_at(alpha) -> list[str]:
-        # the whole alpha is redone at more bits on a PrecisionError
-        seq = quadratic_sequence(alpha, n)
-        rows = []
-        for x in WINDOWS:
-            r = pair_correlation(seq, x).r
-            r0 = weighted_pair_correlation(seq, x).r0
-            rows.append(",".join((label, str(n), *map(fmt_float, (x, r, r0, r - x)))))
-        return rows
-
-    lines = ["alpha,N,X,R,R0,R_minus_X"]
-    for label in labels:
-        lines += eval_with_retry(parse_alpha(label), rows_at)
-    return lines
 
 
 def run(args) -> int:
@@ -68,8 +48,11 @@ def run(args) -> int:
     print(f"final = {final} = {float(final):.12f}  (budget_ok={res.budget_ok})")
     # construct_alpha has verified the survivor over the same sweep
     print(f"avoidance violations: {len(res.certificate['violations'])}")
-    labels = (f"rat:{final.numerator}/{final.denominator}", *CONTROLS)
-    print("\n".join(table(labels, args.N)))
+    lines = ["alpha,N,X,R,R0,R_minus_X"]
+    for label in (f"rat:{final.numerator}/{final.denominator}", *CONTROLS):
+        for res, r0 in correlation_rows(parse_alpha(label), args.N, WINDOWS):
+            lines.append(",".join((label, str(args.N), *map(fmt_float, (res.x, res.r, r0, res.r - res.x)))))
+    print("\n".join(lines))
     return 0
 
 
@@ -85,10 +68,8 @@ def main() -> int:
     args = ap.parse_args()
     try:
         return run(args)
-    except (QuadpairError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
-        # the errors `quadpair` reports, reported the same way
-        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
-        return 2
+    except REPORTED_ERRORS as exc:
+        return report_error(exc)
 
 
 if __name__ == "__main__":

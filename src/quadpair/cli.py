@@ -71,21 +71,11 @@ def _fractions(text: str) -> list[Fraction]:
 
 
 def _cmd_paircorr(args) -> list[tuple]:
-    spec = parse_alpha(args.alpha)
     n = int(args.N)
-    xs = _fractions(args.X)
-
-    def rows_at(alpha) -> list[tuple]:
-        # the whole alpha is redone at more bits on a PrecisionError
-        seq = paircorr.quadratic_sequence(alpha, n)
-        rows = []
-        for x in xs:
-            res = paircorr.pair_correlation(seq, x)
-            r0 = fmt_float(paircorr.weighted_pair_correlation(seq, x).r0) if x > 0 else ""
-            rows.append((args.alpha, n, fmt_float(x), fmt_float(res.r), r0, res.method))
-        return rows
-
-    return eval_with_retry(spec, rows_at, int(args.bits))
+    return [
+        (args.alpha, n, fmt_float(res.x), fmt_float(res.r), "" if r0 is None else fmt_float(r0), res.method)
+        for res, r0 in paircorr.correlation_rows(parse_alpha(args.alpha), n, _fractions(args.X), int(args.bits))
+    ]
 
 
 def _cmd_r0(args) -> list[tuple]:
@@ -496,6 +486,15 @@ def _apply_config(args, flags: dict) -> None:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
 
 
+# what main reports on stderr as "error: <message>", with exit code 2
+REPORTED_ERRORS = (QuadpairError, ValueError, ArithmeticError, OSError, MemoryError)
+
+
+def report_error(exc: BaseException) -> int:
+    sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
+    return 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -509,9 +508,8 @@ def main(argv=None) -> int:
             return cmd.handler(args)
         _emit_rows(args, cmd.columns, cmd.handler(args))
         return 0
-    except (QuadpairError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
-        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
-        return 2
+    except REPORTED_ERRORS as exc:
+        return report_error(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -206,21 +207,32 @@ class VCountSpec:
         if self.a_bound * self.b_bound > V_ENUM_GUARD:
             raise CostGuardError("box enumeration too large")
 
+    @cached_property
+    def _box_products(self) -> np.ndarray:
+        """r with r[n] = #{(a, b) in the box : ab = n} for n <= A*B."""
+        # int16: r(n) is at most the divisor count of n, 448 below V_ENUM_GUARD;
+        # r is symmetric in the two bounds, so one strided add per smaller factor
+        r = np.zeros(self.a_bound * self.b_bound + 1, dtype=np.int16)
+        small, big = sorted((self.a_bound, self.b_bound))
+        for a in range(1, small + 1):
+            r[a : a * big + 1 : a] += 1
+        return r
 
-def _window_primes(spec: VCountSpec) -> np.ndarray:
-    """w with w[n], for n <= A*B, the smallest prime of n in (p0, p1], or 0
-    when n has none."""
-    if spec.p0 is None:
-        raise ValueError("V1 and V2 need the prime window (p0, p1]")
-    limit = spec.a_bound * spec.b_bound
-    primes = primes_upto(min(spec.p1, limit))
-    # int32 throughout: at V_ENUM_GUARD these arrays are the peak memory
-    primes = primes[np.searchsorted(primes, spec.p0, side="right") :].astype(np.int32)
-    w = np.zeros(limit + 1, dtype=np.int32)
-    # descending, so the smallest prime of each n is written last
-    for p in primes[::-1]:
-        w[p::p] = p
-    return w
+    @cached_property
+    def _window_primes(self) -> np.ndarray:
+        """w with w[n], for n <= A*B, the smallest prime of n in (p0, p1], or
+        0 when n has none."""
+        if self.p0 is None:
+            raise ValueError("V1 and V2 need the prime window (p0, p1]")
+        limit = self.a_bound * self.b_bound
+        primes = primes_upto(min(self.p1, limit))
+        # int32 throughout: at V_ENUM_GUARD these arrays are the peak memory
+        primes = primes[np.searchsorted(primes, self.p0, side="right") :].astype(np.int32)
+        w = np.zeros(limit + 1, dtype=np.int32)
+        # descending, so the smallest prime of each n is written last
+        for p in primes[::-1]:
+            w[p::p] = p
+        return w
 
 
 def _coprime_counts(alpha: tuple[int, int, int], delta: Fraction, n: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -274,23 +286,16 @@ def _coprime_counts(alpha: tuple[int, int, int], delta: Fraction, n: np.ndarray,
     return c
 
 
-def _product_blocks(spec: VCountSpec, w: Optional[np.ndarray] = None, classified=False):
+def _product_blocks(spec: VCountSpec, classified: Optional[bool] = None):
     """(n, r(n) * #{z : |alpha*n - z| <= delta, gcd(n, z) = 1}) as int64 arrays
-    over the distinct products n with r(n) = #{(a, b) in the box : ab = n} > 0,
-    _BLOCK values of n at a time; given the prime-window table w, only the n
-    with (w[n] != 0) == classified."""
+    over the distinct products n with r(n) > 0, _BLOCK values of n at a time;
+    given ``classified``, only the n with (spec._window_primes[n] != 0) == classified."""
     delta, alpha = Fraction(spec.delta), scaled(spec.alpha)
-    limit = spec.a_bound * spec.b_bound
-    # int16: r(n) is at most the divisor count of n, 448 below V_ENUM_GUARD;
-    # r is symmetric in the two bounds, so one strided add per smaller factor
-    r = np.zeros(limit + 1, dtype=np.int16)
-    small, big = sorted((spec.a_bound, spec.b_bound))
-    for a in range(1, small + 1):
-        r[a : a * big + 1 : a] += 1
-    for lo in range(0, limit + 1, _BLOCK):
+    r = spec._box_products
+    for lo in range(0, len(r), _BLOCK):
         piece = r[lo : lo + _BLOCK]
-        if w is not None:
-            piece = piece * ((w[lo : lo + _BLOCK] != 0) == classified)
+        if classified is not None:
+            piece = piece * ((spec._window_primes[lo : lo + _BLOCK] != 0) == classified)
         idx = np.flatnonzero(piece)
         n = idx + lo
         yield n, piece[idx] * _coprime_counts(alpha, delta, n, n)
@@ -317,16 +322,15 @@ def v_star_count(spec: VCountSpec) -> int:
 
 def v1_count(spec: VCountSpec) -> int:
     """v_count restricted to products ab free of primes in (p0, p1]."""
-    return sum(int(hits.sum()) for _, hits in _product_blocks(spec, _window_primes(spec)))
+    return sum(int(hits.sum()) for _, hits in _product_blocks(spec, classified=False))
 
 
 def v2_count(spec: VCountSpec) -> dict[int, int]:
     """Complementary counts, classified by the smallest prime p of ab in
     (p0, p1], binned into dyadic ranges keyed by the power of two below it,
     2^floor(log2(p - 1))."""
-    w = _window_primes(spec)
     # frexp's exponent of m >= 1 is floor(log2 m) + 1; w is int32, so p < 2^31
     bins = np.zeros(32, dtype=np.int64)
-    for n, hits in _product_blocks(spec, w, classified=True):
-        np.add.at(bins, np.frexp(w[n] - 1)[1] - 1, hits)
+    for n, hits in _product_blocks(spec, classified=True):
+        np.add.at(bins, np.frexp(spec._window_primes[n] - 1)[1] - 1, hits)
     return {1 << k: int(total) for k, total in enumerate(bins.tolist()) if total}

@@ -32,9 +32,9 @@ from them and the number of pairs inside the band are exact.  Wrapped pairs
 need a search only over the tail of indices whose points reach the first
 one across the wrap.  The distance sum is an int64 dot product of integer
 weights with the 32-bit limbs of the numerators, one bounded slice at a
-time, so it is exact too.  One window count at tau = X/N yields both R's
-pair count and R0's distance sum, and the sequence keeps the two for the
-last tau it was asked at, so R and R0 at one X count the window once.
+time, so it is exact too.  The sequence keeps the last window it counted:
+R reads its count and only R0 sums its kept index ranges, so R and R0 at
+one X count the window once and R alone never pays for the sum.
 
 An exact sequence (err == 0) over a small denominator q is counted from its
 residue histogram h[r] = #{k : nums[k] = r} instead, with no sort.  Two
@@ -60,7 +60,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CostGuardError, PrecisionError
-from .exactreal import is_prime, mul_mod_int64, mul_mod_pow2_limbs, near_integer_count, scaled, scaled_floor
+from .exactreal import (DEFAULT_BITS, eval_with_retry, is_prime, mul_mod_int64, mul_mod_pow2_limbs,
+                         near_integer_count, scaled, scaled_floor)
 
 NAIVE_GUARD = 5000
 HIST_COST = 64  # the residue histogram counts exact windows of cost den * (terms + 1) <= HIST_COST * N
@@ -132,8 +133,8 @@ class SequenceModOne:
         self._keys: Optional[np.ndarray] = None
         self._limbs: Optional[np.ndarray] = None
         self._hist: Optional[np.ndarray] = None
-        # (tau, (count, scaled distance sum)) of the last window counted
-        self._stats: Optional[tuple] = None
+        # (tau, count, scaled distance sum, or the ranges (F, K) until R0 asks) of the last window
+        self._window: Optional[tuple] = None
         if not self.key_shift:
             self._values = values
             return
@@ -415,44 +416,42 @@ def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) ->
     return total
 
 
-def _window_stats(seq: SequenceModOne, tau: Fraction) -> tuple[int, int]:
-    """Count and scaled sum of the pair distances <= tau (tau >= 0), kept
-    on the sequence until it is asked at another tau.
+def _window_count(seq: SequenceModOne, tau: Fraction) -> int:
+    """Count of the pair distances <= tau (tau >= 0), kept on the sequence
+    with what R0's distance sum needs until it is asked at another tau.
 
-    The residue histogram serves the window when it can.  Otherwise, with
-    error radius err > 0, the count is certified over the band from
-    lo = max(tau - 2 err, 0) to hi = tau + 2 err: the count is monotone in
-    the threshold, so it is the count at tau when no pair distance lies in
-    (lo, hi], and PrecisionError is raised when one does.  One window pass
-    counts the pairs at hi and those in (lo, hi] together.  An empty band
-    means the pairs at tau are the pairs at hi, and whether a pair is
-    forward or wrapped depends only on its gap, so their distances are
-    summed from the window ends at hi.
+    The residue histogram serves the window when it can, sum included.
+    Otherwise, with error radius err > 0, the count is certified over the
+    band from lo = max(tau - 2 err, 0) to hi = tau + 2 err: the count is
+    monotone in the threshold, so it is the count at tau when no pair
+    distance lies in (lo, hi], and PrecisionError is raised when one does.
+    One window pass counts the pairs at hi and those in (lo, hi] together.
+    An empty band means the pairs at tau are the pairs at hi, and whether a
+    pair is forward or wrapped depends only on its gap, so their distances
+    are summed from the window ends at hi, which are kept for that.
     """
-    if seq._stats is not None and seq._stats[0] == tau:
-        return seq._stats[1]
-    stats = _histogram_stats(seq, scaled_floor(tau, seq.den))
-    if stats is None:
-        lo = scaled_floor(max(tau - 2 * seq.err, Fraction(0)), seq.den)
-        hi = scaled_floor(tau + 2 * seq.err, seq.den)
-        count, forward, wrap, band = _pair_stats(seq, lo, hi)
-        if band:
-            raise PrecisionError(
-                f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold"
-            )
-        stats = count, _distance_sum(seq, forward, wrap) if tau else 0
-    seq._stats = tau, stats
-    return stats
+    if seq._window is None or seq._window[0] != tau:
+        seq._window = None  # the last window's ranges go before the next is counted
+        stats = _histogram_stats(seq, scaled_floor(tau, seq.den))
+        if stats is None:
+            lo = scaled_floor(max(tau - 2 * seq.err, Fraction(0)), seq.den)
+            hi = scaled_floor(tau + 2 * seq.err, seq.den)
+            count, forward, wrap, band = _pair_stats(seq, lo, hi)
+            if band:
+                raise PrecisionError(f"a pair distance lies within {float(2 * seq.err):.3g} of the threshold")
+            stats = count, (forward, wrap)
+        seq._window = (tau, *stats)
+    return seq._window[1]
 
 
 def pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
     """Fraction of point pairs within x/N on the circle, threshold inclusive,
-    certified when err > 0 (see ``_window_stats``)."""
+    certified when err > 0 (see ``_window_count``)."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("window parameter must be non-negative")
     n = seq.n
-    count, _ = _window_stats(seq, x / n)
+    count = _window_count(seq, x / n)
     return PairCorrResult(n, x, Fraction(count, n), pair_count=count)
 
 
@@ -551,9 +550,25 @@ def weighted_pair_correlation(seq: SequenceModOne, x) -> PairCorrResult:
         raise ValueError("weighted correlation needs x > 0")
     n = seq.n
     tau = x / n
-    count, dist_sum = _window_stats(seq, tau)
+    count = _window_count(seq, tau)
+    dist_sum = seq._window[2]
+    if isinstance(dist_sum, tuple):  # the kept ranges, summed once and dropped
+        dist_sum = _distance_sum(seq, *dist_sum)
+        seq._window = tau, count, dist_sum
     r0 = 1 + Fraction(2, n) * (count - Fraction(dist_sum, seq.den) / tau)
     return PairCorrResult(n, x, None, r0=r0, method="weighted")
+
+
+def correlation_rows(spec, n: int, xs, bits: int = DEFAULT_BITS) -> list[tuple[PairCorrResult, Optional[Fraction]]]:
+    """R(N, X) of alpha k^2 mod 1, k <= n, and R0 (None at X = 0) at each X
+    of ``xs``, for the alpha of ``spec`` (``parse_alpha``): one sequence and
+    one window count per X, all redone at more bits on a PrecisionError."""
+
+    def rows_at(alpha) -> list[tuple[PairCorrResult, Optional[Fraction]]]:
+        seq = quadratic_sequence(alpha, n)
+        return [(pair_correlation(seq, x), weighted_pair_correlation(seq, x).r0 if x else None) for x in xs]
+
+    return eval_with_retry(spec, rows_at, bits)
 
 
 def equally_spaced_reference(x) -> Fraction:

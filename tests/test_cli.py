@@ -82,6 +82,40 @@ def test_arithmetic_errors_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dispersion"], "dispersion needs --q or both --qlo and --qhi"),
+        (["expsum", "--b", "1,2,3", "--q", "5"], "--b needs four comma-separated integers"),
+        (["paircorr", "--alpha", "sqrt:2"], "the following arguments are required: --N"),
+    ],
+)
+def test_handler_usage_errors(tmp_path, capsys, argv, message):
+    # the config file gives X but not N, so --N is missing from both
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("X = 1\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_paircorr_escalates_past_the_certification_guard(monkeypatch, capsys):
+    # 64 bits cannot certify the sequence at N = 10^5 (see
+    # quadratic_sequence); the whole alpha is redone at 128
+    built = []
+    original = paircorr.quadratic_sequence
+
+    def spy(alpha, n):
+        built.append(alpha.frac_bits)
+        return original(alpha, n)
+
+    argv = ["paircorr", "--alpha", "sqrt:2", "--N", "100000", "--X", "1/2,2"]
+    monkeypatch.setattr(paircorr, "quadratic_sequence", spy)
+    escalated = run(argv + ["--bits", "64"], capsys)
+    assert built == [64, 128]
+    assert escalated == run(argv, capsys)
+    assert escalated[0] == 0
+
+
+@pytest.mark.parametrize(
     "beta, delta",
     [("sqrt:2", "1/100000000000"), ("sqrt:7", "1/100000000000"), ("sqrt:2", "1/10000000")],
 )

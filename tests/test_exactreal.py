@@ -146,10 +146,22 @@ def test_parse_alpha_forms():
     assert float(phi) == pytest.approx((1 + math.sqrt(5)) / 2)
     dec = parse_alpha("dec:0.25").value(64)
     assert dec.mid == Fraction(1, 4)
+    three = parse_alpha("dec:3").value(64)
+    assert (three.mid, three.err_ulp) == (3, 0)
     gold = parse_alpha("cf:1;1").value(128)
     assert float(gold) == pytest.approx((1 + math.sqrt(5)) / 2)
     root2 = parse_alpha("cf:1;2").value(128)
     assert float(root2) == pytest.approx(math.sqrt(2))
+
+
+def test_ratio_with_a_negative_divisor_encloses_its_value():
+    # y <= -phi = -(1 + sqrt 5)/2 exactly when -2y - 1 >= 0 and (-2y - 1)^2 >= 5
+    def below_minus_phi(y):
+        return -2 * y - 1 >= 0 and (-2 * y - 1) ** 2 >= 5
+
+    neg = parse_alpha("ratio:(1+sqrt:5)/-2").value(128)
+    assert below_minus_phi(neg.lo) and not below_minus_phi(neg.hi)
+    assert neg.hi - neg.lo < Fraction(1, 1 << 120)
 
 
 @pytest.mark.parametrize(
@@ -180,6 +192,18 @@ def test_eval_with_retry_escalates():
 
     assert eval_with_retry(parse_alpha("sqrt:2"), compute, bits=128) == 512
     assert calls == [128, 256, 512]
+
+
+def test_eval_with_retry_reraises_at_max_bits():
+    calls = []
+
+    def compute(alpha):
+        calls.append(alpha.frac_bits)
+        raise PrecisionError("never enough")
+
+    with pytest.raises(PrecisionError, match="never enough"):
+        eval_with_retry(parse_alpha("sqrt:2"), compute, bits=300)
+    assert calls == [300, 600, exactreal.MAX_BITS]
 
 
 def _certainty(lo: int, hi: int, den: int, t: int):

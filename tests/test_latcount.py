@@ -15,7 +15,6 @@ from quadpair.latcount import (
     V_ENUM_GUARD,
     VCountSpec,
     _product_blocks,
-    _window_primes,
     _z_window,
     gauss_reduce,
     lattice_square_count,
@@ -48,6 +47,15 @@ def test_near_multiple_brute():
                 brute += 1
         assert near_multiple_count(m, beta, delta) == brute
 
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4), Fraction(7, 2)])
+def test_near_multiple_counts_every_x_from_half_a_unit(delta):
+    # no point lies farther than 1/2 from an integer
+    for beta in (Fraction(1, 3), Fraction(5, 7), sqrt_fixed(2, 64)):
+        num, den, _ = scaled(beta)
+        direct = sum(1 for x in range(1, 41) if min(num * x % den, -num * x % den) <= delta * den)
+        assert near_multiple_count(40, beta, delta) == direct == 40
 
 
 @pytest.mark.parametrize(
@@ -400,9 +408,9 @@ def test_product_weights_count_the_box_cells(monkeypatch, a_bound, b_bound):
         return dict(zip(n.tolist(), hits.tolist()))
 
     assert weights() == {n: int(c) for n, c in enumerate(r) if c}
-    w = _window_primes(spec)
+    w = spec._window_primes
     for classified in (False, True):
-        assert weights(w, classified) == {
+        assert weights(classified) == {
             n: int(c) for n, c in enumerate(r) if c and (w[n] != 0) == classified
         }
 
@@ -419,7 +427,7 @@ def _per_cell_counts(spec):
     (a, b) of the box.  Each count is its value, or PrecisionError when the
     window of one of its own cells straddles."""
     alpha, delta = scaled(spec.alpha), Fraction(spec.delta)
-    w = _window_primes(spec)
+    w = spec._window_primes
     v = v_star = v1 = 0
     v2: dict[int, int] = {}
     raised = set()
@@ -534,7 +542,7 @@ def test_v_enum_guard_refuses_before_any_table(monkeypatch):
     [(12, 17, 3, 3), (12, 17, 1, 7), (12, 17, 2, 200), (9, 11, 5, 10 ** 9), (1, 1, 1, 5)],
 )
 def test_window_primes_matches_factorize(a_bound, b_bound, p0, p1):
-    w = _window_primes(VCountSpec(a_bound, b_bound, Fraction(1, 2), Fraction(1, 3), p0, p1))
+    w = VCountSpec(a_bound, b_bound, Fraction(1, 2), Fraction(1, 3), p0, p1)._window_primes
     assert len(w) == a_bound * b_bound + 1
     for n in range(1, a_bound * b_bound + 1):
         assert w[n] == min((p for p in factorize(n) if p0 < p <= p1), default=0)

@@ -115,6 +115,12 @@ def test_a0_matches_autocorrelation():
         assert np.array_equal(_a0(q), count_A0(q, None)), q
 
 
+def test_count_a_refuses_past_its_array_guard():
+    n = math.isqrt(modcount.A_ARRAY_GUARD) + 1
+    with pytest.raises(CostGuardError):
+        count_A(n, 5, 0)
+
+
 def test_a0_sums_to_q_squared_past_the_autocorrelation_cap():
     # count_A0 refuses these moduli (q^2 > A_ARRAY_GUARD)
     for q in (32768, 65536, 98304, 99991):

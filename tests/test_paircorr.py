@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quadpair import paircorr
 from quadpair.errors import CostGuardError, PrecisionError
-from quadpair.exactreal import FixedReal, scaled, scaled_floor, sqrt_fixed
+from quadpair.exactreal import FixedReal, parse_alpha, scaled, scaled_floor, sqrt_fixed
 from quadpair.paircorr import (
     PairCorrResult,
     SequenceModOne,
@@ -31,6 +31,13 @@ def _rand_seq(rng, n, den=1 << 30):
 
 # ---------------------------------------------------------------------------
 # sequence construction
+
+
+def test_quadratic_sequence_refuses_what_its_bits_cannot_certify():
+    # 64 bits leave sqrt(2) k^2 about n^2 2^-64 wide, far past 2^-20 / (2 n^2)
+    with pytest.raises(PrecisionError, match="64 bits cannot certify alpha\\*k\\^2 up to k=100000"):
+        quadratic_sequence(sqrt_fixed(2, 64), 10 ** 5)
+    assert quadratic_sequence(sqrt_fixed(2, 128), 10 ** 5).err > 0
 
 
 def test_quadratic_sequence_exact_half():
@@ -460,6 +467,8 @@ def test_identities_coverage_integrals_match_arc_overlaps():
 def test_identities_reject_oversized_window():
     with pytest.raises(ValueError):
         verify_integral_identities(equally_spaced(3), 4)
+    with pytest.raises(CostGuardError):
+        verify_integral_identities(equally_spaced(paircorr.SWEEP_GUARD + 1), 1)
 
 
 def test_reference_values():
@@ -670,6 +679,39 @@ def test_weighted_after_pair_correlation_matches_a_fresh_copy():
             assert pair_correlation(seq, x) == pair_correlation(_exact_copy(seq), x)
             if x:
                 assert weighted_pair_correlation(seq, x) == weighted_pair_correlation(_exact_copy(seq), x)
+
+
+def test_distance_sum_runs_only_under_the_weighted_correlation(monkeypatch):
+    # R reads the window count alone; R0 sums the distances of the window it
+    # kept, once, or of the window it counts and certifies itself
+    calls = []
+    original = paircorr._distance_sum
+    monkeypatch.setattr(paircorr, "_distance_sum",
+                        lambda seq, forward, wrap: calls.append(seq) or original(seq, forward, wrap))
+    certified = quadratic_sequence(sqrt_fixed(2, 192), 500)
+    for seq in (certified, _exact_copy(certified)):
+        assert not _served(seq, scaled_floor(Fraction(16, seq.n), seq.den))
+        for x in (0, Fraction(1, 2), 1, 16, 1):
+            pair_correlation(seq, x)
+        assert calls == []
+        weighted_pair_correlation(seq, 1)
+        weighted_pair_correlation(seq, 1)
+        assert calls == [seq]
+        weighted_pair_correlation(seq, 2)
+        assert calls == [seq, seq]
+        calls.clear()
+
+
+def test_correlation_rows_read_r0_past_zero_from_one_sequence(monkeypatch):
+    built = []
+    original = paircorr.quadratic_sequence
+    monkeypatch.setattr(paircorr, "quadratic_sequence", lambda alpha, n: built.append(n) or original(alpha, n))
+    xs = [Fraction(0), Fraction(1, 2), 2]
+    rows = paircorr.correlation_rows(parse_alpha("sqrt:2"), 300, xs)
+    assert built == [300]
+    seq = original(sqrt_fixed(2, 192), 300)
+    assert [r0 for _, r0 in rows] == [None] + [weighted_pair_correlation(seq, x).r0 for x in xs[1:]]
+    assert [res for res, _ in rows] == [pair_correlation(seq, x) for x in xs]
 
 
 @pytest.mark.parametrize("d, raises", [(994, False), (995, True), (1006, True), (1007, False)])
