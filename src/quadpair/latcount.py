@@ -22,8 +22,12 @@ from .errors import CostGuardError, PrecisionError
 from .exactreal import floor_sum, near_integer_count, primes_upto, scaled, scaled_floor
 
 V_ENUM_GUARD = 10 ** 7
-# products or cells per vector pass of the V-counts: bounds their temporaries
+# products per vector pass of V, V1 and V2: bounds their temporaries
 _BLOCK = 1 << 15
+# cells per vector pass of V*: its 64 KB float64 and int64 temporaries stay
+# below glibc's default 128 KB mmap threshold, so they come from the heap
+# whatever earlier frees did to that threshold
+_CELL_BLOCK = 1 << 13
 ILL_CONDITION_SQ = 1e24
 
 
@@ -280,9 +284,19 @@ def _coprime_counts(alpha: tuple[int, int, int], delta: Fraction, n: np.ndarray,
     if passes < 1 << 30:
         # side <= V_ENUM_GUARD: z mod side + k fits int32, whose Euclid steps are faster
         side, start = side.astype(np.int32), start.astype(np.int32)
-    # one vector pass per offset into the window: delta >= 1/2 holds several z
+    # one vector pass per offset into the window (delta >= 1/2 holds several
+    # z), each into the same buffers, so no pass allocates
+    hits = np.zeros(live.size, dtype=np.int64)
+    z, g = np.empty_like(start), np.empty_like(start)
+    inside, coprime = np.empty(live.size, dtype=bool), np.empty(live.size, dtype=bool)
     for k in range(passes):
-        c[live] += (width > k) & (np.gcd(side, start + k) == 1)
+        np.add(start, k, out=z)
+        np.gcd(side, z, out=g)
+        np.equal(g, 1, out=coprime)
+        np.greater(width, k, out=inside)
+        coprime &= inside
+        hits += coprime
+    c[live] = hits
     return c
 
 
@@ -309,12 +323,12 @@ def v_count(spec: VCountSpec) -> int:
 
 def v_star_count(spec: VCountSpec) -> int:
     """Like v_count but with the coprimality on (x, y) = (second factor, z):
-    a sum over the cells n = u*x, _BLOCK cells at a time."""
+    a sum over the cells n = u*x, _CELL_BLOCK cells at a time."""
     delta, alpha = Fraction(spec.delta), scaled(spec.alpha)
     cells = spec.a_bound * spec.b_bound
     total = 0
-    for lo in range(0, cells, _BLOCK):
-        x, u = np.divmod(np.arange(lo, min(lo + _BLOCK, cells), dtype=np.int64), spec.a_bound)
+    for lo in range(0, cells, _CELL_BLOCK):
+        x, u = np.divmod(np.arange(lo, min(lo + _CELL_BLOCK, cells), dtype=np.int64), spec.a_bound)
         x += 1
         total += int(_coprime_counts(alpha, delta, (u + 1) * x, x).sum())
     return total

@@ -46,6 +46,16 @@ weighted by d.  Each C[d] is two int64 slice dot products, so the cost is
 about q (min(t, (q - 1)/2) + 1), and the histogram serves whenever that is
 at most ``HIST_COST`` * N and q <= ``HIST_DEN`` * N, which bounds its memory
 to ``HIST_DEN`` counts a point; the sorted window stays its oracle.
+
+The integral identities compare three routes that share no count: the
+arc-coverage integrals from one stable sort of the 2N arc ends, held as
+points over den beside two shared sub-unit offsets, and one cumulative sum;
+R0 from the window kernel above; and the integral of R from a walk over
+the sorted points by neighbour offset, which meets each pair within the
+window once.  The sweep costs O(N log N) and the walk O(N + pairs); both
+read the sorted keys and limbs, sum by exact int64 limb dots, and make a
+Python int only for a key gap too close to its bound to settle on keys.
+They run up to N = ``SWEEP_GUARD``, the walk up to ``WALK_GUARD`` pairs.
 """
 
 from __future__ import annotations
@@ -66,11 +76,13 @@ from .exactreal import (DEFAULT_BITS, eval_with_retry, is_prime, mul_mod_int64, 
 NAIVE_GUARD = 5000
 HIST_COST = 64  # the residue histogram counts exact windows of cost den * (terms + 1) <= HIST_COST * N
 HIST_DEN = 8  # ... over den <= HIST_DEN * N, so that it holds at most HIST_DEN int64 counts a point
-SWEEP_GUARD = 4000
+SWEEP_GUARD = 10 ** 6
+WALK_GUARD = 1 << 26  # pairs the identities' walk meets for the integral of R
 _PAIR_BLOCK = 1 << 16  # pair distances per block of rows in the brute force
 _DOT_BLOCK = 4096  # numerators per slice of the limb matrix and of the distance-sum dot product
 _KEY_BITS = 62  # int64 keys keep this many top bits of each numerator
 _LOW31 = (1 << 31) - 1
+_LOW32 = (1 << 32) - 1
 _DOT_RANGE = 1 << 31  # slice length times max |weight|: keeps every 32-bit limb dot below 2^63
 
 
@@ -87,8 +99,8 @@ class SequenceModOne:
     built from a list converts it once, here, and keeps the list as
     ``nums``.  ``sorted_nums()``, and ``nums`` of a ``from_array``
     sequence, are Python ints read off the array the first time something
-    asks for them (the naive count, the identity sweep, a bisection in
-    ``_upto_counts``).
+    asks for them (the naive count, a bisection in ``_upto_counts``); the
+    identity checks read the array alone.
     """
 
     def __init__(self, nums: list[int], den: int, provenance: str = "explicit",
@@ -161,9 +173,7 @@ class SequenceModOne:
             if self._values is not None:
                 self._sorted = self.sorted_keys().tolist()
             else:
-                raw = self._limbs.tobytes()
-                size = 4 * self._limbs.shape[1]
-                self._sorted = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+                self._sorted = _limb_ints(self._limbs)
         return self._sorted
 
     def sorted_keys(self) -> np.ndarray:
@@ -179,7 +189,7 @@ class SequenceModOne:
         den <= 2^62 a view of the int64 keys, two limbs a row; past it the
         sorted rows held."""
         if not self.key_shift:
-            return self.sorted_keys().astype("<i8", copy=False).view("<u4").reshape(self.n, 2)
+            return _int64_limbs(self.sorted_keys())
         return self._limbs
 
     def residue_histogram(self) -> np.ndarray:
@@ -198,6 +208,32 @@ def _limb_rows(nums: list[int], den: int) -> np.ndarray:
         raw = b"".join([v.to_bytes(4 * size, "little") for v in nums[a:a + _DOT_BLOCK]])
         limbs[a:a + _DOT_BLOCK] = np.frombuffer(raw, "<u4").reshape(-1, size)
     return limbs
+
+
+def _limb_ints(limbs: np.ndarray) -> list[int]:
+    """The Python ints whose little-endian uint32 limbs are the rows of ``limbs``."""
+    raw = limbs.tobytes()
+    size = 4 * limbs.shape[1]
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+
+def _int64_limbs(values: np.ndarray) -> np.ndarray:
+    """Non-negative int64 values as rows of two little-endian uint32 limbs."""
+    return values.astype("<i8", copy=False).view("<u4").reshape(len(values), 2)
+
+
+def _limb_dot(weight: np.ndarray, limbs: np.ndarray) -> int:
+    """sum_k weight[k] * v_k, exactly, for int64 weights and numbers v_k given
+    as rows of uint32 limbs: one int64 dot per limb column over slices short
+    enough that no sum of limb * weight can overflow (slice length times
+    max |weight| at most ``_DOT_RANGE``)."""
+    largest = max(int(weight.max()), -int(weight.min()), 1)
+    block = min(_DOT_BLOCK, _DOT_RANGE // largest)
+    total = 0
+    for a in range(0, len(weight), block):
+        parts = (weight[a:a + block] @ limbs[a:a + block]).tolist()
+        total += sum(p << 32 * i for i, p in enumerate(parts))
+    return total
 
 
 def _limb_shift(limbs: np.ndarray, shift: int) -> np.ndarray:
@@ -393,8 +429,7 @@ def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) ->
     w_k = #{i < k : F[i] > k} - (F[k] - k - 1) - K[k] + #{j : K[j] > k}.
     F and K are non-decreasing and F[i] > i, so #{i : F[i] <= k} and
     #{j : K[j] <= k} are running sums of their histograms.  The dot product
-    is taken limb by limb over slices short enough that no int64 sum of
-    limb * weight can overflow (|w_k| < n).
+    is ``_limb_dot`` (|w_k| < n).
     """
     n = seq.n
     total = seq.den * int(wrap.sum())
@@ -407,13 +442,7 @@ def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) ->
     weight += n - 1
     weight -= forward
     weight -= wrap
-    largest = max(int(weight.max()), -int(weight.min()), 1)
-    limbs = seq.sorted_limbs()
-    block = min(_DOT_BLOCK, _DOT_RANGE // largest)
-    for a in range(0, n, block):
-        parts = (weight[a:a + block] @ limbs[a:a + block]).tolist()
-        total += sum(p << 32 * i for i, p in enumerate(parts))
-    return total
+    return total + _limb_dot(weight, seq.sorted_limbs())
 
 
 def _window_count(seq: SequenceModOne, tau: Fraction) -> int:
@@ -600,20 +629,12 @@ class IdentityReport:
 
 
 def verify_integral_identities(seq: SequenceModOne, x) -> IdentityReport:
-    """Exact event-sweep check of the window-count integral identities.
-
-    Computes the arc-coverage function integrals by sweeping the 2N arc
-    endpoints, the weighted correlation by the window kernel, and the
-    integral of the raw correlation from the full pair-distance list; all
-    three routes are independent.
-
-    The sweep runs on integers.  Scaled by den * k with k = 2N * x.denominator,
-    the arc about v/den runs from v*k - h to v*k + h (mod den * k), where
-    h = x.numerator * den; it adds +1 at its start and -1 at its end.  Arcs
-    whose start is not below their end (those wrapping past 0, and the
-    whole-circle arcs at x = N) cover the start of the sweep.  Coverage and
-    its square times segment length, summed and divided by den * k, give the
-    two integrals.
+    """Exact check of the window-count integral identities by three
+    independent routes: the arc-coverage integrals by an event sweep, the
+    weighted correlation by the window kernel, and the integral of the raw
+    correlation by a walk over the pairs.  The sweep costs O(N log N) and
+    the walk O(N + pairs); both read the sorted keys and limbs, and neither
+    makes a Python int per point.
 
     Validity ranges at finite N: the coverage integral equals x for
     0 < x <= N (an arc must not wrap past itself); the squared-coverage
@@ -629,32 +650,12 @@ def verify_integral_identities(seq: SequenceModOne, x) -> IdentityReport:
     if n > SWEEP_GUARD:
         raise CostGuardError(f"identity sweep is capped at N={SWEEP_GUARD}")
 
-    k = 2 * n * x.denominator
-    scale = seq.den * k
-    h = x.numerator * seq.den
-    events = []
-    cur = 0
-    for v in seq.nums:
-        s = (v * k - h) % scale
-        e = (v * k + h) % scale
-        events += [(s, 1), (e, -1)]
-        cur += s >= e
-    int_l = int_l2 = prev = 0
-    for pos, step in sorted(events) + [(scale, 0)]:
-        int_l += cur * (pos - prev)
-        int_l2 += cur * cur * (pos - prev)
-        cur += step
-        prev = pos
-    int_l = Fraction(int_l, scale)
-    int_l2 = Fraction(int_l2, scale)
-
+    int_l, int_l2 = _coverage_integrals(seq, x)
     r0 = weighted_pair_correlation(seq, x).r0
-
     # integral of R(N, t) dt over [0, x]: R is a step function jumping at the
     # scaled pair distances, so the integral is a sum over the distance
-    # multiset, enumerated here by brute force
-    t_int = scaled_floor(x / n, seq.den)
-    count, dist_sum = _naive_distance_stats(seq, t_int)
+    # multiset, enumerated here pair by pair
+    count, dist_sum = _walk_distance_stats(seq, scaled_floor(x / n, seq.den))
     int_r = (count * x - n * Fraction(dist_sum, seq.den)) / n
     r_avg = 1 + 2 * int_r / x
 
@@ -669,3 +670,158 @@ def verify_integral_identities(seq: SequenceModOne, x) -> IdentityReport:
         square_applicable=(2 * x <= n),
         additive_ok=(r_avg == r0),
     )
+
+
+def _coverage_integrals(seq: SequenceModOne, x: Fraction) -> tuple[Fraction, Fraction]:
+    """The integrals of L and L^2 over the circle, where L(y) counts the arcs
+    of length x/N centred on the points that cover y, by one sort of the 2N
+    arc ends.
+
+    Scaled by den * k with k = 2N * x.denominator, the arc about v/den runs
+    from v*k - h to v*k + h (mod den * k), h = x.numerator * den.  With
+    (A, B) = divmod(h, k), its start lies at w*k + o with w = (v - A - [B > 0])
+    mod den and o = -B mod k, and its end at w*k + o with w = (v + A) mod den
+    and o = B.  Every start shares one o and every end the other, so the 2N
+    ends sort by w, the starts first at equal w when their o is smaller:
+    one stable sort of the w, concatenated in that order, puts the ends in
+    sweep order (int64 w up to 2^62; past it the int64 keys of their limb
+    rows, or one stable ``lexsort`` of the rows when two keys tie, as
+    ``SequenceModOne`` sorts its rows).  The arcs that cover the sweep's
+    start are those whose start wrapped below 0 or whose end wrapped past
+    den, so one cumulative sum of the +1/-1 steps gives L after every end.
+
+    Summing by parts, the integral of f(L) times den * k is
+    f(L0) den k - sum_e df_e (w_e k + o_e), where df_e is the change of f(L)
+    at end e and L0 the coverage at 0; sum_e df_e w_e is an int64 dot of
+    the df with the limbs of the w (``_limb_dot``), never forming k*v.
+    """
+    n, den = seq.n, seq.den
+    k = 2 * n * x.denominator
+    a, b = divmod(x.numerator * den, k)
+    o_start, o_end = -b % k, b
+    values = seq.sorted_limbs() if seq.key_shift else seq.sorted_keys()
+    # v - A - [B > 0] wraps below 0 exactly where v + (den - A - [B > 0]) stays below den
+    starts, unwrapped = _add_mod(values, den - a - (b > 0), den)
+    ends, wrapped = _add_mod(values, a, den)
+    cover0 = n - int(np.count_nonzero(unwrapped)) + int(np.count_nonzero(wrapped))
+    first = o_start <= o_end  # starts go first among equal w
+    w = np.concatenate((starts, ends) if first else (ends, starts))
+    step = np.repeat(np.array((1, -1) if first else (-1, 1), np.int64), n)
+    if seq.key_shift:
+        keys = _limb_shift(w, seq.key_shift)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            order = np.lexsort(w.T)
+        limbs = w
+    else:
+        order = np.argsort(w, kind="stable")
+        limbs = _int64_limbs(w)
+    sweep = step[order]
+    cover = np.cumsum(sweep)
+    cover += cover0
+    # change of L^2 at each end, where L steps by s to L': L'^2 - L^2 = s (2 L' - s)
+    square = np.empty_like(cover)
+    square[order] = (2 * cover - sweep) * sweep
+    start_square = int(square[:n].sum() if first else square[n:].sum())
+    scale = den * k
+    int_l = cover0 * scale - k * _limb_dot(step, limbs) - n * (o_start - o_end)
+    int_l2 = cover0 * cover0 * scale - k * _limb_dot(square, limbs) - start_square * (o_start - o_end)
+    return Fraction(int_l, scale), Fraction(int_l2, scale)
+
+
+def _add_mod(values: np.ndarray, c: int, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v + c) mod den for each numerator v of ``values`` (an int64 array for
+    den <= 2^62, where v + c < 2 den fits, else rows of uint32 limbs),
+    0 <= c < den, and where v + c >= den.  On limb rows that is v >= den - c,
+    compared limb by limb from the top; then each row adds c, or
+    2^(32 size) - (den - c) to give v + c - den modulo 2^(32 size), with
+    the carry taken column by column."""
+    if values.ndim == 1:
+        out = values + c
+        wrapped = out >= den
+        out[wrapped] -= den
+        return out, wrapped
+    n, size = values.shape
+    m = den - c
+    wrapped = np.zeros(n, bool)
+    tie = np.full(n, m < 1 << 32 * size)
+    for col in reversed(range(size)):
+        limb, part = values[:, col], (m >> 32 * col) & _LOW32
+        wrapped |= tie & (limb > part)
+        tie &= limb == part
+    wrapped |= tie
+    below, over = c, (1 << 32 * size) - m
+    out = np.empty_like(values)
+    carry = np.zeros(n, np.uint64)
+    for col in range(size):
+        carry += values[:, col]
+        carry += np.where(wrapped, (over >> 32 * col) & _LOW32, (below >> 32 * col) & _LOW32).astype(np.uint64)
+        out[:, col] = carry & _LOW32
+        carry >>= np.uint64(32)
+    return out, wrapped
+
+
+def _walk_distance_stats(seq: SequenceModOne, t: int) -> tuple[int, int]:
+    """Count and scaled sum of the pair distances <= t (t >= 0), pair by
+    pair.
+
+    Over the sorted numerators s, point i meets its neighbours at offsets
+    d = 1, 2, ... in circular order.  Below N, p = i + d is a forward pair,
+    within t when s[p] - s[i] <= min(t, den // 2); past N, p = i + d - N is
+    a wrapped pair, within t when den - (s[i] - s[p]) <= min(t, den - den //
+    2 - 1).  So each pair is met once: from its lower end when its gap is
+    at most half the circle, from its upper end otherwise.  The circular
+    gap grows with d and the wrapped bound is the smaller one, so i drops
+    out at its first miss and keeps the offsets 1..reach[i]; the walk ends
+    when every point has dropped out, after count + N gap tests at most.
+    The gaps are read off the int64 keys; past 2^62 a key gap within one
+    key unit of its bound is settled on the two exact numerators.
+
+    The distances sum to den * (wrapped pairs) + sum_i weight_i s_i, where
+    weight_i is the number of points that meet i less reach[i], taken as
+    one ``_limb_dot`` with the sorted limbs.
+    """
+    n, den, shift = seq.n, seq.den, seq.key_shift
+    keys = seq.sorted_keys()
+    half = den // 2
+    bounds = (min(t, half), min(t, den - half - 1) - den)  # forward, and wrapped as s[p] - s[i]
+    reach = np.zeros(n, np.int64)
+    live = np.arange(n)
+    pairs = 0
+    for d in range(1, n):
+        wrap = int(np.searchsorted(live, n - d))  # live[wrap:] meet a point past N
+        part = live + d
+        part[wrap:] -= n
+        gap = keys[part]
+        gap -= keys[live]
+        top = np.full(live.size, bounds[1] >> shift)
+        top[:wrap] = bounds[0] >> shift
+        if not shift:
+            keep = gap <= top
+        else:
+            keep = gap < top
+            unsure = np.flatnonzero((gap >= top) & (gap <= top + 1))
+            if unsure.size:
+                limbs = seq.sorted_limbs()
+                pairs_at = zip(unsure.tolist(), _limb_ints(limbs[live[unsure]]), _limb_ints(limbs[part[unsure]]))
+                for j, v, u in pairs_at:
+                    keep[j] = u - v <= bounds[j >= wrap]
+        live = live[keep]
+        if not live.size:
+            break
+        reach[live] = d
+        pairs += live.size
+        if pairs > WALK_GUARD:
+            raise CostGuardError(f"the identity pair walk is capped at {WALK_GUARD} pairs")
+    at = np.arange(n)
+    wrapped = int(np.maximum(reach - (n - 1 - at), 0).sum())  # offsets d >= N - i wrap
+    # i meets i + 1 .. i + reach[i], mod N: a difference array over 2N indices
+    met = np.zeros(2 * n, np.int64)
+    met[1:n + 1] = 1
+    met -= np.bincount(at + 1 + reach, minlength=2 * n)
+    met = np.cumsum(met, out=met)
+    weight = met[:n]
+    weight += met[n:]
+    weight -= reach
+    return pairs, den * wrapped + _limb_dot(weight, seq.sorted_limbs())

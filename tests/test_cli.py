@@ -611,6 +611,18 @@ def test_r0_identities(tmp_path):
     assert row["additive_ok"] == "True"
 
 
+def test_r0_runs_past_the_old_identity_cap(capsys):
+    # N = 5000 was refused (exit 2) while the identities enumerated every pair
+    code, text = run(["r0", "--alpha", "sqrt:2", "--N", "5000", "--X", "1,16"], capsys)
+    assert code == 0
+    lines = text.splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        row = dict(zip(lines[0].split(","), line.split(",")))
+        flags = ("coverage_ok", "square_ok", "square_applicable", "additive_ok")
+        assert [row[f] for f in flags] == ["True"] * 4, line
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     # paircorr does not read eta; a shared file may still carry it

@@ -497,6 +497,7 @@ def test_vcounts_match_the_per_cell_loop(monkeypatch, kind):
     for i in range(25):
         spec = _vcount_spec(kind, rng)
         monkeypatch.setattr(latcount, "_BLOCK", (1 << 16, 7)[i % 2])
+        monkeypatch.setattr(latcount, "_CELL_BLOCK", (1 << 16, 7)[i % 2])
         wants = _per_cell_counts(spec)
         for name, count in (("V", v_count), ("V*", v_star_count), ("V1", v1_count), ("V2", v2_count)):
             if wants[name] is PrecisionError:

@@ -12,6 +12,7 @@ from quadpair import paircorr
 from quadpair.errors import CostGuardError, PrecisionError
 from quadpair.exactreal import FixedReal, parse_alpha, scaled, scaled_floor, sqrt_fixed
 from quadpair.paircorr import (
+    IdentityReport,
     PairCorrResult,
     SequenceModOne,
     equally_spaced,
@@ -464,11 +465,145 @@ def test_identities_coverage_integrals_match_arc_overlaps():
             assert rep.int_l2 == sum(max(0, w - d) + max(0, w - (1 - d)) for d in dists)
 
 
-def test_identities_reject_oversized_window():
+def test_identities_reject_oversized_window(monkeypatch):
     with pytest.raises(ValueError):
         verify_integral_identities(equally_spaced(3), 4)
+    # one point repeated SWEEP_GUARD + 1 times, held as an array: the guard
+    # is on N, whatever the points
+    many = SequenceModOne.from_array(np.zeros(paircorr.SWEEP_GUARD + 1, np.int64), 1)
     with pytest.raises(CostGuardError):
-        verify_integral_identities(equally_spaced(paircorr.SWEEP_GUARD + 1), 1)
+        verify_integral_identities(many, 1)
+    # the walk for the integral of R counts the pairs it meets
+    monkeypatch.setattr(paircorr, "WALK_GUARD", 40)
+    seq = equally_spaced(10)
+    assert verify_integral_identities(seq, 4).all_ok  # 40 pairs, 10 of them wrapped
+    with pytest.raises(CostGuardError):
+        verify_integral_identities(seq, 5)  # all 45
+
+
+def _sweep_oracle(seq, x):
+    # int L and int L^2 by a Python sweep over the 2N arc ends: scaled by
+    # den * k with k = 2N * x.denominator, the arc about v/den runs from
+    # v*k - h to v*k + h (mod den * k), h = x.numerator * den, adding +1 at
+    # its start and -1 at its end; arcs whose start is not below their end
+    # (wrapping past 0, or the whole circle at x = N) cover the start
+    k = 2 * seq.n * x.denominator
+    scale = seq.den * k
+    h = x.numerator * seq.den
+    events = []
+    cur = 0
+    for v in seq.nums:
+        s = (v * k - h) % scale
+        e = (v * k + h) % scale
+        events += [(s, 1), (e, -1)]
+        cur += s >= e
+    int_l = int_l2 = prev = 0
+    for pos, step in sorted(events) + [(scale, 0)]:
+        int_l += cur * (pos - prev)
+        int_l2 += cur * cur * (pos - prev)
+        cur += step
+        prev = pos
+    return Fraction(int_l, scale), Fraction(int_l2, scale)
+
+
+def _identity_oracle(seq, x):
+    # every field from the Python sweep and the brute-force pair distances
+    x = Fraction(x)
+    n = seq.n
+    int_l, int_l2 = _sweep_oracle(seq, x)
+    tau = x / n
+    count, dist_sum = paircorr._naive_distance_stats(seq, scaled_floor(tau, seq.den))
+    r0 = 1 + Fraction(2, n) * (count - Fraction(dist_sum, seq.den) / tau)
+    r_avg = 1 + 2 * (count * x - n * Fraction(dist_sum, seq.den)) / n / x
+    return IdentityReport(int_l, int_l2, r0, r_avg, x, int_l == x, int_l2 == x * r0, 2 * x <= n, r_avg == r0)
+
+
+def _oracle_windows(rng, n):
+    # X with denominators up to 7, N/2 < X < N, N/2 and N
+    xs = {Fraction(rng.randrange(1, 7 * n + 1), rng.randrange(1, 8)) for _ in range(4)}
+    xs |= {Fraction(n, 2), Fraction(n), Fraction(3 * n, 4) + Fraction(1, 7)}
+    return sorted(x for x in xs if 0 < x <= n)
+
+
+@pytest.mark.parametrize("den", [1, 2, 7, 1 << 20, 1 << 62, 3 ** 40])
+def test_identities_match_the_oracles(den):
+    # list-built sequences on both sides of 2^62 (3^40 is past it and not a
+    # power of two): random points, points at 0 and den - 1, duplicates
+    rng = random.Random(den)
+    for n in (1, 2, 3, 5, 12, 30):
+        nums = [rng.randrange(den) for _ in range(n)]
+        nums[0] = 0
+        nums[-1] = den - 1
+        nums += nums[: n // 2]
+        seq = SequenceModOne(nums, den)
+        for x in _oracle_windows(rng, seq.n):
+            assert verify_integral_identities(seq, x) == _identity_oracle(seq, x), (den, nums, x)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(38717, 92551), Fraction(3, 7), sqrt_fixed(2, 192), sqrt_fixed(3, 256)])
+def test_identities_match_the_oracles_on_array_built_sequences(alpha):
+    # int64 and 2^bits limb builds: the routes read the array alone and
+    # leave the Python-int numerators unmade
+    rng = random.Random(str(alpha))
+    for n in (1, 7, 300):
+        seq = quadratic_sequence(alpha, n)
+        reports = {x: verify_integral_identities(seq, x) for x in _oracle_windows(rng, n)}
+        assert seq._nums is None
+        for x, rep in reports.items():
+            assert rep == _identity_oracle(seq, x), (alpha, n, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_identity_routes_match_the_oracles_inside_the_key_band(data):
+    # points that differ only below the key bits, duplicates and points half
+    # a circle apart, as in the pair-stats test above: the walk at every gap
+    # and one either side, the sweep at windows whose threshold lands there
+    den = data.draw(st.sampled_from(_KEYED_DENS + (3 ** 40,)))
+    low = 1 << SequenceModOne([0], den).key_shift
+    base = data.draw(st.integers(0, den - 1))
+    moves = st.sampled_from([0, 1, low - 1, low, low + 1, 2 * low, den // 2, den // 2 + 1, den - 1])
+    nums = [(base + data.draw(moves)) % den for _ in range(data.draw(st.integers(1, 8)))]
+    seq = SequenceModOne(nums, den)
+    n = seq.n
+    gaps = {abs(a - b) for a in nums for b in nums}
+    ts = {g + e for g in gaps for e in (-1, 0, 1)} | {den - g + e for g in gaps for e in (-1, 0, 1)}
+    ts |= {den // 2 - 1, den // 2, den // 2 + 1, den}
+    for t in sorted(v for v in ts if v >= 0):
+        assert paircorr._walk_distance_stats(seq, t) == paircorr._naive_distance_stats(seq, t), (nums, den, t)
+        x = Fraction(t * n, den) + Fraction(data.draw(st.integers(0, 6)), 7 * den)
+        if 0 < x <= n:
+            assert paircorr._coverage_integrals(seq, x) == _sweep_oracle(seq, x), (nums, den, x)
+
+
+@pytest.mark.parametrize("den", [7, 1 << 62, 3 ** 40, 1 << 192])
+def test_coverage_sweep_with_arc_ends_at_zero(den):
+    # (A, B) = divmod(h, k) as in the sweep: a point at A + [B > 0] starts its
+    # arc exactly at w = 0, one at den - A ends it there, and their
+    # neighbours just miss
+    for x in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(5, 7), Fraction(6)):
+        k = 2 * 6 * x.denominator
+        a, b = divmod(x.numerator * den, k)
+        starts = [a + (b > 0), a + (b > 0) - 1, a + (b > 0) + 1, 0, den // 3, den // 3]
+        ends = [den - a, den - a - 1, den - a + 1, den - 1, den // 3, den // 2]
+        for nums in (starts, ends, starts[:3] + ends[:3]):
+            seq = SequenceModOne([v % den for v in nums], den)
+            assert paircorr._coverage_integrals(seq, x) == _sweep_oracle(seq, x), (den, x, nums)
+
+
+def test_walk_settles_the_key_band_on_the_exact_integers(monkeypatch):
+    # three points under one key and a fourth one key up: a gap within one
+    # key unit of the threshold is read off the exact numerators of its pair
+    settled = []
+    monkeypatch.setattr(paircorr, "_limb_ints", lambda rows, _f=paircorr._limb_ints: settled.append(len(rows)) or _f(rows))
+    den = 1 << 192
+    shift = SequenceModOne([0], den).key_shift
+    p = 12345 << shift
+    seq = SequenceModOne([p + 5, p, p + 2, p + (1 << shift)], den)
+    for t, count in zip((0, 1, 2, 5, (1 << shift) - 1, 1 << shift), (0, 0, 1, 3, 5, 6)):
+        assert paircorr._walk_distance_stats(seq, t) == paircorr._naive_distance_stats(seq, t)
+        assert paircorr._walk_distance_stats(seq, t)[0] == count
+    assert settled
 
 
 def test_reference_values():
