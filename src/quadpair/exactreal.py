@@ -27,7 +27,6 @@ DEFAULT_BITS = 192
 MIN_BITS = 64
 MAX_BITS = 1024
 
-_TRIAL_LIMIT = 10 ** 6
 _FACTOR_CAP = 10 ** 12
 _MUL_BLOCK = 1 << 14  # values of a numpy modular product built at a time
 
@@ -97,8 +96,12 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.nonzero(sieve)[0]
 
 
-# factorize's trial divisors; callers with other limits sieve uncached
-_trial_primes = lru_cache(maxsize=1)(lambda: primes_upto(_TRIAL_LIMIT))
+@lru_cache(maxsize=None)
+def _trial_primes(bits: int) -> tuple[int, ...]:
+    # factorize(n)'s trial divisors: the primes up to 2^bits, bits the bit
+    # length of isqrt(n), so the table passes sqrt(n) and a modulus q <= 4100
+    # sieves to 64, not to 10**6; one table per bit length, 2^20 at the cap
+    return tuple(primes_upto(1 << bits).tolist())
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -129,16 +132,15 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation by trial division; cofactors past the table are
-    provably prime for n <= 10**12 and are primality-checked anyway."""
+    """Prime factorisation by trial division; the table passes sqrt(n), so a
+    cofactor left after it is prime, and it is primality-checked anyway."""
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     if n > _FACTOR_CAP:
         raise ValueError(f"modulus {n} exceeds the 10**12 factorisation cap")
     out: dict[int, int] = {}
     rem = n
-    for p in _trial_primes():
-        p = int(p)
+    for p in _trial_primes(math.isqrt(n).bit_length()):
         if p * p > rem:
             break
         while rem % p == 0:

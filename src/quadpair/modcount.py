@@ -4,12 +4,16 @@ divisor sums in progressions, and box counts on modular hyperbolas.
 
 All counts are exact.  Deviations are carried as integers scaled by q^2
 (for values of the form A - (M/q)^2 A0) so that running maxima and exact
-threshold comparisons never touch floating point.
+threshold comparisons never touch floating point.  A bad set is empty
+without a per-unit gather when an exact bound on every unit's dispersion
+sum, taken one gcd class of r at a time, falls short of the threshold; sums
+of squared deviations are exact int64 dot products of 19-bit digits.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -76,12 +80,14 @@ def hyperbola_counts(q: int) -> np.ndarray:
     The u with gcd(u, q) = g number phi(q/g), and each has g solutions v
     when g | c and none otherwise.
     """
-    divisors = [1]
+    # (g, phi(q/g)) over the divisors g, one prime power of q at a time
+    classes = [(1, 1)]
     for p, e in factorize(q).items():
-        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+        classes = [(g * p ** k, f * (p ** (e - k) - p ** (e - k - 1) if k < e else 1))
+                   for g, f in classes for k in range(e + 1)]
     out = np.zeros(q, dtype=np.int64)
-    for g in divisors:
-        out[::g] += g * euler_phi(q // g)
+    for g, phi in classes:
+        out[::g] += g * phi
     return out
 
 
@@ -204,10 +210,11 @@ def delta_star_profile(q: int, eta) -> CongruenceProfile:
     return CongruenceProfile(q, eta, best, m_max)
 
 
-# Gathered sums are exact in int64: every entry of ``delta_star_scaled`` lies
-# in [0, m_max^2 q^2] (A(M,q,c) <= M^2 and A0(q,c) <= q^2), so a sum of r_max
-# entries is at most r_max m_max^2 q^2, about 2.7e18 < 2^63 at
-# q = PROFILE_GUARD, eta = 1/100.  _gather_width enforces the bound.
+# Gathered sums, and _gather_bound's, are exact in int64: every entry of
+# ``delta_star_scaled`` lies in [0, m_max^2 q^2] (A(M,q,c) <= M^2 and
+# A0(q,c) <= q^2), and each is a sum of at most r_max entries, so at most
+# r_max m_max^2 q^2, about 2.7e18 < 2^63 at q = PROFILE_GUARD, eta = 1/100.
+# _gather_width enforces the bound.
 _GATHER_CHUNK = 1 << 18  # index-array entries per chunk of units
 
 
@@ -231,13 +238,31 @@ def _bad_threshold(q: int, eta: Fraction) -> int:
     return iroot(q ** e.numerator - 1, e.denominator) + 1
 
 
-def _bad_set_of_profile(profile: CongruenceProfile) -> tuple[int, ...]:
+def _gather_bound(scaled: np.ndarray, q: int, r_max: int) -> int:
+    """An upper bound on sum_{r <= r_max} scaled[b r mod q] over the units b.
+
+    For a unit b the residues b r are distinct and gcd(b r, q) = gcd(r, q),
+    so the n_g terms with gcd(r, q) = g are distinct entries at residues g u,
+    u a unit of q/g, and add up to at most the n_g largest of those; the
+    bound is attained when one unit's residues hold them all.
+    """
+    counts = Counter(math.gcd(r, q) for r in range(1, r_max + 1))
+    primes = factorize(q)
+    total = 0
+    for g, n in counts.items():
+        vals = scaled[g::g].copy()  # vals[u - 1] = scaled[g u], u = 1 .. q/g - 1
+        # zero the u that share a prime with q/g; the n largest stay as they
+        # were, since phi(q/g) >= n entries, all >= 0, are left
+        for p in primes:
+            if q // g % p == 0:
+                vals[p - 1 :: p] = 0
+        total += int(vals.max()) if n == 1 else int(np.partition(vals, len(vals) - n)[-n:].sum())
+    return total
+
+
+def _gather_bad_set(scaled: np.ndarray, q: int, r_max: int, threshold: int) -> tuple[int, ...]:
     # a is bad when sum_{r <= r_max} scaled[a^-1 r mod q] >= T; a -> a^-1 is a
     # bijection on units, so test every unit b = a^-1 and invert the bad ones
-    q = profile.q
-    r_max = _gather_width(q, profile.eta)
-    threshold = _bad_threshold(q, profile.eta)
-    scaled = profile.delta_star_scaled
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
     r = np.arange(1, r_max + 1, dtype=np.int64)
     rows = max(1, _GATHER_CHUNK // r_max)
@@ -249,6 +274,18 @@ def _bad_set_of_profile(profile: CongruenceProfile) -> tuple[int, ...]:
     return tuple(sorted(pow(b, -1, q) for b in bad_inverses))
 
 
+def _bad_set_of_profile(profile: CongruenceProfile) -> tuple[int, ...]:
+    # the per-unit gather runs only where the bound on every unit's sum
+    # reaches T; at eta = 1/200 that is q = 2183 alone in 2..3000
+    q = profile.q
+    r_max = _gather_width(q, profile.eta)
+    threshold = _bad_threshold(q, profile.eta)
+    scaled = profile.delta_star_scaled
+    if _gather_bound(scaled, q, r_max) < threshold:
+        return ()
+    return _gather_bad_set(scaled, q, r_max, threshold)
+
+
 @lru_cache(maxsize=None)
 def _bad_set_cached(q: int, eta: Fraction) -> tuple[int, ...]:
     return _bad_set_of_profile(delta_star_profile(q, eta))
@@ -258,6 +295,24 @@ def bad_set(q: int, eta) -> tuple[int, ...]:
     """Residues a (coprime to q) whose dispersion sum over small multiples of
     the inverse is anomalously large.  Results are cached per (q, eta)."""
     return _bad_set_cached(q, Fraction(eta))
+
+
+def _sum_of_squares(v: np.ndarray) -> int:
+    """sum(v * v) exactly.  |v| is split into three 19-bit digits, and v^2 is
+    their six distinct pair products; each dot product of two digit arrays is
+    below len(v) 2^38, within int64 while len(v) < 2^25 and |v| < 2^57 (a
+    deviation is at most m_max^2 q^2 < 2^56 up to PROFILE_GUARD).  Past that,
+    Python integers."""
+    a = np.abs(v)
+    if len(a) >= 1 << 25 or int(a.max()) >> 57:
+        return sum(x * x for x in v.tolist())
+    mask = (1 << 19) - 1
+    d = (a & mask, (a >> 19) & mask, a >> 38)
+    return sum(
+        (1 if i == j else 2) * int(d[i] @ d[j]) << 19 * (i + j)
+        for i in range(3)
+        for j in range(i, 3)
+    )
 
 
 @dataclass
@@ -293,7 +348,7 @@ def dispersion_report(q: int, n: Optional[int] = None, eta=Fraction(1, 200)) -> 
         scaled = count_A(n, q, None) * (q * q) - (n * n) * _a0(q)
         exponent = Fraction(4, 3)
         card = None
-    sum_delta = Fraction(sum(v * v for v in scaled.tolist()), q ** 4)
+    sum_delta = Fraction(_sum_of_squares(scaled), q ** 4)
     bound = float(q) ** float(exponent + 4 * eta) * q1 ** 3
     return DispersionReport(
         q=q,

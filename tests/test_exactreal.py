@@ -132,6 +132,23 @@ def test_q1_part_cofactor_odd_squarefree(q):
     assert all(e == 1 for e in factorize(q0).values()) or q0 == 1
 
 
+def test_factorize_grows_its_trial_table():
+    # the trial table is sized from sqrt(n), so a large n after a small one
+    # needs primes the small one's table does not hold
+    exactreal._trial_primes.cache_clear()
+    assert factorize(12) == {2: 2, 3: 1}
+    assert factorize(999983 ** 2) == {999983: 2}
+    assert factorize(999979 * 999983) == {999979: 1, 999983: 1}
+    assert factorize(2 ** 39) == {2: 39}
+    assert factorize(10 ** 12) == {2: 12, 5: 12}
+    assert factorize(1) == {} and factorize(2) == {2: 1} and factorize(3) == {3: 1}
+    rng = random.Random(12)
+    for n in [rng.randrange(1, 10 ** 12 + 1) for _ in range(60)] + list(range(1, 300)):
+        f = factorize(n)
+        assert math.prod(p ** e for p, e in f.items()) == n
+        assert all(is_prime(p) for p in f), n
+
+
 def test_primes_upto_matches_is_prime():
     primes = [p for p in range(2001) if is_prime(p)]
     for limit in range(2001):

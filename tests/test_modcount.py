@@ -16,7 +16,9 @@ from quadpair.modcount import (
     _a0,
     _bad_set_of_profile,
     _bad_threshold,
+    _gather_bound,
     _gather_width,
+    _sum_of_squares,
     bad_set,
     count_A,
     count_A0,
@@ -290,6 +292,66 @@ def test_bad_set_matches_oracle_on_synthetic_profiles(monkeypatch, chunk):
                 assert (1 in got) == bad
 
 
+def _unit_sums(scaled, q, r_max):
+    # every unit b's gathered sum, sum_{r <= r_max} scaled[b r mod q]
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    return scaled[(units[:, None] * np.arange(1, r_max + 1)) % q].sum(axis=1)
+
+
+_BOUND_MODULI = (12, 30, 210, 360, 1155, 2048, 2187, 2730)
+
+
+@pytest.mark.parametrize("q", _BOUND_MODULI)
+def test_gather_bound_covers_every_unit(q):
+    rng = np.random.default_rng(q)
+    real = delta_star_profile(q, ETA).delta_star_scaled
+    top = int(real.max())
+    for eta in _ETAS:
+        r_max = _gather_width(q, eta)
+        profiles = [real, rng.integers(0, top + 1, size=q), rng.integers(0, 3, size=q)]
+        # large entries on the residues sharing a factor with q, as real ones have
+        profiles.append(np.where(np.gcd(np.arange(q), q) > 1, top, rng.integers(0, 10, size=q)))
+        for scaled in profiles:
+            scaled = np.asarray(scaled, dtype=np.int64)
+            assert _gather_bound(scaled, q, r_max) >= int(_unit_sums(scaled, q, r_max).max()), eta
+
+
+@pytest.mark.parametrize("q", _BOUND_MODULI)
+def test_gather_bound_is_reached_by_the_unit_that_holds_it(q):
+    # one unit's residues b r carry the profile; every residue outside the gcd
+    # classes of r <= r_max (0 among them) carries more, and the bound must
+    # leave those out
+    rng = np.random.default_rng(q + 1)
+    for eta in _ETAS:
+        r_max = _gather_width(q, eta)
+        classes = {math.gcd(r, q) for r in range(1, r_max + 1)}
+        outside = np.array([math.gcd(c, q) not in classes for c in range(q)])
+        for b in (1, q - 1, int(rng.choice(np.flatnonzero(np.gcd(np.arange(q), q) == 1)))):
+            scaled = np.where(outside, 10 ** 9, 0)
+            scaled[b * np.arange(1, r_max + 1) % q] = rng.integers(1, 10 ** 6, size=r_max)
+            sums = _unit_sums(scaled, q, r_max)
+            assert _gather_bound(scaled, q, r_max) == int(sums.max()), (eta, b)
+
+
+def test_bad_set_gathers_only_where_the_bound_reaches_the_threshold(monkeypatch):
+    def no_gather(*args):
+        raise AssertionError("gathered")
+
+    modcount._bad_set_cached.cache_clear()
+    monkeypatch.setattr(modcount, "_gather_bad_set", no_gather)
+    for q in range(2, 601):
+        assert bad_set(q, ETA) == _bad_set_oracle(delta_star_profile(q, ETA)), q
+    modcount._bad_set_cached.cache_clear()
+    # q = 2183 = 37 * 59 is the one modulus in 2..3000 whose bound reaches T
+    # at eta = 1/200
+    prof = delta_star_profile(2183, ETA)
+    with pytest.raises(AssertionError, match="gathered"):
+        _bad_set_of_profile(prof)
+    monkeypatch.undo()
+    assert _gather_bound(prof.delta_star_scaled, 2183, _gather_width(2183, ETA)) >= _bad_threshold(2183, ETA)
+    assert _bad_set_of_profile(prof) == _bad_set_oracle(prof) == ()
+
+
 def test_bad_threshold_is_least_integer_power_bound():
     for eta in _ETAS:
         e = Fraction(8, 3) - 2 * eta
@@ -308,6 +370,28 @@ def test_gather_sums_fit_int64_up_to_profile_guard():
     assert r_max * m_max ** 2 * q ** 2 < 2 ** 63
     with pytest.raises(CostGuardError):
         _gather_width(10 * PROFILE_GUARD, eta)
+
+
+def test_sum_of_squares_matches_python_ints():
+    rng = np.random.default_rng(7)
+    q = PROFILE_GUARD
+    top = floor_power(q, Fraction(2, 3)) ** 2 * q ** 2  # the largest deviation
+    assert top < 1 << 56
+    cases = [
+        np.full(q, top, dtype=np.int64),
+        np.array([top, -top, top - 1, 1 << 38, (1 << 38) - 1, 1 << 19, -1, 0], dtype=np.int64),
+        rng.integers(-top, top + 1, size=q),
+        # box-mode deviations A(n, q, c) q^2 - n^2 A0(q, c), negative for many c
+        count_A(10, 100, None) * 100 ** 2 - 10 ** 2 * _a0(100),
+        count_A(30, 2730, None) * 2730 ** 2 - 30 ** 2 * _a0(2730),
+        # past 2^57 the Python sum takes over; 2^20 squares of 2^60 would
+        # overflow the top digit's dot product
+        np.array([1 << 60, -(1 << 61), 3], dtype=np.int64),
+        np.full(1 << 20, (1 << 60) - 1, dtype=np.int64),
+    ]
+    assert (cases[3] < 0).any() and (cases[4] < 0).any()
+    for v in cases:
+        assert _sum_of_squares(v) == sum(x * x for x in v.tolist())
 
 
 def test_dispersion_report_q5():
