@@ -48,14 +48,21 @@ at most ``HIST_COST`` * N and q <= ``HIST_DEN`` * N, which bounds its memory
 to ``HIST_DEN`` counts a point; the sorted window stays its oracle.
 
 The integral identities compare three routes that share no count: the
-arc-coverage integrals from one stable sort of the 2N arc ends, held as
-points over den beside two shared sub-unit offsets, and one cumulative sum;
-R0 from the window kernel above; and the integral of R from a walk over
-the sorted points by neighbour offset, which meets each pair within the
-window once.  The sweep costs O(N log N) and the walk O(N + pairs); both
-read the sorted keys and limbs, sum by exact int64 limb dots, and make a
-Python int only for a key gap too close to its bound to settle on keys.
-They run up to N = ``SWEEP_GUARD``, the walk up to ``WALK_GUARD`` pairs.
+arc-coverage integrals from a sweep over the 2N arc ends, held as points
+over den beside two shared sub-unit offsets, which sorts nothing: each
+side's ends are the sorted points rotated by one constant, and each start
+is ranked among the ends by one search; R0 from the window kernel above;
+and the integral of R from a walk over the sorted points by neighbour
+offset, which meets each pair within the window once.  The sweep costs
+O(N log N) and the walk O(N + pairs); both read the sorted keys and limbs
+and sum by exact int64 limb dots.  They run up to N = ``SWEEP_GUARD``, the
+walk up to ``WALK_GUARD`` pairs.
+
+Past 2^62 only ``SequenceModOne`` orders limb rows.  Every other
+comparison of two numerators (a window end, a wrap bound, a start against
+an end, a walk gap against its bound) reads the int64 keys first and
+makes Python ints of only the rows whose keys tie, or lie within one key
+unit of the bound.
 """
 
 from __future__ import annotations
@@ -99,8 +106,8 @@ class SequenceModOne:
     built from a list converts it once, here, and keeps the list as
     ``nums``.  ``sorted_nums()``, and ``nums`` of a ``from_array``
     sequence, are Python ints read off the array the first time something
-    asks for them (the naive count, a bisection in ``_upto_counts``); the
-    identity checks read the array alone.
+    asks for them (the naive count); the window counts and the identity
+    checks read the array alone.
     """
 
     def __init__(self, nums: list[int], den: int, provenance: str = "explicit",
@@ -340,11 +347,12 @@ def _upto_counts(seq: SequenceModOne, lo: int, hi: int) -> tuple[np.ndarray, int
     are the numerators, and neither bound needs the extra key).  One search
     counts the keys up to the upper bound.  An index whose last taken key is
     certainly in at lo has the same exact count at both ends; the others
-    are bisected on the exact integers at hi and at lo, inside the bracket
-    the two bounds leave.  At lo >= 0 every j <= i is in, so an index that
-    took no key past its own is exact, and a bisection starts past i.  At
-    hi < 0 only the indices from the first one whose key reaches keys[0]
-    take any key, so only that tail is searched (at hi >= 0 it is all).
+    are bisected on the exact integers at hi and at lo, read off the limbs
+    of the index and of the bracket the two bounds leave, and of no other
+    row.  At lo >= 0 every j <= i is in, so an index that took no key past
+    its own is exact, and a bisection starts past i.  At hi < 0 only the
+    indices from the first one whose key reaches keys[0] take any key, so
+    only that tail is searched (at hi >= 0 it is all).
     """
     keys = seq.sorted_keys()
     h = seq.key_shift
@@ -365,16 +373,16 @@ def _upto_counts(seq: SequenceModOne, lo: int, hi: int) -> tuple[np.ndarray, int
             ends = ends[counts[ends] > ends]
         counts += 1
         if ends.size:
-            s = seq.sorted_nums()
+            limbs = seq.sorted_limbs()
             starts = np.searchsorted(keys, own[ends] + sure, "right")
             if lo >= 0:
                 np.maximum(starts, ends + 1, out=starts)
             for e, start in zip(ends.tolist(), starts.tolist()):
-                v = s[e + first]
-                end = bisect.bisect_right(s, v + hi, start, int(counts[e]))
-                counts[e] = end
+                v, *s = _limb_ints(limbs[[e + first, *range(start, counts[e])]])  # the index, its bracket
+                end = bisect.bisect_right(s, v + hi)
+                counts[e] = start + end
                 if lo != hi:
-                    band += end - bisect.bisect_right(s, v + lo, start, end)
+                    band += end - bisect.bisect_right(s, v + lo, 0, end)
     if full is None:
         return counts, band
     full[first:] = counts
@@ -674,21 +682,21 @@ def verify_integral_identities(seq: SequenceModOne, x) -> IdentityReport:
 
 def _coverage_integrals(seq: SequenceModOne, x: Fraction) -> tuple[Fraction, Fraction]:
     """The integrals of L and L^2 over the circle, where L(y) counts the arcs
-    of length x/N centred on the points that cover y, by one sort of the 2N
-    arc ends.
+    of length x/N centred on the points that cover y, by a sweep over the 2N
+    arc ends that sorts nothing.
 
     Scaled by den * k with k = 2N * x.denominator, the arc about v/den runs
     from v*k - h to v*k + h (mod den * k), h = x.numerator * den.  With
     (A, B) = divmod(h, k), its start lies at w*k + o with w = (v - A - [B > 0])
     mod den and o = -B mod k, and its end at w*k + o with w = (v + A) mod den
-    and o = B.  Every start shares one o and every end the other, so the 2N
-    ends sort by w, the starts first at equal w when their o is smaller:
-    one stable sort of the w, concatenated in that order, puts the ends in
-    sweep order (int64 w up to 2^62; past it the int64 keys of their limb
-    rows, or one stable ``lexsort`` of the rows when two keys tie, as
-    ``SequenceModOne`` sorts its rows).  The arcs that cover the sweep's
-    start are those whose start wrapped below 0 or whose end wrapped past
-    den, so one cumulative sum of the +1/-1 steps gives L after every end.
+    and o = B.  Every start shares one o and every end the other, and
+    ``_add_mod`` gives each side's w already sorted, so the sweep puts start
+    i after the ends of smaller w, and after those of equal w too when their
+    o is smaller: one search counts them (``_ranks`` past 2^62, which
+    settles a key tie on the exact ints).  End j comes after exactly the
+    starts with at most j ends before them.  The arcs that cover the
+    sweep's start are those whose start wrapped below 0 or whose end wrapped
+    past den, so these counts give L just after every end.
 
     Summing by parts, the integral of f(L) times den * k is
     f(L0) den k - sum_e df_e (w_e k + o_e), where df_e is the change of f(L)
@@ -699,67 +707,79 @@ def _coverage_integrals(seq: SequenceModOne, x: Fraction) -> tuple[Fraction, Fra
     k = 2 * n * x.denominator
     a, b = divmod(x.numerator * den, k)
     o_start, o_end = -b % k, b
-    values = seq.sorted_limbs() if seq.key_shift else seq.sorted_keys()
     # v - A - [B > 0] wraps below 0 exactly where v + (den - A - [B > 0]) stays below den
-    starts, unwrapped = _add_mod(values, den - a - (b > 0), den)
-    ends, wrapped = _add_mod(values, a, den)
-    cover0 = n - int(np.count_nonzero(unwrapped)) + int(np.count_nonzero(wrapped))
-    first = o_start <= o_end  # starts go first among equal w
-    w = np.concatenate((starts, ends) if first else (ends, starts))
-    step = np.repeat(np.array((1, -1) if first else (-1, 1), np.int64), n)
+    starts_wrapped, starts = _add_mod(seq, den - a - (b > 0))
+    ends_kept, ends = _add_mod(seq, a)
+    cover0 = starts_wrapped + n - ends_kept
+    side = "left" if o_start <= o_end else "right"  # starts go first among equal w
     if seq.key_shift:
-        keys = _limb_shift(w, seq.key_shift)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
-            order = np.lexsort(w.T)
-        limbs = w
+        before = _ranks(ends, starts, seq.key_shift, side)
     else:
-        order = np.argsort(w, kind="stable")
-        limbs = _int64_limbs(w)
-    sweep = step[order]
-    cover = np.cumsum(sweep)
-    cover += cover0
-    # change of L^2 at each end, where L steps by s to L': L'^2 - L^2 = s (2 L' - s)
-    square = np.empty_like(cover)
-    square[order] = (2 * cover - sweep) * sweep
-    start_square = int(square[:n].sum() if first else square[n:].sum())
+        before = np.searchsorted(ends, starts, side)
+        starts, ends = _int64_limbs(starts), _int64_limbs(ends)
+    at = np.arange(n)
+    # L^2 steps by 2 L - 1 at a start and by -(2 L + 1) at an end, where L is
+    # the coverage just after it: L0 + i + 1 - before[i] after start i, and
+    # L0 + (the starts ranked at most j) - j - 1 after end j
+    start_square = 2 * (at - before) + (2 * cover0 + 1)
+    end_square = 2 * (at - np.cumsum(np.bincount(before, minlength=n + 1)[:n])) + (1 - 2 * cover0)
+    ones = np.ones(n, np.int64)
     scale = den * k
-    int_l = cover0 * scale - k * _limb_dot(step, limbs) - n * (o_start - o_end)
-    int_l2 = cover0 * cover0 * scale - k * _limb_dot(square, limbs) - start_square * (o_start - o_end)
+    int_l = cover0 * scale - k * (_limb_dot(ones, starts) - _limb_dot(ones, ends)) - n * (o_start - o_end)
+    int_l2 = (cover0 * cover0 * scale - k * (_limb_dot(start_square, starts) + _limb_dot(end_square, ends))
+              - int(start_square.sum()) * (o_start - o_end))
     return Fraction(int_l, scale), Fraction(int_l2, scale)
 
 
-def _add_mod(values: np.ndarray, c: int, den: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v + c) mod den for each numerator v of ``values`` (an int64 array for
-    den <= 2^62, where v + c < 2 den fits, else rows of uint32 limbs),
-    0 <= c < den, and where v + c >= den.  On limb rows that is v >= den - c,
-    compared limb by limb from the top; then each row adds c, or
-    2^(32 size) - (den - c) to give v + c - den modulo 2^(32 size), with
-    the carry taken column by column."""
-    if values.ndim == 1:
-        out = values + c
-        wrapped = out >= den
-        out[wrapped] -= den
-        return out, wrapped
-    n, size = values.shape
-    m = den - c
-    wrapped = np.zeros(n, bool)
-    tie = np.full(n, m < 1 << 32 * size)
-    for col in reversed(range(size)):
-        limb, part = values[:, col], (m >> 32 * col) & _LOW32
-        wrapped |= tie & (limb > part)
-        tie &= limb == part
-    wrapped |= tie
-    below, over = c, (1 << 32 * size) - m
-    out = np.empty_like(values)
-    carry = np.zeros(n, np.uint64)
-    for col in range(size):
-        carry += values[:, col]
-        carry += np.where(wrapped, (over >> 32 * col) & _LOW32, (below >> 32 * col) & _LOW32).astype(np.uint64)
-        out[:, col] = carry & _LOW32
-        carry >>= np.uint64(32)
-    return out, wrapped
+def _add_mod(seq: SequenceModOne, c: int) -> tuple[int, np.ndarray]:
+    """How many sorted numerators v stay below den - c (0 <= c < den), and
+    the sorted (v + c) mod den, in the same form as the sorted numerators
+    (int64, or uint32 limb rows past 2^62).
+
+    The v >= den - c that wrap are a suffix, so its start is one search of
+    the sorted keys for the key of den - c; past 2^62 the rows at that key
+    are read as exact ints and den - c bisected into them.  The suffix, less
+    den - c, comes first: on limb rows it adds 2^(32 size) - (den - c) and
+    the prefix adds c, each with the carry taken column by column."""
+    m = seq.den - c
+    keys = seq.sorted_keys()
+    cut = int(np.searchsorted(keys, m >> seq.key_shift))
+    if not seq.key_shift:
+        return cut, np.concatenate((keys[cut:] - m, keys[:cut] + c))
+    limbs = seq.sorted_limbs()
+    tied = int(np.searchsorted(keys, m >> seq.key_shift, "right"))
+    cut += bisect.bisect_left(_limb_ints(limbs[cut:tied]), m)
+    size = limbs.shape[1]
+    out = np.empty_like(limbs)
+    wrap = seq.n - cut
+    for rows, add, into in ((limbs[cut:], (1 << 32 * size) - m, out[:wrap]), (limbs[:cut], c, out[wrap:])):
+        carry = np.zeros(len(rows), np.uint64)
+        for col in range(size):
+            carry += rows[:, col]
+            carry += (add >> 32 * col) & _LOW32
+            into[:, col] = carry & _LOW32
+            carry >>= np.uint64(32)
+    return cut, out
+
+
+def _ranks(limbs: np.ndarray, at: np.ndarray, shift: int, side: str) -> np.ndarray:
+    """#{j : s_j < p} (side "left") or #{j : s_j <= p} ("right") for each
+    row p of ``at``, where s are the sorted rows of ``limbs``, both uint32
+    limb rows with int64 keys v >> shift (shift > 0).  One search of the
+    keys is exact except where p's key is some s_j's key: there the run of
+    s at that key is read as exact ints, once a run, and p bisected into it.
+    """
+    keys, at_keys = _limb_shift(limbs, shift), _limb_shift(at, shift)
+    ranks = np.searchsorted(keys, at_keys, side)
+    # p ties when the key beside its rank, on the side searched, is its own
+    tied = np.flatnonzero(keys.take(ranks - (side == "right"), mode="clip") == at_keys)
+    find = bisect.bisect_left if side == "left" else bisect.bisect_right
+    los = np.searchsorted(keys, at_keys[tied]).tolist()
+    his = np.searchsorted(keys, at_keys[tied], "right").tolist()
+    runs = {lo: _limb_ints(limbs[lo:hi]) for lo, hi in set(zip(los, his))}
+    for i, lo, p in zip(tied.tolist(), los, _limb_ints(at[tied])):
+        ranks[i] = lo + find(runs[lo], p)
+    return ranks
 
 
 def _walk_distance_stats(seq: SequenceModOne, t: int) -> tuple[int, int]:

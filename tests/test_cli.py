@@ -301,6 +301,26 @@ def test_window_stats_bytes_are_pinned(capsys, line):
     assert _sha256(out.encode()) == WINDOW_STATS_DIGESTS[line]
 
 
+# stdout sha256 of the identity checks on the three sequence forms: 2^192
+# limb rows, int64 numerators, and limb rows built from Python ints over
+# den = 3^40; recorded while the coverage sweep re-sorted its arc ends
+R0_DIGESTS = {
+    "r0 --alpha sqrt:2 --N 100000 --X 1/2,1,16":
+        "2e3024bdbe69712d5eaf0e5a07ad3a3983e0c02357c63ec312e3a09a9b070e7c",
+    "r0 --alpha rat:38717/92551 --N 100000 --X 1/2,1,16":
+        "32fefe9ac1aec3f9bed5b81603a5df2bdcf56aa47b6b24ecc3e95d8550daeffe",
+    "r0 --alpha rat:1000000000000000009/12157665459056928801 --N 100000 --X 1/2,1,16":
+        "41c8203019a4fdbcc18b69649cc38878485431ddfcf1ba304856e9377e32cd76",
+}
+
+
+@pytest.mark.parametrize("line", R0_DIGESTS)
+def test_identity_bytes_are_pinned(capsys, line):
+    code, out = run(line.split(), capsys)
+    assert code == 0
+    assert _sha256(out.encode()) == R0_DIGESTS[line]
+
+
 # stdout sha256 of V, V*, V1 and V2 at 192 bits, from boxes of a few
 # thousand cells to 9 * 10^5; recorded from the per-cell window loop
 VCOUNTS_DIGESTS = {

@@ -1,7 +1,10 @@
+import bisect
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -553,27 +556,84 @@ def test_identities_match_the_oracles_on_array_built_sequences(alpha):
             assert rep == _identity_oracle(seq, x), (alpha, n, x)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_identity_routes_match_the_oracles_inside_the_key_band(data):
+def test_identity_routes_match_the_oracles_inside_the_key_band():
     # points that differ only below the key bits, duplicates and points half
     # a circle apart, as in the pair-stats test above: the walk at every gap
-    # and one either side, the sweep at windows whose threshold lands there
-    den = data.draw(st.sampled_from(_KEYED_DENS + (3 ** 40,)))
-    low = 1 << SequenceModOne([0], den).key_shift
-    base = data.draw(st.integers(0, den - 1))
-    moves = st.sampled_from([0, 1, low - 1, low, low + 1, 2 * low, den // 2, den // 2 + 1, den - 1])
-    nums = [(base + data.draw(moves)) % den for _ in range(data.draw(st.integers(1, 8)))]
-    seq = SequenceModOne(nums, den)
-    n = seq.n
-    gaps = {abs(a - b) for a in nums for b in nums}
-    ts = {g + e for g in gaps for e in (-1, 0, 1)} | {den - g + e for g in gaps for e in (-1, 0, 1)}
-    ts |= {den // 2 - 1, den // 2, den // 2 + 1, den}
-    for t in sorted(v for v in ts if v >= 0):
-        assert paircorr._walk_distance_stats(seq, t) == paircorr._naive_distance_stats(seq, t), (nums, den, t)
-        x = Fraction(t * n, den) + Fraction(data.draw(st.integers(0, 6)), 7 * den)
-        if 0 < x <= n:
-            assert paircorr._coverage_integrals(seq, x) == _sweep_oracle(seq, x), (nums, den, x)
+    # and one either side, the sweep at windows whose threshold lands there,
+    # where a start and an end share a key and _ranks reads their exact ints
+    settled = []
+
+    def spy(rows, _f=paircorr._limb_ints):
+        if sys._getframe(1).f_code.co_name == "_ranks" and len(rows):
+            settled.append(len(rows))
+        return _f(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def check(data):
+        den = data.draw(st.sampled_from(_KEYED_DENS + (3 ** 40,)))
+        low = 1 << SequenceModOne([0], den).key_shift
+        base = data.draw(st.integers(0, den - 1))
+        moves = st.sampled_from([0, 1, low - 1, low, low + 1, 2 * low, den // 2, den // 2 + 1, den - 1])
+        nums = [(base + data.draw(moves)) % den for _ in range(data.draw(st.integers(1, 8)))]
+        seq = SequenceModOne(nums, den)
+        n = seq.n
+        gaps = {abs(a - b) for a in nums for b in nums}
+        ts = {g + e for g in gaps for e in (-1, 0, 1)} | {den - g + e for g in gaps for e in (-1, 0, 1)}
+        ts |= {den // 2 - 1, den // 2, den // 2 + 1, den}
+        for t in sorted(v for v in ts if v >= 0):
+            assert paircorr._walk_distance_stats(seq, t) == paircorr._naive_distance_stats(seq, t), (nums, den, t)
+            x = Fraction(t * n, den) + Fraction(data.draw(st.integers(0, 6)), 7 * den)
+            if 0 < x <= n:
+                with mock.patch.object(paircorr, "_limb_ints", spy):
+                    got = paircorr._coverage_integrals(seq, x)
+                assert got == _sweep_oracle(seq, x), (nums, den, x)
+
+    check()
+    assert settled
+
+
+_WRAP_DENS = (1 << 64, 3 ** 40, 1 << 192)
+
+
+@pytest.mark.parametrize("den", _WRAP_DENS)
+def test_add_mod_settles_the_wrap_bound_on_the_exact_ints(den):
+    # points under the key of m = den - c, on both sides of m, with m itself
+    # a point or not, and m at the first, last or a middle value of its key:
+    # the cut is #{v < m} and the rotation is the sorted (v + c) mod den
+    unit = 1 << SequenceModOne([0], den).key_shift
+    rng = random.Random(den)
+    for m in (den, 1, den - 1, unit, 2 * unit - 1, *(rng.randrange(1, den) for _ in range(12))):
+        base = m // unit * unit
+        near = {m - 1, m + 1, base, base + 1, base + unit - 1, base - 1, base + unit, 0, den - 1}
+        for nums in ([v for v in near if 0 <= v < den and v != m], [v for v in near | {m} if 0 <= v < den]):
+            c = den - m
+            cut, rotated = paircorr._add_mod(SequenceModOne(nums, den), c)
+            assert cut == sum(v < m for v in nums), (den, m, nums)
+            assert paircorr._limb_ints(rotated) == sorted((v + c) % den for v in nums), (den, m, nums)
+
+
+@pytest.mark.parametrize("den", [1, 2])
+def test_add_mod_of_zero_keeps_every_point(den):
+    nums = [0] * 3 + [den - 1] * 2
+    cut, rotated = paircorr._add_mod(SequenceModOne(nums, den), 0)
+    assert cut == len(nums)
+    assert rotated.tolist() == sorted(nums)
+
+
+@pytest.mark.parametrize("den", _WRAP_DENS)
+def test_ranks_settle_key_ties_on_the_exact_ints(den):
+    # starts and ends under three shared keys that differ below the key
+    # bits, duplicates included: ranks on both sides match bisect on the ints
+    shift = SequenceModOne([0], den).key_shift
+    rng = random.Random(den)
+    for _ in range(30):
+        pool = [(rng.randrange(den >> shift) << shift) + d for _ in range(3) for d in (0, 1, 2, (1 << shift) - 1)]
+        ends = sorted(rng.choices(pool, k=rng.randrange(1, 10)))
+        starts = rng.choices(pool, k=rng.randrange(1, 10))
+        for side, find in (("left", bisect.bisect_left), ("right", bisect.bisect_right)):
+            ranks = paircorr._ranks(paircorr._limb_rows(ends, den), paircorr._limb_rows(starts, den), shift, side)
+            assert ranks.tolist() == [find(ends, v) for v in starts], (den, ends, starts, side)
 
 
 @pytest.mark.parametrize("den", [7, 1 << 62, 3 ** 40, 1 << 192])
@@ -1187,14 +1247,18 @@ def test_equal_keys_are_ordered_on_every_limb(monkeypatch):
     assert len(lexsorts) == 3
 
 
-def test_bisection_reads_the_sorted_ints_off_the_limbs():
+def test_bisection_reads_the_sorted_ints_off_the_limbs(monkeypatch):
     # at X = 0 the tied pair's first index takes the second one's key, so
-    # _upto_counts bisects on the exact ints, which only the limbs hold
+    # _upto_counts bisects on the exact ints, which only the limbs hold: it
+    # reads the rows of that index and of its bracket, not the sorted list
+    read = []
+    monkeypatch.setattr(paircorr, "_limb_ints", lambda rows, _f=paircorr._limb_ints: read.append(_f(rows)) or read[-1])
     seq = quadratic_sequence(_TIED, 2)
-    assert seq._sorted is None
     assert pair_correlation(seq, 0).pair_count == 0
-    assert seq._sorted == [_TIED.mantissa - 1, _TIED.mantissa]
+    assert read == [[_TIED.mantissa - 1, _TIED.mantissa]]  # the index's row, then its bracket's one
+    assert seq._sorted is None
     assert pair_correlation(seq, 1).pair_count == 1
+    assert seq._sorted is None
 
 
 def test_limb_sequence_rebuilds_from_its_nums():
