@@ -2,12 +2,15 @@
 dispersion against the equidistribution prediction, bad residue sets,
 divisor sums in progressions, and box counts on modular hyperbolas.
 
-All counts are exact.  Deviations are carried as integers scaled by q^2
-(for values of the form A - (M/q)^2 A0) so that running maxima and exact
-threshold comparisons never touch floating point.  A bad set is empty
-without a per-unit gather when an exact bound on every unit's dispersion
-sum, taken one gcd class of r at a time, falls short of the threshold; sums
-of squared deviations are exact int64 dot products of 19-bit digits.
+All counts are exact.  A(N, q, .) is the circular autocorrelation of the
+histogram of the squares mod q, from ``circular_autocorr``: the one exact
+kernel, which the residue-histogram window in ``paircorr`` also reads.
+Deviations are carried as integers scaled by q^2 (for values of the form
+A - (M/q)^2 A0) so that running maxima and exact threshold comparisons
+never touch floating point.  A bad set is empty without a per-unit gather
+when an exact bound on every unit's dispersion sum, taken one gcd class of
+r at a time, falls short of the threshold; sums of squared deviations are
+exact int64 dot products of 19-bit digits.
 """
 
 from __future__ import annotations
@@ -35,17 +38,28 @@ PROFILE_GUARD = 10 ** 5
 _AUTOCORR_BLOCK = 4_000_000  # outer-product entries per block of rows
 
 
-def _circular_autocorr(h: np.ndarray, q: int) -> np.ndarray:
-    """out[c] = sum_r h[r] * h[(r - c) mod q], exactly."""
-    nz = np.nonzero(h)[0]
+def circular_autocorr(h: np.ndarray, lags: int) -> np.ndarray:
+    """c[d] = sum_r h[r] * h[(r + d) mod q] for d = 0..lags (lags < q = len(h)),
+    exactly in int64.  ``np.correlate`` takes q (lags + 1) products in two
+    calls that copy at most 2 lags entries of h: one over the r < q - lags,
+    where r + d does not wrap, and one over the last lags r, against the last
+    lags entries followed by the first lags.  The outer products of the nz
+    nonzero entries take nz^2, and run when that is fewer."""
+    q = len(h)
+    if np.count_nonzero(h) ** 2 >= q * (lags + 1):
+        c = np.correlate(h, h[: q - lags])
+        if lags:  # np.correlate refuses an empty array
+            c += np.correlate(np.concatenate((h[q - lags :], h[:lags])), h[q - lags :])
+        return c
+    nz = np.flatnonzero(h)
     vals = h[nz]
     out = np.zeros(q, dtype=np.int64)
-    rows = max(1, _AUTOCORR_BLOCK // len(nz))
+    rows = max(1, _AUTOCORR_BLOCK // max(len(nz), 1))
     for start in range(0, len(nz), rows):
-        cm = (nz[start : start + rows, None] - nz[None, :]) % q
+        d = (nz[None, :] - nz[start : start + rows, None]) % q
         w = vals[start : start + rows, None] * vals[None, :]
-        np.add.at(out, cm.ravel(), w.ravel())  # raveled: np.add.at is slower on 2-D indices
-    return out
+        np.add.at(out, d.ravel(), w.ravel())  # raveled: np.add.at is slower on 2-D indices
+    return out[: lags + 1]
 
 
 def _square_histogram(n: int, q: int) -> np.ndarray:
@@ -64,7 +78,7 @@ def count_A(n: int, q: int, c: Optional[int] = None):
         raise ValueError("need n >= 1 and q >= 1")
     if n * n > A_ARRAY_GUARD:
         raise CostGuardError(f"count_A is capped at n^2 <= {A_ARRAY_GUARD}")
-    out = _circular_autocorr(_square_histogram(n, q), q)
+    out = circular_autocorr(_square_histogram(n, q), q - 1)
     return out if c is None else int(out[c % q])
 
 

@@ -42,10 +42,11 @@ points lie within t/q exactly when their residues differ by some |d| <= t
 mod q, so the unordered pairs at distance <= t are (h.h - N)/2 plus
 C[d] = sum_r h[r] h[(r + d) mod q] over 1 <= d <= min(t, (q - 1)/2), plus
 C[q/2]/2 when q is even and t >= q/2; the distance sum takes the same terms
-weighted by d.  Each C[d] is two int64 slice dot products, so the cost is
-about q (min(t, (q - 1)/2) + 1), and the histogram serves whenever that is
-at most ``HIST_COST`` * N and q <= ``HIST_DEN`` * N, which bounds its memory
-to ``HIST_DEN`` counts a point; the sorted window stays its oracle.
+weighted by d.  Every C[d] comes from one call of the exact kernel
+``modcount.circular_autocorr``, about q (min(t, (q - 1)/2) + 1) products,
+and the histogram serves whenever that is at most ``HIST_COST`` * N and
+q <= ``HIST_DEN`` * N, which bounds its memory to ``HIST_DEN`` counts a
+point; the sorted window stays its oracle.
 
 The integral identities compare three routes that share no count: the
 arc-coverage integrals from a sweep over the 2N arc ends, held as points
@@ -55,8 +56,9 @@ is ranked among the ends by one search; R0 from the window kernel above;
 and the integral of R from a walk over the sorted points by neighbour
 offset, which meets each pair within the window once.  The sweep costs
 O(N log N) and the walk O(N + pairs); both read the sorted keys and limbs
-and sum by exact int64 limb dots.  They run up to N = ``SWEEP_GUARD``, the
-walk up to ``WALK_GUARD`` pairs.
+and sum by exact int64 limb dots, or uint64 limb column sums where every
+weight is 1.  They run up to N = ``SWEEP_GUARD``, the walk up to
+``WALK_GUARD`` pairs.
 
 Past 2^62 only ``SequenceModOne`` orders limb rows.  Every other
 comparison of two numerators (a window end, a wrap bound, a start against
@@ -79,6 +81,7 @@ import numpy as np
 from .errors import CostGuardError, PrecisionError
 from .exactreal import (DEFAULT_BITS, eval_with_retry, is_prime, mul_mod_int64, mul_mod_pow2_limbs,
                          near_integer_count, scaled, scaled_floor)
+from .modcount import circular_autocorr
 
 NAIVE_GUARD = 5000
 HIST_COST = 64  # the residue histogram counts exact windows of cost den * (terms + 1) <= HIST_COST * N
@@ -415,18 +418,11 @@ def _histogram_stats(seq: SequenceModOne, t: int) -> Optional[tuple[int, int]]:
     terms = min(t, (q - 1) // 2)
     if seq.err or q * (terms + 1) > HIST_COST * seq.n or q > HIST_DEN * seq.n:
         return None
-    h = seq.residue_histogram()
-    count = (int(h @ h) - seq.n) // 2
-    dist_sum = 0
-    for d in range(1, terms + 1):
-        c = int(h[:q - d] @ h[d:]) + int(h[q - d:] @ h[:d])
-        count += c
-        dist_sum += d * c
-    if q % 2 == 0 and 2 * t >= q:
-        c = int(h[:q // 2] @ h[q // 2:])  # C[q/2] / 2: residue q/2 is its own mirror
-        count += c
-        dist_sum += q // 2 * c
-    return count, dist_sum
+    lags = min(t, q // 2)
+    c = circular_autocorr(seq.residue_histogram(), lags).tolist()  # Python ints: sum d C[d] can pass 2^63
+    if 2 * lags == q:
+        c[lags] //= 2  # residue q/2 is its own mirror
+    return (c[0] - seq.n) // 2 + sum(c[1:]), sum(d * x for d, x in enumerate(c))
 
 
 def _distance_sum(seq: SequenceModOne, forward: np.ndarray, wrap: np.ndarray) -> int:
@@ -701,7 +697,8 @@ def _coverage_integrals(seq: SequenceModOne, x: Fraction) -> tuple[Fraction, Fra
     Summing by parts, the integral of f(L) times den * k is
     f(L0) den k - sum_e df_e (w_e k + o_e), where df_e is the change of f(L)
     at end e and L0 the coverage at 0; sum_e df_e w_e is an int64 dot of
-    the df with the limbs of the w (``_limb_dot``), never forming k*v.
+    the df with the limbs of the w (``_limb_dot``), never forming k*v; for
+    f(L) = L every df is 1 or -1, and the dot is each side's limb column sums.
     """
     n, den = seq.n, seq.den
     k = 2 * n * x.denominator
@@ -723,9 +720,10 @@ def _coverage_integrals(seq: SequenceModOne, x: Fraction) -> tuple[Fraction, Fra
     # L0 + (the starts ranked at most j) - j - 1 after end j
     start_square = 2 * (at - before) + (2 * cover0 + 1)
     end_square = 2 * (at - np.cumsum(np.bincount(before, minlength=n + 1)[:n])) + (1 - 2 * cover0)
-    ones = np.ones(n, np.int64)
+    # sum_e w_e for the starts and for the ends, a uint64 sum per limb column: exact for n < 2^32
+    sums = [sum(int(c.sum(dtype=np.uint64)) << 32 * i for i, c in enumerate(w.T)) for w in (starts, ends)]
     scale = den * k
-    int_l = cover0 * scale - k * (_limb_dot(ones, starts) - _limb_dot(ones, ends)) - n * (o_start - o_end)
+    int_l = cover0 * scale - k * (sums[0] - sums[1]) - n * (o_start - o_end)
     int_l2 = (cover0 * cover0 * scale - k * (_limb_dot(start_square, starts) + _limb_dot(end_square, ends))
               - int(start_square.sum()) * (o_start - o_end))
     return Fraction(int_l, scale), Fraction(int_l2, scale)

@@ -264,12 +264,15 @@ def _sha256(data: bytes) -> str:
 
 
 # stdout sha256 of rational windows the residue histogram counts, recorded
-# from the sorted-window search alone: ties, X = 0 and an empty R0
+# from the sorted-window search alone: ties, X = 0, an empty R0, and at
+# X = 600 (t = 58 over q = 98) the half-turn mirror d = q/2
 HISTOGRAM_DIGESTS = {
     "paircorr --alpha rat:38717/92551 --N 100000 --X 0.25,1,16":
         "fd82aaa14964635646a7920293e581b734e897c58332038f18db90cb6b80f30c",
     "paircorr --alpha rat:83/809 --N 20000 --X 0,1/2,16 --format json":
         "2bc888065bf92db57e9f11ee87d8c9101e8e35d3c9ee304781bbecd39d45b948",
+    "paircorr --alpha rat:3/98 --N 1000 --X 1/2,100,600":
+        "9357ea3b24ffb133eaa412f0873ab1c2d5a2fa12f4a72941bc77bcaf3f9b1680",
 }
 
 

@@ -46,6 +46,43 @@ def _brute_A(n, q, c):
 # A and A0
 
 
+def _autocorr_loop(h):
+    q = len(h)
+    nonzero = [r for r in range(q) if h[r]]
+    return [sum(h[r] * h[(r + d) % q] for r in nonzero) for d in range(q)]
+
+
+def test_circular_autocorr_matches_the_double_loop(monkeypatch):
+    # sparse histograms take the outer products (also split into blocks of
+    # 5 rows), dense ones np.correlate; entries whose products pass 2^53
+    # make float arithmetic inexact, and a zero histogram has no nonzero entry
+    correlated = []
+    original = np.correlate
+    monkeypatch.setattr(np, "correlate", lambda *a: correlated.append(1) or original(*a))
+    rng = random.Random(19)
+    paths = set()
+    for q in (1, 2, 97, 98, 1024):
+        for kind in ("sparse", "dense", "large", "zero"):
+            if kind == "sparse":
+                h = [0] * q
+                for _ in range(3):
+                    h[rng.randrange(q)] += rng.randrange(1, 10)
+            else:
+                top = {"dense": 10, "large": math.isqrt((1 << 62) // q), "zero": 1}[kind]
+                h = [rng.randrange(top) for _ in range(q)]
+            want = _autocorr_loop(h)
+            for lags in sorted({0, 1, q // 2, q - 1} & set(range(q))):
+                for block in (modcount._AUTOCORR_BLOCK, 5):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(modcount, "_AUTOCORR_BLOCK", block)
+                        correlated.clear()
+                        got = modcount.circular_autocorr(np.array(h, np.int64), lags)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == want[:lags + 1], (q, kind, lags, block)
+                    paths.add(bool(correlated))
+    assert paths == {True, False}
+
+
 def test_count_A_hand_example():
     arr = count_A(2, 5, None)
     assert list(arr) == [2, 0, 1, 1, 0]

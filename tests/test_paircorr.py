@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadpair import paircorr
+from quadpair import modcount, paircorr
 from quadpair.errors import CostGuardError, PrecisionError
 from quadpair.exactreal import FixedReal, parse_alpha, scaled, scaled_floor, sqrt_fixed
 from quadpair.paircorr import (
@@ -992,6 +992,30 @@ def test_histogram_edge_cases_match_the_sorted_search(monkeypatch, nums, den, x)
     assert got.pair_count == _sorted_search(pair_correlation, seq, x).pair_count
     if x:
         assert r0 == _sorted_search(weighted_pair_correlation, seq, x).r0
+
+
+@pytest.mark.parametrize("q", [98, 128])
+def test_histogram_reads_the_half_turn_mirror_once(monkeypatch, q):
+    # at even q and t >= q/2 the kernel runs to lag q/2, whose pairs it
+    # counts twice; quadratic residues are sparse enough for the outer
+    # products (44 of 98 at 3/98), random ones take np.correlate
+    lags = []
+    monkeypatch.setattr(paircorr, "circular_autocorr",
+                        lambda h, k: lags.append(k) or modcount.circular_autocorr(h, k))
+    correlated = []
+    original = np.correlate
+    monkeypatch.setattr(np, "correlate", lambda *a: correlated.append(1) or original(*a))
+    n = 2 * q
+    rng = random.Random(q)
+    paths = set()
+    for seq in (quadratic_sequence(Fraction(3, q), n), SequenceModOne([rng.randrange(q) for _ in range(n)], q)):
+        for t in (q // 2, q // 2 + 1, q - 1, q):
+            lags.clear()
+            correlated.clear()
+            assert paircorr._histogram_stats(seq, t) == paircorr._naive_distance_stats(seq, t), (seq.nums, t)
+            assert lags == [q // 2]
+            paths.add(bool(correlated))
+    assert paths == {True, False}
 
 
 @pytest.mark.parametrize("n, served", [(8, True), (7, False)])
